@@ -18,7 +18,6 @@ from .charprob import (
     CharState,
     char_diff_integral,
     eval_char_state,
-    fourier_of_B,
     grad_FG,
     pdf_Q_inversion,
     pdf_Q_inversion_grid,

@@ -15,13 +15,11 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 from scipy import integrate
 
 from .errors import PrecisionLoss, QuadratureNotConverged
 from .knots import KnotVector
-from .splines import ORACLE_MAX_N, _wprime_mp, bspline_stable
 
 _TAIL_THRESHOLD = 1e-12
 _R_MIN = 12.0
@@ -257,42 +255,3 @@ def pdf_gaussian_ratio(n: int, t: float) -> float:
         )
 
     return quotient_pdf(joint, t, (1.0 - 12.0 * rt, 1.0 + 12.0 * rt))
-
-
-def fourier_of_B(kv: KnotVector, xi: float) -> complex:
-    """Fourier transform of t -> B(t/n), closed form in extended precision.
-
-    For |xi| < 1e-3 the xi^{-(n-1)} prefactor is avoided by falling back to
-    the quadrature route.
-    """
-    n = kv.n
-    if n > ORACLE_MAX_N:
-        raise PrecisionLoss(f"closed form limited to n <= {ORACLE_MAX_N}")
-    if abs(xi) < 1e-3:
-        return fourier_of_B_quadrature(kv, xi)
-    with mp.workdps(60):
-        xs = [mp.mpf(float(x)) for x in kv.xs]
-        xim = mp.mpf(float(xi))
-        total = mp.mpc(0)
-        for k in range(n):
-            total += mp.e ** (mp.mpc(0, -1) * n * xim * xs[k]) / _wprime_mp(xs, k)
-        val = (
-            mp.factorial(n - 2)
-            / (mp.mpf(n) ** (n - 2) * xim ** (n - 1))
-            * mp.mpc(0, 1) ** (n - 1)
-            * total
-        )
-        return complex(val)
-
-
-def fourier_of_B_quadrature(kv: KnotVector, xi: float, gl_order: int = 60) -> complex:
-    """Independent route: int B(t/n) e^{-i t xi} dt by knot-aligned panels."""
-    n = kv.n
-    gl_x, gl_w = np.polynomial.legendre.leggauss(gl_order)
-    total = 0.0 + 0.0j
-    for a, b in zip(kv.xs[:-1] * n, kv.xs[1:] * n):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        ts = mid + half * gl_x
-        vals = bspline_stable(kv, ts / n) * np.exp(-1j * ts * xi)
-        total += half * complex(gl_w @ vals)
-    return total

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import charprob, knots, montecarlo, seminorm, specfun, splines
-from .errors import ConfigError, InsufficientData
+from .errors import ConfigError, InsufficientData, QuadratureNotConverged
 
 SCHEMA_VERSION = 1
 CSV_HEADER = [
@@ -179,10 +179,10 @@ def oracle_agreement(kv, n_points: int = 101) -> float:
     """Max pointwise relative deviation of the stable path from the oracle."""
     lo, hi = float(kv.xs[0]), float(kv.xs[-1])
     ts = lo + (hi - lo) * (np.arange(n_points) + 0.5) / n_points
+    stable = splines.bspline_stable(kv, ts).tolist()
     worst = 0.0
-    for t in ts:
+    for t, s in zip(ts, stable):
         o = splines.bspline_naive(kv, float(t), 0)
-        s = splines.bspline_stable(kv, float(t))
         if o == 0.0:
             worst = max(worst, abs(s))
         else:
@@ -548,16 +548,21 @@ def check_gaussian_ratio(seed):
     return ok, f"sup deviations {['%.2e' % s for s in sups]}"
 
 
+def inversion_symmetry(kv) -> float:
+    """Max |f_Q(s1, s2) - f_Q(-s1, s2)| at (0.3, 0.7) and (1.1, -0.4).
+
+    One inversion grid holds both points and their mirror images.
+    """
+    vals, max_imag = charprob.pdf_Q_inversion_grid(kv, [0.3, -0.3, 1.1, -1.1], [0.7, -0.4])
+    if max_imag > 1e-8:
+        raise QuadratureNotConverged(f"imaginary residue {max_imag:.2e} too large")
+    return float(max(abs(vals[0, 0] - vals[1, 0]), abs(vals[2, 1] - vals[3, 1])))
+
+
 def check_inversion_symmetry(seed):
     # equispaced knots are symmetric under x -> -x, which permutes the
     # summands of Q and flips only its first coordinate
-    kv = knots.family("equispaced", 8, seed)
-    pts = [(0.3, 0.7), (1.1, -0.4)]
-    worst = 0.0
-    for s1, s2 in pts:
-        a = charprob.pdf_Q_inversion(kv, (s1, s2))
-        b = charprob.pdf_Q_inversion(kv, (-s1, s2))
-        worst = max(worst, abs(a - b))
+    worst = inversion_symmetry(knots.family("equispaced", 8, seed))
     return worst <= 1e-8, f"max first-coordinate asymmetry {worst:.2e}"
 
 
@@ -604,7 +609,7 @@ def check_mc_covariance(seed):
     kv = knots.family("uniform_random", 8, seed)
     rng = montecarlo.rng_stream(seed)
     N = 10**6
-    p = -np.log1p(-rng.random((N, kv.n))) - 1.0
+    p = montecarlo.sample_exp_vector(kv.n, rng, rows=N) - 1.0
     q = np.column_stack([p @ kv.xs, p.sum(axis=1) / math.sqrt(kv.n)])
     se_mean = q.std(axis=0, ddof=1) / math.sqrt(N)
     if np.any(np.abs(q.mean(axis=0)) > 4 * se_mean):

@@ -41,9 +41,9 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), stream]))
 
 
-def sample_exp_vector(n: int, rng: np.random.Generator) -> np.ndarray:
-    """n iid Exp(1) draws by the inverse CDF -ln(1 - U)."""
-    return -np.log1p(-rng.random(n))
+def sample_exp_vector(n: int, rng: np.random.Generator, rows: int | None = None) -> np.ndarray:
+    """n iid Exp(1) draws by the inverse CDF -ln(1 - U); shape (rows, n) if rows is given."""
+    return -np.log1p(-rng.random(n if rows is None else (rows, n)))
 
 
 def sample_simplex(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -69,7 +69,7 @@ def simplex_projection_samples(kv: KnotVector, N: int, seed: int) -> np.ndarray:
     pos = 0
     while pos < N:
         m = min(_CHUNK, N - pos)
-        e = -np.log1p(-rng.random((m, kv.n)))
+        e = sample_exp_vector(kv.n, rng, rows=m)
         out[pos : pos + m] = (e @ kv.xs) / e.sum(axis=1)
         pos += m
     return out
@@ -99,7 +99,7 @@ def mc_pdf_Q(kv: KnotVector, N: int, grid2d, seed: int) -> Histogram2D:
     pos = 0
     while pos < N:
         m = min(_CHUNK, N - pos)
-        p = -np.log1p(-rng.random((m, n))) - 1.0
+        p = sample_exp_vector(n, rng, rows=m) - 1.0
         q1 = p @ kv.xs
         q2 = p.sum(axis=1) / math.sqrt(n)
         h, _, _ = np.histogram2d(q1, q2, bins=(edges1, edges2))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import PrecisionLoss
 from .knots import KnotVector
-from .splines import ORACLE_DPS, ORACLE_MAX_N, _wprime_mp
+from .splines import ORACLE_DPS, ORACLE_MAX_N, wprime_table
 
 XI_MIN = 0.05
 
@@ -72,8 +72,7 @@ def hyp2f0(r: int, a, z):
 def wprime(kv: KnotVector, k: int) -> float:
     """prod_{j != k} (x_k - x_j), computed in extended precision."""
     with mp.workdps(ORACLE_DPS):
-        xs = [mp.mpf(float(x)) for x in kv.xs]
-        return float(_wprime_mp(xs, k))
+        return float(wprime_table(kv)[k])
 
 
 def _check_c3_args(kv, r):
@@ -104,6 +103,7 @@ def corollary3_sum_mp(kv: KnotVector, r: int, xi, xi_min: float = XI_MIN):
     n = kv.n
     with mp.workdps(ORACLE_DPS):
         xs = [mp.mpf(float(x)) for x in kv.xs]
+        wp = wprime_table(kv)
         xim = mp.mpf(xi)
         total = mp.mpc(0)
         biggest = mp.mpf(0)
@@ -111,7 +111,7 @@ def corollary3_sum_mp(kv: KnotVector, r: int, xi, xi_min: float = XI_MIN):
             term = (
                 mp.e ** (mp.mpc(0, -1) * n * xim * xs[k])
                 * laguerre(r, -n - r + 1, mp.mpc(0, 1) * n * xim * xs[k])
-                / _wprime_mp(xs, k)
+                / wp[k]
             )
             total += term
             biggest = max(biggest, abs(term))
@@ -145,6 +145,7 @@ def corollary3_sum_2f0(kv: KnotVector, r: int, xi: float) -> complex:
     n = kv.n
     with mp.workdps(ORACLE_DPS):
         xs = [mp.mpf(float(x)) for x in kv.xs]
+        wp = wprime_table(kv)
         xim = mp.mpf(float(xi))
         total = mp.mpc(0)
         for k in range(n):
@@ -156,7 +157,7 @@ def corollary3_sum_2f0(kv: KnotVector, r: int, xi: float) -> complex:
                     / math.factorial(j)
                 )
                 poly += cj * (mp.mpc(0, -1) * n * xim) ** (-j) * xs[k] ** (r - j)
-            total += mp.e ** (mp.mpc(0, -1) * n * xim * xs[k]) * poly / _wprime_mp(xs, k)
+            total += mp.e ** (mp.mpc(0, -1) * n * xim * xs[k]) * poly / wp[k]
         pref = (
             (-1) ** r
             * mp.factorial(n - 2)
@@ -167,15 +168,17 @@ def corollary3_sum_2f0(kv: KnotVector, r: int, xi: float) -> complex:
         return complex(val)
 
 
-def _bspline_scaled_mp(xs, n, t):
-    """B(t/n) as an mpmath scalar; xs are mpf knots of the current context."""
+def _bspline_scaled_mp(kv, xs, t):
+    """B(t/n) as an mpmath scalar; xs are the mpf knots of kv."""
+    n = kv.n
+    wp = wprime_table(kv)
     s = t / n
     e = n - 2
     total = mp.mpf(0)
     for k in range(n):
         if xs[k] > s:
             num = (xs[k] - s) ** e if e > 0 else mp.mpf(1)
-            total += num / _wprime_mp(xs, k)
+            total += num / wp[k]
     return total
 
 
@@ -188,7 +191,7 @@ def _corollary3_quadrature_mp(kv: KnotVector, r: int, xi):
         def f(t):
             return (
                 (mp.mpc(0, 1) * t) ** r
-                * _bspline_scaled_mp(xs, n, t)
+                * _bspline_scaled_mp(kv, xs, t)
                 * mp.e ** (mp.mpc(0, -1) * t * xim)
             )
 

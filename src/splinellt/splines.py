@@ -16,6 +16,7 @@ Derivatives are never taken numerically: exponent reduction in the naive
 sum and coefficient differencing in the stable recursion are both exact.
 """
 
+import functools
 import math
 
 import mpmath as mp
@@ -45,6 +46,25 @@ def _wprime_mp(xs, k):
     return p
 
 
+@functools.lru_cache(maxsize=256)
+def _wprime_table(xs: tuple, prec: int) -> tuple:
+    with mp.workprec(prec):
+        xm = [mp.mpf(x) for x in xs]
+        return tuple(_wprime_mp(xm, k) for k in range(len(xm)))
+
+
+def wprime_table(kv: KnotVector) -> tuple:
+    """(W'(x_0), ..., W'(x_{n-1})) as mpf values at the current mpmath precision.
+
+    W'(x_k) = prod_{j != k} (x_k - x_j).  Memoized per (knot values, binary
+    precision): mp.quad evaluates its integrand 20 bits above the caller's
+    precision, so the quadrature and the oracle need different entries.
+    Each entry is the product a caller would form itself at that precision,
+    so dividing by it is bit-identical to recomputing it.
+    """
+    return _wprime_table(tuple(kv.xs.tolist()), mp.mp.prec)
+
+
 def bspline_naive(kv: KnotVector, t: float, r: int = 0) -> float:
     """Extended-precision oracle for the explicit partial-fraction sum.
 
@@ -60,6 +80,7 @@ def bspline_naive(kv: KnotVector, t: float, r: int = 0) -> float:
     e = n - 2 - r
     with mp.workdps(ORACLE_DPS):
         xs = [mp.mpf(float(x)) for x in kv.xs]
+        wp = wprime_table(kv)
         tm = mp.mpf(float(t))
         total = mp.mpf(0)
         biggest = mp.mpf(0)
@@ -68,7 +89,7 @@ def bspline_naive(kv: KnotVector, t: float, r: int = 0) -> float:
                 num = (xs[k] - tm) ** e if e > 0 else mp.mpf(1)
             else:
                 continue
-            term = num / _wprime_mp(xs, k)
+            term = num / wp[k]
             total += term
             biggest = max(biggest, abs(term))
         if biggest == 0:

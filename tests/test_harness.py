@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from splinellt import cli, harness
+from splinellt import cli, harness, knots
 from splinellt.errors import ConfigError, InsufficientData
 
 
@@ -200,3 +200,10 @@ def test_nan_record_fails_run(monkeypatch, tmp_path):
     _, summary, code = harness.run(cfg)
     assert code == 1
     assert summary["nan_records"]
+
+
+def test_inversion_symmetry_detects_asymmetric_knots():
+    # equispaced knots are symmetric under x -> -x; uniform_random ones are not,
+    # so the batched grid must see the first coordinate's flip change the density
+    assert harness.inversion_symmetry(knots.family("equispaced", 8, 1)) <= 1e-8
+    assert harness.inversion_symmetry(knots.family("uniform_random", 8, 1)) > 1e-8

@@ -23,6 +23,14 @@ def test_exp_moments():
     assert draws.var(ddof=1) == pytest.approx(1.0, abs=2e-2)
 
 
+def test_exp_rows_match_inverse_cdf():
+    # the (rows, n) form is the draw order the chunked samplers rely on
+    a = montecarlo.sample_exp_vector(5, montecarlo.rng_stream(7), rows=3)
+    b = -np.log1p(-montecarlo.rng_stream(7).random((3, 5)))
+    assert a.shape == (3, 5)
+    np.testing.assert_array_equal(a, b)
+
+
 def test_simplex_point():
     rng = montecarlo.rng_stream(5)
     s = montecarlo.sample_simplex(6, rng)

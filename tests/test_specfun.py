@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splinellt import knots, specfun
+from splinellt import knots, specfun, splines
 from splinellt.errors import PrecisionLoss
 
 # frozen from a 50-digit evaluation of the closed-form Fourier transform
@@ -124,10 +124,32 @@ def test_corollary3_argument_checks():
         specfun.corollary3_sum(big, 0, 1.0)
 
 
-def test_fourier_of_b_frozen():
-    from splinellt.charprob import fourier_of_B
+def test_wprime_cache_order_independent():
+    # the quadrature integrand and the oracle read W' tables at different
+    # precisions; neither result may depend on which of them filled the cache
+    kv = knots.family("uniform_random", 8, seed=5)
+    ts = (-0.2, 0.05, 0.3)
 
+    def quad():
+        return specfun.corollary3_quadrature(kv, 2, 0.8)
+
+    def naive():
+        return [splines.bspline_naive(kv, t, 0) for t in ts]
+
+    splines._wprime_table.cache_clear()
+    fresh_quad = quad()
+    splines._wprime_table.cache_clear()
+    fresh_naive = naive()
+    splines._wprime_table.cache_clear()
+    q1, n1 = quad(), naive()
+    splines._wprime_table.cache_clear()
+    n2, q2 = naive(), quad()
+    assert q1 == q2 == fresh_quad
+    assert n1 == n2 == fresh_naive
+
+
+def test_fourier_of_b_frozen():
     kv = knots.family("equispaced", 6)
-    v = fourier_of_B(kv, 0.7)
+    v = specfun.corollary3_sum(kv, 0, 0.7)
     assert v.real == pytest.approx(EQ6_FT_AT_07, rel=1e-12)
     assert abs(v.imag) < 1e-12  # symmetric knots give a real transform

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +88,33 @@ def test_vectorized_matches_scalar():
     scal = np.array([splines.bspline_stable_deriv(kv, float(t), 2) for t in ts])
     # batched and scalar paths may sum in different orders; allow 1-ulp drift
     np.testing.assert_allclose(vec, scal, rtol=1e-14, atol=1e-300)
+
+
+def test_vectorized_matches_scalar_bitwise_at_q0():
+    # at q = 0 every point runs the same elementwise recursion, so one array
+    # call must reproduce the scalar loop exactly (oracle_agreement relies on it)
+    for kind in knots.FAMILIES:
+        for n in range(2, 25):
+            kv = knots.family(kind, n, seed=1)
+            lo, hi = kv.xs[0], kv.xs[-1]
+            ts = np.concatenate(
+                [lo + (hi - lo) * (np.arange(101) + 0.5) / 101, [lo - 0.5, lo, hi, hi + 0.5]]
+            )
+            vec = splines.bspline_stable(kv, ts)
+            scal = np.array([splines.bspline_stable(kv, float(t)) for t in ts])
+            np.testing.assert_array_equal(vec, scal)
+
+
+def test_wprime_table_keyed_by_precision():
+    kv = knots.family("uniform_random", 9, seed=4)
+    tables = []
+    for dps in (40, splines.ORACLE_DPS):
+        with mp.workdps(dps):
+            xs = [mp.mpf(x) for x in kv.xs.tolist()]
+            tables.append(splines.wprime_table(kv))
+            assert tables[-1] == tuple(splines._wprime_mp(xs, k) for k in range(kv.n))
+    # the 140-digit products carry digits the 40-digit ones cannot hold
+    assert tables[0] != tables[1]
 
 
 def test_normalization_all_families():
