@@ -19,7 +19,6 @@ from .charprob import (
     char_diff_integral,
     eval_char_state,
     grad_FG,
-    pdf_Q_inversion,
     pdf_Q_inversion_grid,
     pdf_gaussian_ratio,
     phi_Q,
@@ -68,7 +67,6 @@ from .specfun import (
 )
 from .splines import (
     bspline_naive,
-    bspline_scaled,
     bspline_stable,
     bspline_stable_deriv,
     divided_difference,

@@ -11,7 +11,6 @@ closeness integral, 2-D Fourier inversion of the density, and quotient
 densities (including the Gaussian-ratio benchmark).
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -47,11 +46,6 @@ def eval_char_state(kv: KnotVector, xi) -> CharState:
     G = -float((t - np.arctan(t)).sum())
     H = -0.5 * (xi1 * xi1 + xi2 * xi2)
     return CharState(xi=(xi1, xi2), t=t, F=F, G=G, H=H, Z=complex(F, G))
-
-
-def phi_exp_centered(t: float) -> complex:
-    """Characteristic function of Exp(1) - 1:  e^{-it} / (1 - it)."""
-    return cmath.exp(-1j * t) / (1 - 1j * t)
 
 
 def phi_Q(kv: KnotVector, xi) -> complex:
@@ -108,8 +102,8 @@ def truncation_radius(kv: KnotVector, ell: int = 0, threshold: float = _TAIL_THR
     return _R_CAP, False
 
 
-def _polar_panels(R: float, n_panels: int, gl_order: int = 12):
-    gl_x, gl_w = np.polynomial.legendre.leggauss(gl_order)
+def _polar_panels(R: float, n_panels: int):
+    gl_x, gl_w = np.polynomial.legendre.leggauss(12)
     edges = np.linspace(0.0, R, n_panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     halfs = 0.5 * np.diff(edges)
@@ -153,17 +147,16 @@ def char_diff_integral(kv: KnotVector, ell: int = 0) -> float:
     raise QuadratureNotConverged("char_diff_integral refinement stalled")
 
 
-def _phi_node_chunks(kv: KnotVector, R: float, n_panels: int, n_theta: int,
-                     max_chunk: int = 200_000):
+def _phi_node_chunks(kv: KnotVector, R: float, n_panels: int, n_theta: int):
     """Yield (xi1, xi2, weight * phi_Q) over quadrature nodes, chunked.
 
     Chunking keeps peak memory flat: the full node set at the finest
-    refinement runs to millions of points.
+    refinement runs to millions of points, and a chunk holds about 200 000.
     """
     rs, ws = _polar_panels(R, n_panels)
     thetas = (np.arange(n_theta) + 0.5) * (2 * np.pi / n_theta)
     c, s = np.cos(thetas), np.sin(thetas)
-    rows = max(1, max_chunk // n_theta)
+    rows = max(1, 200_000 // n_theta)
     for lo in range(0, rs.size, rows):
         r_chunk, w_chunk = rs[lo : lo + rows], ws[lo : lo + rows]
         xi1 = np.multiply.outer(r_chunk, c).ravel()
@@ -179,8 +172,10 @@ def _phi_node_chunks(kv: KnotVector, R: float, n_panels: int, n_theta: int,
 def pdf_Q_inversion_grid(kv: KnotVector, s1, s2):
     """Density of Q on the grid s1 x s2 by 2-D Fourier inversion.
 
-    Returns (pdf array of shape (len(s1), len(s2)), max |imaginary part|).
-    Panel counts double until the whole grid moves by less than 1e-9.
+    Returns the pdf array of shape (len(s1), len(s2)).  Panel counts double
+    until the whole grid moves by less than 1e-9; raises
+    QuadratureNotConverged if that never happens or if the converged grid
+    keeps an imaginary part above 1e-8.
     """
     if kv.n > 64:
         raise PrecisionLoss("inversion quadrature limited to n <= 64")
@@ -197,18 +192,13 @@ def pdf_Q_inversion_grid(kv: KnotVector, s1, s2):
             vals += (E1 * wphi[None, :]) @ E2.T
         vals /= 4 * np.pi**2
         if prev is not None and np.max(np.abs(vals - prev)) < 1e-9:
-            return vals.real, float(np.max(np.abs(vals.imag)))
+            max_imag = float(np.max(np.abs(vals.imag)))
+            if max_imag > 1e-8:
+                raise QuadratureNotConverged(f"imaginary residue {max_imag:.2e} too large")
+            return vals.real
         prev = vals
         n_theta *= 2
-    raise QuadratureNotConverged("pdf_Q_inversion refinement stalled")
-
-
-def pdf_Q_inversion(kv: KnotVector, s) -> float:
-    """Density of Q at a single point s = (s1, s2)."""
-    vals, max_imag = pdf_Q_inversion_grid(kv, [float(s[0])], [float(s[1])])
-    if max_imag > 1e-8:
-        raise QuadratureNotConverged(f"imaginary residue {max_imag:.2e} too large")
-    return float(vals[0, 0])
+    raise QuadratureNotConverged("pdf_Q_inversion_grid refinement stalled")
 
 
 def quotient_pdf(joint, s: float, y_range, tol: float = 1e-10) -> float:

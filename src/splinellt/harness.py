@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import charprob, knots, montecarlo, seminorm, specfun, splines
-from .errors import ConfigError, InsufficientData, QuadratureNotConverged
+from .errors import ConfigError, InsufficientData
 
 SCHEMA_VERSION = 1
 CSV_HEADER = [
@@ -175,10 +175,10 @@ def run_scaling(config):
     return records, summary
 
 
-def oracle_agreement(kv, n_points: int = 101) -> float:
+def oracle_agreement(kv) -> float:
     """Max pointwise relative deviation of the stable path from the oracle."""
     lo, hi = float(kv.xs[0]), float(kv.xs[-1])
-    ts = lo + (hi - lo) * (np.arange(n_points) + 0.5) / n_points
+    ts = lo + (hi - lo) * (np.arange(101) + 0.5) / 101
     stable = splines.bspline_stable(kv, ts).tolist()
     worst = 0.0
     for t, s in zip(ts, stable):
@@ -190,23 +190,90 @@ def oracle_agreement(kv, n_points: int = 101) -> float:
     return worst
 
 
+def oracle_sweep(seed, ns) -> float:
+    """Max ``oracle_agreement`` over every knot family and every n in ns."""
+    worst = 0.0
+    for fam in knots.FAMILIES:
+        for n in ns:
+            worst = max(worst, oracle_agreement(knots.family(fam, n, seed)))
+    return worst
+
+
+def phi_deviation(kv, xi) -> float:
+    """Relative deviation of the phi_Q product from exp(F + iG), and of |phi_Q| from e^F."""
+    st = charprob.eval_char_state(kv, xi)
+    prod = charprob.phi_Q(kv, xi)
+    expz = complex(np.exp(st.Z))
+    worst = abs(prod - expz) / abs(expz)
+    return max(worst, abs(abs(prod) - math.exp(st.F)) / math.exp(st.F))
+
+
 def phi_consistency(kv, seed, trials=20) -> float:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        xi = rng.normal(scale=2.0, size=2)
-        st = charprob.eval_char_state(kv, xi)
-        prod = charprob.phi_Q(kv, xi)
-        expz = complex(np.exp(st.Z))
-        worst = max(worst, abs(prod - expz) / abs(expz))
-        worst = max(worst, abs(abs(prod) - math.exp(st.F)) / math.exp(st.F))
+        worst = max(worst, phi_deviation(kv, rng.normal(scale=2.0, size=2)))
     return worst
 
 
-def hyp2f0_laguerre_identity(r, n, w) -> float:
-    lhs = specfun.hyp2f0(r, n - 1, 1.0 / w)
-    rhs = math.factorial(r) * w**-r * specfun.laguerre(r, -n - r + 1, -w)
-    return abs(lhs - rhs) / max(abs(rhs), 1e-300)
+_FD_STEP = 1e-5
+
+
+def grad_fd_deviation(kv, xi) -> float:
+    """Max |central difference - closed form| of dF and dG along both xi axes."""
+    worst = 0.0
+    for b in (1, 2):
+        dF, dG = charprob.grad_FG(kv, xi, b)
+        e = np.zeros(2)
+        e[b - 1] = _FD_STEP
+        sp = charprob.eval_char_state(kv, xi + e)
+        sm = charprob.eval_char_state(kv, xi - e)
+        worst = max(worst, abs((sp.F - sm.F) / (2 * _FD_STEP) - dF))
+        worst = max(worst, abs((sp.G - sm.G) / (2 * _FD_STEP) - dG))
+    return worst
+
+
+def derivative_ladder_deviation(kv, rng) -> float:
+    """Max |d/dt S_r + (n-2-r) S_{r+1}| for r = 0, 1, S_r the oracle sum.
+
+    The derivative is a Richardson-extrapolated central difference at 20
+    points per r drawn from rng, each at least 1e-3 from every knot.
+    """
+    n = kv.n
+    worst = 0.0
+    for r in (0, 1):
+        pts = 0
+        while pts < 20:
+            t = rng.uniform(kv.xs[0], kv.xs[-1])
+            if np.min(np.abs(kv.xs - t)) < 1e-3:
+                continue
+            pts += 1
+
+            def fd(step):
+                return (
+                    splines.bspline_naive(kv, t + step, r)
+                    - splines.bspline_naive(kv, t - step, r)
+                ) / (2 * step)
+
+            rich = (4 * fd(_FD_STEP / 2) - fd(_FD_STEP)) / 3
+            exact = -(n - 2 - r) * splines.bspline_naive(kv, t, r + 1)
+            worst = max(worst, abs(rich - exact))
+    return worst
+
+
+def laguerre_2f0_deviation(ns) -> float:
+    """Max relative deviation of 2F0(-r, n-1; 1/w) from r! w^-r L_r^(-n-r+1)(-w).
+
+    Over r < 6, n in ns and w in (0.3, 1.5, 10).
+    """
+    worst = 0.0
+    for r in range(6):
+        for n in ns:
+            for w in (0.3, 1.5, 10.0):
+                lhs = specfun.hyp2f0(r, n - 1, 1.0 / w)
+                rhs = math.factorial(r) * w**-r * specfun.laguerre(r, -n - r + 1, -w)
+                worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
+    return worst
 
 
 def run_identity(config):
@@ -216,13 +283,11 @@ def run_identity(config):
         for n in config.n_list:
             t0 = time.perf_counter()
             kv = knots.family(fam, n, config.seed)
-            devs = {"oracle": oracle_agreement(kv), "phi": phi_consistency(kv, config.seed)}
-            if n >= 2:
-                devs["laguerre_2f0"] = max(
-                    hyp2f0_laguerre_identity(r, n, w)
-                    for r in range(0, 6)
-                    for w in (0.3, 1.5, 10.0)
-                )
+            devs = {
+                "oracle": oracle_agreement(kv),
+                "phi": phi_consistency(kv, config.seed),
+                "laguerre_2f0": laguerre_2f0_deviation((n,)),
+            }
             worst = max(devs.values())
             details[f"{fam}/n={n}"] = devs
             records.append(_record(fam, kv, 0, 0, 0, worst, 0.0, 0.0, t0, config.seed))
@@ -264,7 +329,7 @@ def run_corollary3(config):
     return records, {"details": details, "checks": checks, "slopes": fit_slopes_by_family(records)}
 
 
-def run_corollary4(config, xi_grid=(0.5, 1.0, 2.0)):
+def run_corollary4(config):
     records = []
     checks = {}
     for fam in config.families:
@@ -272,7 +337,7 @@ def run_corollary4(config, xi_grid=(0.5, 1.0, 2.0)):
             t0 = time.perf_counter()
             kv = knots.family(fam, n, config.seed)
             cos_res, sin_res = seminorm.corollary4_error(
-                kv, config.p, 0, xi_grid, config.N_mc, config.seed
+                kv, config.p, 0, (0.5, 1.0, 2.0), config.N_mc, config.seed
             )
             bound = max(cos_res.noise_floor, 5 * knots.m3(kv))
             checks[f"{fam}/n={n}/cos"] = cos_res.value <= bound
@@ -296,13 +361,13 @@ def _cell_average_nodes(edges):
     return np.column_stack([c - h, c + h]).ravel()
 
 
-def inversion_vs_mc(kv, N, seed, bins=40, span=5.0):
+def inversion_vs_mc(kv, N, seed):
     """Max |cell-averaged inversion - histogram| in SE units over retained cells."""
-    hist = montecarlo.mc_pdf_Q(kv, N, montecarlo.default_grid(bins, span), seed)
+    hist = montecarlo.mc_pdf_Q(kv, N, montecarlo.default_grid(), seed)
     g1 = _cell_average_nodes(hist.edges1)
     g2 = _cell_average_nodes(hist.edges2)
-    fine, _ = charprob.pdf_Q_inversion_grid(kv, g1, g2)
-    pdf = fine.reshape(bins, 2, bins, 2).mean(axis=(1, 3))
+    fine = charprob.pdf_Q_inversion_grid(kv, g1, g2)
+    pdf = fine.reshape(g1.size // 2, 2, g2.size // 2, 2).mean(axis=(1, 3))
     area = np.multiply.outer(np.diff(hist.edges1), np.diff(hist.edges2))
     expected = pdf * N * area
     keep = expected >= 20
@@ -393,37 +458,16 @@ def check_spline_normalization(seed):
 
 
 def check_oracle_agreement(seed):
-    worst = 0.0
-    for fam in knots.FAMILIES:
-        for n in (2, 3, 4, 6, 8, 12, 16, 20, 24):
-            kv = knots.family(fam, n, seed)
-            worst = max(worst, oracle_agreement(kv))
+    worst = oracle_sweep(seed, (2, 3, 4, 6, 8, 12, 16, 20, 24))
     return worst <= 1e-10, f"max relative deviation {worst:.2e}"
 
 
 def check_derivative_ladder(seed):
     rng = np.random.default_rng(seed)
-    h = 1e-5
     worst = 0.0
     for n in (6, 8, 12):
         kv = knots.family("uniform_random", n, seed)
-        for r in (0, 1):
-            pts = 0
-            while pts < 20:
-                t = rng.uniform(kv.xs[0], kv.xs[-1])
-                if np.min(np.abs(kv.xs - t)) < 1e-3:
-                    continue
-                pts += 1
-
-                def fd(step):
-                    return (
-                        splines.bspline_naive(kv, t + step, r)
-                        - splines.bspline_naive(kv, t - step, r)
-                    ) / (2 * step)
-
-                rich = (4 * fd(h / 2) - fd(h)) / 3
-                exact = -(n - 2 - r) * splines.bspline_naive(kv, t, r + 1)
-                worst = max(worst, abs(rich - exact))
+        worst = max(worst, derivative_ladder_deviation(kv, rng))
     return worst <= 1e-8, f"max |FD - exponent reduction| = {worst:.2e}"
 
 
@@ -441,12 +485,7 @@ def check_hermite_fd(seed):
 
 
 def check_2f0_laguerre(seed):
-    worst = max(
-        hyp2f0_laguerre_identity(r, n, w)
-        for r in range(6)
-        for n in (4, 8, 16)
-        for w in (0.3, 1.5, 10.0)
-    )
+    worst = laguerre_2f0_deviation((4, 8, 16))
     return worst <= 1e-11, f"max identity deviation {worst:.2e}"
 
 
@@ -479,20 +518,11 @@ def check_phi_consistency(seed):
 
 def check_grad_fd(seed):
     rng = np.random.default_rng(seed)
-    h = 1e-5
     worst = 0.0
     for _ in range(50):
         n = int(rng.integers(3, 25))
         kv = knots.family("uniform_random", n, int(rng.integers(0, 2**31)))
-        xi = rng.normal(scale=1.5, size=2)
-        for b in (1, 2):
-            dF, dG = charprob.grad_FG(kv, xi, b)
-            e = np.zeros(2)
-            e[b - 1] = h
-            sp = charprob.eval_char_state(kv, xi + e)
-            sm = charprob.eval_char_state(kv, xi - e)
-            worst = max(worst, abs((sp.F - sm.F) / (2 * h) - dF))
-            worst = max(worst, abs((sp.G - sm.G) / (2 * h) - dG))
+        worst = max(worst, grad_fd_deviation(kv, rng.normal(scale=1.5, size=2)))
     return worst <= 1e-6, f"max gradient FD deviation {worst:.2e}"
 
 
@@ -553,9 +583,7 @@ def inversion_symmetry(kv) -> float:
 
     One inversion grid holds both points and their mirror images.
     """
-    vals, max_imag = charprob.pdf_Q_inversion_grid(kv, [0.3, -0.3, 1.1, -1.1], [0.7, -0.4])
-    if max_imag > 1e-8:
-        raise QuadratureNotConverged(f"imaginary residue {max_imag:.2e} too large")
+    vals = charprob.pdf_Q_inversion_grid(kv, [0.3, -0.3, 1.1, -1.1], [0.7, -0.4])
     return float(max(abs(vals[0, 0] - vals[1, 0]), abs(vals[2, 1] - vals[3, 1])))
 
 

@@ -49,7 +49,6 @@ class DirectionVectors:
     """Rows v_k = (x_k, n^{-1/2}); satisfies V^T V = I_2."""
 
     vs: np.ndarray
-    norms: np.ndarray
 
 
 def normalize(raw) -> KnotVector:
@@ -105,7 +104,7 @@ def family(kind: str, n: int, seed: int = 0) -> KnotVector:
 
 def direction_vectors(kv: KnotVector) -> DirectionVectors:
     vs = np.column_stack([kv.xs, np.full(kv.n, kv.n ** -0.5)])
-    return DirectionVectors(vs=vs, norms=np.linalg.norm(vs, axis=1))
+    return DirectionVectors(vs=vs)
 
 
 def m3(kv: KnotVector) -> float:

@@ -15,6 +15,7 @@ from .knots import KnotVector
 from .splines import bspline_stable
 
 _CHUNK = 1 << 16
+_HIST_BINS = 40
 
 
 @dataclass(frozen=True)
@@ -62,16 +63,21 @@ def _estimate(total, total_sq, count, seed) -> McEstimate:
     )
 
 
+def _exp_blocks(n: int, N: int, seed: int):
+    """Yield (pos, block) over N rows of n Exp(1) draws from stream (seed, 0).
+
+    Each block holds at most _CHUNK consecutive rows, the first being row pos.
+    """
+    rng = rng_stream(seed)
+    for pos in range(0, N, _CHUNK):
+        yield pos, sample_exp_vector(n, rng, rows=min(_CHUNK, N - pos))
+
+
 def simplex_projection_samples(kv: KnotVector, N: int, seed: int) -> np.ndarray:
     """N draws of <x, S> for S uniform on the simplex, in chunked order."""
-    rng = rng_stream(seed)
     out = np.empty(N)
-    pos = 0
-    while pos < N:
-        m = min(_CHUNK, N - pos)
-        e = sample_exp_vector(kv.n, rng, rows=m)
-        out[pos : pos + m] = (e @ kv.xs) / e.sum(axis=1)
-        pos += m
+    for pos, e in _exp_blocks(kv.n, N, seed):
+        out[pos : pos + len(e)] = (e @ kv.xs) / e.sum(axis=1)
     return out
 
 
@@ -94,26 +100,21 @@ def mc_pdf_Q(kv: KnotVector, N: int, grid2d, seed: int) -> Histogram2D:
     """
     edges1, edges2 = (np.asarray(e, dtype=float) for e in grid2d)
     counts = np.zeros((edges1.size - 1, edges2.size - 1))
-    rng = rng_stream(seed)
-    n = kv.n
-    pos = 0
-    while pos < N:
-        m = min(_CHUNK, N - pos)
-        p = sample_exp_vector(n, rng, rows=m) - 1.0
+    for _, e in _exp_blocks(kv.n, N, seed):
+        p = e - 1.0
         q1 = p @ kv.xs
-        q2 = p.sum(axis=1) / math.sqrt(n)
+        q2 = p.sum(axis=1) / math.sqrt(kv.n)
         h, _, _ = np.histogram2d(q1, q2, bins=(edges1, edges2))
         counts += h
-        pos += m
     area = np.multiply.outer(np.diff(edges1), np.diff(edges2))
     density = counts / (N * area)
     std_error = np.sqrt(counts) / (N * area)
     return Histogram2D(edges1, edges2, density, std_error, counts, N, seed)
 
 
-def default_grid(bins: int = 40, span: float = 5.0):
-    """Default binning: equal bins over mean +- span sigma on both axes."""
-    e = np.linspace(-span, span, bins + 1)
+def default_grid():
+    """Default binning: 40 equal bins over mean +- 5 sigma on both axes."""
+    e = np.linspace(-5.0, 5.0, _HIST_BINS + 1)
     return e, e.copy()
 
 
@@ -128,7 +129,7 @@ def mc_divided_difference(kv: KnotVector, f_deriv, N: int, seed: int) -> McEstim
     return _estimate(float(vals.sum()), float((vals * vals).sum()), N, seed)
 
 
-def density_histogram_check(kv: KnotVector, N: int, seed: int, bins: int = 40):
+def density_histogram_check(kv: KnotVector, N: int, seed: int):
     """Compare (n-1) B against a histogram of simplex projections.
 
     Returns (max abs deviation in SE units over retained cells, retained
@@ -136,7 +137,7 @@ def density_histogram_check(kv: KnotVector, N: int, seed: int, bins: int = 40):
     """
     proj = simplex_projection_samples(kv, N, seed)
     lo, hi = float(kv.xs[0]), float(kv.xs[-1])
-    edges = np.linspace(lo, hi, bins + 1)
+    edges = np.linspace(lo, hi, _HIST_BINS + 1)
     counts, _ = np.histogram(proj, bins=edges)
     width = np.diff(edges)
     density = counts / (N * width)

@@ -83,10 +83,11 @@ def _spline_side(kv: KnotVector, ts: np.ndarray, q: int, r: int) -> np.ndarray:
     bounds, so it is the comparand whose limit is (-1)^q He_{q+r}(t) phi(t).
 
     It is not the exponent-reduced sum S_r(t/n) = sum_k (x_k - t/n)_+^{n-2-r}
-    / W'(x_k) (``splines.bspline_scaled``): S_r(s) = (-1)^r B^{(r)}(s) /
-    (n-2)_r with the falling factorial (n-2)_r, so S_r(t/n) is this value
-    (q = 0) times n^r / (n-2)_r.  That factor tends to 1, but at small n it
-    dominates the Corollary 2 error (it is 1.41 at n=16, r=2).
+    / W'(x_k), which ``splines.bspline_naive(kv, t/n, r)`` evaluates:
+    S_r(s) = (-1)^r B^{(r)}(s) / (n-2)_r with the falling factorial (n-2)_r,
+    so S_r(t/n) is this value (q = 0) times n^r / (n-2)_r.  That factor
+    tends to 1, but at small n it dominates the Corollary 2 error (it is
+    1.41 at n=16, r=2).
     """
     n = kv.n
     d = bspline_stable_deriv(kv, ts / n, r + q)

@@ -92,13 +92,13 @@ def _c3_prefactor(n, r):
     )
 
 
-def corollary3_sum_mp(kv: KnotVector, r: int, xi, xi_min: float = XI_MIN):
+def corollary3_sum_mp(kv: KnotVector, r: int, xi):
     """mpmath-valued version of corollary3_sum; keeps the extended digits.
 
     Needed by callers that go on to difference the result in xi.
     """
     _check_c3_args(kv, r)
-    if abs(xi) < xi_min:
+    if abs(xi) < XI_MIN:
         return _corollary3_quadrature_mp(kv, r, xi)
     n = kv.n
     with mp.workdps(ORACLE_DPS):
@@ -121,16 +121,16 @@ def corollary3_sum_mp(kv: KnotVector, r: int, xi, xi_min: float = XI_MIN):
         return _c3_prefactor(n, r) / xim ** (n + r - 1) * total
 
 
-def corollary3_sum(kv: KnotVector, r: int, xi: float, xi_min: float = XI_MIN) -> complex:
+def corollary3_sum(kv: KnotVector, r: int, xi: float) -> complex:
     """The Laguerre-weighted exponential sum approximating He_r(xi) e^{-xi^2/2}.
 
     C_{r,n} / xi^{n+r-1} * sum_k e^{-i n xi x_k} L_r^{(-n-r+1)}(i n xi x_k) / W'(x_k)
     with C_{r,n} = (-1)^r (n-2)! r! i^{n-1} / n^{n-2}, which equals the
-    Fourier transform of t -> (it)^r B(t/n).  Below |xi| = xi_min the
+    Fourier transform of t -> (it)^r B(t/n).  Below |xi| = XI_MIN the
     removable singularity is handled by the equivalent oscillatory-moment
     quadrature (see corollary3_quadrature).
     """
-    return complex(corollary3_sum_mp(kv, r, float(xi), xi_min))
+    return complex(corollary3_sum_mp(kv, r, float(xi)))
 
 
 def corollary3_sum_2f0(kv: KnotVector, r: int, xi: float) -> complex:

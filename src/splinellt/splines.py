@@ -17,7 +17,6 @@ sum and coefficient differencing in the stable recursion are both exact.
 """
 
 import functools
-import math
 
 import mpmath as mp
 import numpy as np
@@ -27,15 +26,6 @@ from .knots import KnotVector
 
 ORACLE_DPS = 140
 ORACLE_MAX_N = 24
-
-
-def truncated_power(x: float, t: float, e: int) -> float:
-    """(x - t)_+^e with the boundary convention (t - t)_+^0 = 0."""
-    if e < 0:
-        raise ValueError("exponent must be >= 0")
-    if x > t:
-        return float((x - t) ** e)
-    return 0.0
 
 
 def _wprime_mp(xs, k):
@@ -158,26 +148,6 @@ def bspline_stable_deriv(kv: KnotVector, t, q: int = 0):
 def bspline_stable(kv: KnotVector, t):
     """B(t) by the stable recursion; matches the oracle to 1e-10 relative."""
     return bspline_stable_deriv(kv, t, 0)
-
-
-def _falling(a: int, r: int) -> int:
-    return math.prod(a - i for i in range(r)) if r > 0 else 1
-
-
-def bspline_scaled(kv: KnotVector, t, r: int = 0):
-    """sum_k (x_k - t/n)_+^{n-2-r} / W'(x_k), the exponent-reduced sum S_r(t/n).
-
-    Uses the exact identity S_r(s) = (-1)^r B^{(r)}(s) / (n-2)_r, so the
-    stable double-precision path serves every exponent reduction.  This is
-    not the Corollary 2 comparand (-1)^r d^r/dt^r B(t/n), which is
-    (n-2)_r / n^r times this sum (see ``seminorm._spline_side``).
-    """
-    n = kv.n
-    if not 0 <= r <= n - 2:
-        raise ValueError(f"need 0 <= r <= n-2, got r={r}, n={n}")
-    s = np.asarray(t, dtype=float) / n
-    val = bspline_stable_deriv(kv, s, r)
-    return (-1) ** r * val / _falling(n - 2, r)
 
 
 def divided_difference(pairs, order: int | None = None) -> float:

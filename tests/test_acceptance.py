@@ -10,8 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from splinellt import charprob, knots, montecarlo, seminorm, specfun, splines
-from splinellt.harness import fit_slope, inversion_vs_mc, oracle_agreement, ratio_slope
+from splinellt import charprob, harness, knots, montecarlo, seminorm, splines
+from splinellt.harness import fit_slope, inversion_vs_mc, ratio_slope
 
 
 def _report(num, name, ok, detail):
@@ -29,19 +29,13 @@ def test_criterion_01_exactness_seed():
 
 
 def test_criterion_02_density_normalization():
-    worst = 0.0
-    for kind in knots.FAMILIES:
-        for n in range(2, 21):
-            kv = knots.family(kind, n, seed=1)
-            worst = max(worst, abs((n - 1) * splines.integrate_bspline(kv) - 1.0))
-    _report(2, "density normalization", worst <= 1e-8, f"max |(n-1) int B - 1| = {worst:.2e}")
+    # max |(n-1) int B - 1| over every family and n = 2..20, tolerance 1e-8
+    ok, detail = harness.check_spline_normalization(1)
+    _report(2, "density normalization", ok, detail)
 
 
 def test_criterion_03_oracle_agreement():
-    worst = 0.0
-    for kind in knots.FAMILIES:
-        for n in range(2, 25):
-            worst = max(worst, oracle_agreement(knots.family(kind, n, seed=1)))
+    worst = harness.oracle_sweep(1, range(2, 25))
     _report(3, "oracle agreement", worst <= 1e-10, f"max relative deviation {worst:.2e}")
 
 
@@ -87,12 +81,9 @@ def test_criterion_07_corollary3_identity():
     for n in (8, 12):
         kv = knots.family("equispaced", n)
         for r in range(4):
-            for xi in (0.1, 0.5, 1.0, 2.0, 5.0):
-                a = specfun.corollary3_sum(kv, r, xi)
-                b = specfun.corollary3_sum_2f0(kv, r, xi)
-                c = specfun.corollary3_quadrature(kv, r, xi)
-                scale = max(abs(a), 1e-300)
-                worst = max(worst, abs(a - b) / scale, abs(a - c) / scale)
+            worst = max(
+                worst, harness.corollary3_route_agreement(kv, r, (0.1, 0.5, 1.0, 2.0, 5.0))
+            )
     _report(7, "Corollary 3 identity", worst <= 1e-8, f"max relative route deviation {worst:.2e}")
 
 
@@ -102,24 +93,14 @@ def test_criterion_08_phi_consistency():
     for _ in range(100):
         n = int(rng.integers(2, 40))
         kv = knots.family("uniform_random", n, int(rng.integers(10**6)))
-        xi = rng.normal(scale=2.0, size=2)
-        st = charprob.eval_char_state(kv, xi)
-        prod = charprob.phi_Q(kv, xi)
-        ez = complex(np.exp(st.Z))
-        worst = max(worst, abs(prod - ez) / abs(ez))
-        worst = max(worst, abs(abs(prod) - math.exp(st.F)) / math.exp(st.F))
+        worst = max(worst, harness.phi_deviation(kv, rng.normal(scale=2.0, size=2)))
     _report(8, "phi_Q consistency", worst <= 1e-12, f"max relative deviation {worst:.2e}")
 
 
 def test_criterion_09_quotient_pdf_cauchy():
-    worst = max(
-        abs(
-            charprob.quotient_pdf(charprob.gaussian_joint, s, (-40.0, 40.0))
-            - 1 / (math.pi * (1 + s * s))
-        )
-        for s in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
-    )
-    _report(9, "quotient-PDF lemma", worst <= 1e-6, f"max Cauchy deviation {worst:.2e}")
+    # max Cauchy deviation of the Gaussian quotient at seven points, tolerance 1e-6
+    ok, detail = harness.check_quotient_cauchy(1)
+    _report(9, "quotient-PDF lemma", ok, detail)
 
 
 def test_criterion_10_inversion_vs_mc():
@@ -162,40 +143,16 @@ def test_criterion_12_corollary4():
 def test_criterion_13_gradient_checks():
     rng = np.random.default_rng(31)
     worst_grad = 0.0
-    h = 1e-5
     for _ in range(50):
         n = int(rng.integers(3, 25))
         kv = knots.family("uniform_random", n, int(rng.integers(10**6)))
-        xi = rng.normal(scale=1.5, size=2)
-        for b in (1, 2):
-            dF, dG = charprob.grad_FG(kv, xi, b)
-            e = np.zeros(2)
-            e[b - 1] = h
-            sp = charprob.eval_char_state(kv, xi + e)
-            sm = charprob.eval_char_state(kv, xi - e)
-            worst_grad = max(worst_grad, abs((sp.F - sm.F) / (2 * h) - dF))
-            worst_grad = max(worst_grad, abs((sp.G - sm.G) / (2 * h) - dG))
+        worst_grad = max(worst_grad, harness.grad_fd_deviation(kv, rng.normal(scale=1.5, size=2)))
 
+    # the ladder draws its points from the same stream, after the gradient loop
     worst_ladder = 0.0
     for n in (6, 8, 12):
         kv = knots.family("uniform_random", n, seed=n)
-        for r in (0, 1):
-            pts = 0
-            while pts < 20:
-                t = rng.uniform(kv.xs[0], kv.xs[-1])
-                if np.min(np.abs(kv.xs - t)) < 1e-3:
-                    continue
-                pts += 1
-
-                def fd(step):
-                    return (
-                        splines.bspline_naive(kv, t + step, r)
-                        - splines.bspline_naive(kv, t - step, r)
-                    ) / (2 * step)
-
-                rich = (4 * fd(h / 2) - fd(h)) / 3
-                exact = -(n - 2 - r) * splines.bspline_naive(kv, t, r + 1)
-                worst_ladder = max(worst_ladder, abs(rich - exact))
+        worst_ladder = max(worst_ladder, harness.derivative_ladder_deviation(kv, rng))
     ok = worst_grad <= 1e-6 and worst_ladder <= 1e-8
     _report(
         13,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from splinellt import charprob, knots
+from splinellt.errors import PrecisionLoss, QuadratureNotConverged
 
 EQ6_F = -0.42803841055129477  # frozen: direct sum at xi=(0.8,-0.6)
 EQ6_G = 0.14935561245541096
@@ -36,13 +37,6 @@ def test_phi_product_vs_exponent():
         prod = charprob.phi_Q(kv, xi)
         assert prod == pytest.approx(complex(np.exp(st.Z)), rel=1e-12)
         assert abs(prod) == pytest.approx(math.exp(st.F), rel=1e-12)
-
-
-def test_phi_exp_centered_basics():
-    assert charprob.phi_exp_centered(0.0) == 1.0
-    t = 0.37
-    v = charprob.phi_exp_centered(t)
-    assert abs(v) == pytest.approx(1 / math.sqrt(1 + t * t), rel=1e-14)
 
 
 def test_grad_matches_finite_differences():
@@ -91,8 +85,6 @@ def test_char_diff_integral_positive_and_decreasing():
 def test_char_diff_integral_small_n_not_integrable():
     # |phi_Q| decays only like r^{-2} for n = 2, so the plane integral
     # diverges and refinement must refuse to report a number
-    from splinellt.errors import QuadratureNotConverged
-
     with pytest.raises(QuadratureNotConverged):
         charprob.char_diff_integral(knots.family("equispaced", 2), 0)
 
@@ -116,22 +108,31 @@ def test_gaussian_ratio_limits():
 
 def test_inversion_point_and_grid_consistent():
     kv = knots.family("equispaced", 8)
-    pt = charprob.pdf_Q_inversion(kv, (0.4, -0.2))
-    grid, max_imag = charprob.pdf_Q_inversion_grid(kv, [0.4], [-0.2])
-    assert grid[0, 0] == pytest.approx(pt, abs=1e-12)
-    assert max_imag < 1e-8
+    pt = charprob.pdf_Q_inversion_grid(kv, [0.4], [-0.2])[0, 0]
+    # refinement stops on the worst grid point, so the grid adds only the
+    # mirror point, whose value refines in step for these symmetric knots
+    grid = charprob.pdf_Q_inversion_grid(kv, [-0.4, 0.4], [-0.2])
+    assert grid[1, 0] == pytest.approx(pt, abs=1e-12)
     assert pt > 0
 
 
 def test_inversion_symmetric_knots_flip_first_coordinate():
     kv = knots.family("equispaced", 8)
-    a = charprob.pdf_Q_inversion(kv, (0.7, 0.3))
-    b = charprob.pdf_Q_inversion(kv, (-0.7, 0.3))
-    assert a == pytest.approx(b, abs=1e-8)
+    vals = charprob.pdf_Q_inversion_grid(kv, [0.7, -0.7], [0.3])
+    assert vals[0, 0] == pytest.approx(vals[1, 0], abs=1e-8)
 
 
 def test_inversion_rejects_large_n():
-    from splinellt.errors import PrecisionLoss
-
     with pytest.raises(PrecisionLoss):
-        charprob.pdf_Q_inversion(knots.family("equispaced", 65), (0.0, 0.0))
+        charprob.pdf_Q_inversion_grid(knots.family("equispaced", 65), [0.0], [0.0])
+
+
+def test_inversion_rejects_imaginary_residue(monkeypatch):
+    # one node at xi = 0 with an imaginary weight: every refinement level
+    # returns 1e-5i / (4 pi^2), so refinement converges and the guard fires
+    def imaginary_nodes(kv, R, n_panels, n_theta):
+        yield np.zeros(1), np.zeros(1), np.array([1e-5j])
+
+    monkeypatch.setattr(charprob, "_phi_node_chunks", imaginary_nodes)
+    with pytest.raises(QuadratureNotConverged, match="imaginary residue"):
+        charprob.pdf_Q_inversion_grid(knots.family("equispaced", 8), [0.0], [0.0])

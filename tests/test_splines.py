@@ -17,13 +17,14 @@ EQ6_S2_AT_02 = 0.34566276575411198754
 EQ6_DD_EXP = 0.0084330847834005358491
 
 
-def test_truncated_power_conventions():
-    assert splines.truncated_power(1.0, 0.0, 2) == 1.0
-    assert splines.truncated_power(0.0, 1.0, 3) == 0.0
-    # boundary: (t - t)_+^0 = 0, not 1
-    assert splines.truncated_power(0.5, 0.5, 0) == 0.0
-    with pytest.raises(ValueError):
-        splines.truncated_power(1.0, 0.0, -1)
+def test_n2_boundary_conventions():
+    # at n = 2, B is the indicator of [x_0, x_1) over x_1 - x_0: the
+    # truncated power (x_k - t)_+^0 is 0 at t = x_k, so the support is
+    # closed on the left and open on the right in both routes
+    kv = knots.family("equispaced", 2)
+    x0, x1 = (float(x) for x in kv.xs)
+    assert splines.bspline_naive(kv, x0, 0) == splines.bspline_stable(kv, x0) == 1 / (x1 - x0)
+    assert splines.bspline_naive(kv, x1, 0) == splines.bspline_stable(kv, x1) == 0.0
 
 
 def test_n2_indicator_value():
@@ -62,11 +63,16 @@ def test_stable_derivative_matches_exponent_reduction():
 
 
 def test_bspline_scaled_matches_naive():
+    # the exponent-reduced sum at the rescaled point, S_r(t/n), through the
+    # stable route: (-1)^r B^(r)(t/n) / (n-2)_r
     kv = knots.family("chebyshev", 7)
+    n = kv.n
     for r in (0, 1, 2):
+        fall = math.prod(n - 2 - i for i in range(r))
         for t in (-2.0, 0.0, 1.5):
-            assert splines.bspline_scaled(kv, t, r) == pytest.approx(
-                splines.bspline_naive(kv, t / kv.n, r), rel=1e-11, abs=1e-14
+            scaled = (-1) ** r * splines.bspline_stable_deriv(kv, t / n, r) / fall
+            assert scaled == pytest.approx(
+                splines.bspline_naive(kv, t / n, r), rel=1e-11, abs=1e-14
             )
 
 
