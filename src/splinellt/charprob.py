@@ -21,6 +21,7 @@ from .errors import PrecisionLoss, QuadratureNotConverged
 from .knots import KnotVector
 
 _TAIL_THRESHOLD = 1e-12
+INVERSION_TAIL_THRESHOLD = 1e-14
 _R_MIN = 12.0
 _R_CAP = 200.0
 
@@ -36,14 +37,25 @@ class CharState:
 
 
 def _tk(kv: KnotVector, xi1, xi2):
-    return xi1 * kv.xs + xi2 * kv.n**-0.5
+    """t_k = <xi, v_k> for scalar or array xi coordinates; k on the last axis."""
+    return np.multiply.outer(xi1, kv.xs) + np.multiply.outer(
+        xi2, np.full(kv.n, kv.n**-0.5)
+    )
+
+
+def _log_modulus(t):
+    return -0.5 * np.log1p(t * t).sum(axis=-1)
+
+
+def _phase(t):
+    return -(t - np.arctan(t)).sum(axis=-1)
 
 
 def eval_char_state(kv: KnotVector, xi) -> CharState:
     xi1, xi2 = float(xi[0]), float(xi[1])
     t = _tk(kv, xi1, xi2)
-    F = -0.5 * float(np.log1p(t * t).sum())
-    G = -float((t - np.arctan(t)).sum())
+    F = float(_log_modulus(t))
+    G = float(_phase(t))
     H = -0.5 * (xi1 * xi1 + xi2 * xi2)
     return CharState(xi=(xi1, xi2), t=t, F=F, G=G, H=H, Z=complex(F, G))
 
@@ -69,21 +81,6 @@ def grad_FG(kv: KnotVector, xi, b: int):
     return dF, dG
 
 
-def _log_modulus(kv: KnotVector, xi1, xi2):
-    """F on arrays of xi coordinates (vectorized, chunk-friendly)."""
-    t = np.multiply.outer(xi1, kv.xs) + np.multiply.outer(
-        xi2, np.full(kv.n, kv.n**-0.5)
-    )
-    return -0.5 * np.log1p(t * t).sum(axis=-1)
-
-
-def _phase(kv: KnotVector, xi1, xi2):
-    t = np.multiply.outer(xi1, kv.xs) + np.multiply.outer(
-        xi2, np.full(kv.n, kv.n**-0.5)
-    )
-    return -(t - np.arctan(t)).sum(axis=-1)
-
-
 def truncation_radius(kv: KnotVector, ell: int = 0, threshold: float = _TAIL_THRESHOLD):
     """Smallest radius >= 12 where max_theta |xi|^ell e^F drops below threshold.
 
@@ -95,7 +92,7 @@ def truncation_radius(kv: KnotVector, ell: int = 0, threshold: float = _TAIL_THR
     c, s = np.cos(thetas), np.sin(thetas)
     r = _R_MIN
     while r <= _R_CAP:
-        worst = float(np.max(r**ell * np.exp(_log_modulus(kv, r * c, r * s))))
+        worst = float(np.max(r**ell * np.exp(_log_modulus(_tk(kv, r * c, r * s)))))
         if worst < threshold:
             return r, True
         r *= 1.25
@@ -132,10 +129,9 @@ def char_diff_integral(kv: KnotVector, ell: int = 0) -> float:
         rows = max(1, 4_000_000 // (n_theta * kv.n))
         n_chunks = max(1, math.ceil(rs.size / rows))
         for r_chunk, w_chunk in zip(np.array_split(rs, n_chunks), np.array_split(ws, n_chunks)):
-            xi1 = np.multiply.outer(r_chunk, c)
-            xi2 = np.multiply.outer(r_chunk, s)
-            F = _log_modulus(kv, xi1, xi2)
-            G = _phase(kv, xi1, xi2)
+            t = _tk(kv, np.multiply.outer(r_chunk, c), np.multiply.outer(r_chunk, s))
+            F = _log_modulus(t)
+            G = _phase(t)
             H = -0.5 * np.square(r_chunk)[:, None]
             diff = np.abs(np.exp(F + 1j * G) - np.exp(H))
             integrand = (r_chunk**ell * r_chunk)[:, None] * diff
@@ -165,7 +161,9 @@ def _phi_node_chunks(kv: KnotVector, R: float, n_panels: int, n_theta: int):
             np.multiply.outer(r_chunk * w_chunk, np.ones(n_theta))
             * (2 * np.pi / n_theta)
         ).ravel()
-        phi = np.exp(_log_modulus(kv, xi1, xi2) + 1j * _phase(kv, xi1, xi2))
+        # t is built twice rather than held through both sums: holding it
+        # raised the n=16 inversion's peak RSS from 1084 to 1146 MB
+        phi = np.exp(_log_modulus(_tk(kv, xi1, xi2)) + 1j * _phase(_tk(kv, xi1, xi2)))
         yield xi1, xi2, w * phi
 
 
@@ -181,7 +179,7 @@ def pdf_Q_inversion_grid(kv: KnotVector, s1, s2):
         raise PrecisionLoss("inversion quadrature limited to n <= 64")
     s1 = np.atleast_1d(np.asarray(s1, dtype=float))
     s2 = np.atleast_1d(np.asarray(s2, dtype=float))
-    R, _ = truncation_radius(kv, 0, threshold=1e-14)
+    R, _ = truncation_radius(kv, 0, threshold=INVERSION_TAIL_THRESHOLD)
     prev = None
     n_theta = 256
     for n_panels in (16, 32, 64, 128, 256):

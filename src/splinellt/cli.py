@@ -85,15 +85,15 @@ _CONFIG_KEYS = {
 
 def config_from_args(args) -> ExperimentConfig:
     cfg = ExperimentConfig(experiment=args.experiment)
-    if args.config:
-        for key, val in read_config_file(args.config).items():
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            attr, conv = _CONFIG_KEYS[key]
-            try:
-                setattr(cfg, attr, conv(val))
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r}: {val!r}") from exc
+    file_cfg = read_config_file(args.config) if args.config else {}
+    for key, val in file_cfg.items():
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        attr, conv = _CONFIG_KEYS[key]
+        try:
+            setattr(cfg, attr, conv(val))
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r}: {val!r}") from exc
     if args.family is not None:
         cfg.families = _parse_str_list(args.family)
     if args.n is not None:
@@ -106,7 +106,7 @@ def config_from_args(args) -> ExperimentConfig:
         cfg.N_mc = args.N
     if args.seed is not None:
         cfg.seed = args.seed
-    elif "seed" not in (read_config_file(args.config) if args.config else {}):
+    elif "seed" not in file_cfg:
         env = os.environ.get("SPLINE_LLT_SEED")
         if env is not None:
             try:

@@ -129,11 +129,6 @@ def fit_slopes_by_family(records):
     return out
 
 
-def _grid_for(config, n):
-    T = config.grid_T if config.grid_T is not None else float(max(8, n))
-    return seminorm.GridSpec(T=T, h=config.grid_h)
-
-
 def _record(family, kv, p, q, r, value, argmax, noise, t0, seed):
     return ExperimentRecord(
         family=family,
@@ -161,7 +156,11 @@ def run_scaling(config):
         for n in config.n_list:
             t0 = time.perf_counter()
             kv = knots.family(fam, n, config.seed)
-            res = seminorm.theorem1_error(kv, config.p, config.q, _grid_for(config, n))
+            if config.grid_T is None:
+                grid = seminorm.default_grid(n, config.grid_h)
+            else:
+                grid = seminorm.GridSpec(T=config.grid_T, h=config.grid_h)
+            res = seminorm.theorem1_error(kv, config.p, config.q, grid)
             records.append(
                 _record(fam, kv, config.p, config.q, 0, res.value, res.argmax_t, 0.0, t0, config.seed)
             )
@@ -376,6 +375,15 @@ def inversion_vs_mc(kv, N, seed):
 
 
 def run_inversion(config):
+    # refuse before sampling: on an uncertified radius (the cap) the grid
+    # is integrated over the whole capped disc, for minutes at 1 GB
+    for fam in config.families:
+        for n in config.n_list:
+            kv = knots.family(fam, n, config.seed)
+            R, ok = charprob.truncation_radius(kv, 0, threshold=charprob.INVERSION_TAIL_THRESHOLD)
+            if not ok:
+                raise ConfigError(
+                    f"inversion: no certified truncation radius for {fam} n={n} (R={R:g})")
     records = []
     checks = {}
     for fam in config.families:

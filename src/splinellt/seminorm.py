@@ -94,16 +94,21 @@ def _spline_side(kv: KnotVector, ts: np.ndarray, q: int, r: int) -> np.ndarray:
     return (-1) ** r * d / n ** (q + r)
 
 
+def _hermite_error(kv, p, q, r, grid) -> SeminormResult:
+    """sup |t|^p |(-1)^q He_{q+r}(t) phi(t) - _spline_side(q, r)| on the grid."""
+    ts = grid.points_avoiding(kv)
+    herm = (-1) ** q * hermite_function(q + r, ts)
+    spline = _spline_side(kv, ts, q, r)
+    return _weighted_sup(ts, herm - spline, p, q, r, grid)
+
+
 def theorem1_error(kv: KnotVector, p: int, q: int, grid: GridSpec) -> SeminormResult:
     """sup |t|^p |d^q (Gaussian pdf - rescaled spline)| on the grid."""
     if q > kv.n - 4:
         raise OrderTooHigh(f"q <= n-4 required (q={q}, n={kv.n})")
     if p + q > 8:
         raise ValueError("p + q <= 8 required")
-    ts = grid.points_avoiding(kv)
-    gauss = (-1) ** q * hermite_function(q, ts)
-    spline = _spline_side(kv, ts, q, 0)
-    return _weighted_sup(ts, gauss - spline, p, q, 0, grid)
+    return _hermite_error(kv, p, q, 0, grid)
 
 
 def corollary2_error(
@@ -124,10 +129,7 @@ def corollary2_error(
     """
     if q + r > kv.n - 4:
         raise OrderTooHigh(f"q + r <= n-4 required (q={q}, r={r}, n={kv.n})")
-    ts = grid.points_avoiding(kv)
-    herm = (-1) ** q * hermite_function(q + r, ts)
-    spline = _spline_side(kv, ts, q, r)
-    return _weighted_sup(ts, herm - spline, p, q, r, grid)
+    return _hermite_error(kv, p, q, r, grid)
 
 
 def corollary3_error(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import PrecisionLoss
 from .knots import KnotVector
-from .splines import ORACLE_DPS, ORACLE_MAX_N, wprime_table
+from .splines import ORACLE_DPS, ORACLE_MAX_N, certify, knot_table, partial_fraction_sum
 
 XI_MIN = 0.05
 
@@ -72,7 +72,7 @@ def hyp2f0(r: int, a, z):
 def wprime(kv: KnotVector, k: int) -> float:
     """prod_{j != k} (x_k - x_j), computed in extended precision."""
     with mp.workdps(ORACLE_DPS):
-        return float(wprime_table(kv)[k])
+        return float(knot_table(kv)[1][k])
 
 
 def _check_c3_args(kv, r):
@@ -102,22 +102,11 @@ def corollary3_sum_mp(kv: KnotVector, r: int, xi):
         return _corollary3_quadrature_mp(kv, r, xi)
     n = kv.n
     with mp.workdps(ORACLE_DPS):
-        xs = [mp.mpf(float(x)) for x in kv.xs]
-        wp = wprime_table(kv)
         xim = mp.mpf(xi)
-        total = mp.mpc(0)
-        biggest = mp.mpf(0)
-        for k in range(n):
-            term = (
-                mp.e ** (mp.mpc(0, -1) * n * xim * xs[k])
-                * laguerre(r, -n - r + 1, mp.mpc(0, 1) * n * xim * xs[k])
-                / wp[k]
-            )
-            total += term
-            biggest = max(biggest, abs(term))
-        err = biggest * mp.mpf(10) ** (2 - ORACLE_DPS)
-        if abs(total) > 0 and err > mp.mpf("1e-10") * abs(total):
-            raise PrecisionLoss("cancellation across knots exceeds certified accuracy")
+        w = mp.mpc(0, -1) * n * xim
+        total = certify(*partial_fraction_sum(
+            kv, lambda x: mp.e ** (w * x) * laguerre(r, -n - r + 1, -w * x)
+        ))
         return _c3_prefactor(n, r) / xim ** (n + r - 1) * total
 
 
@@ -144,20 +133,21 @@ def corollary3_sum_2f0(kv: KnotVector, r: int, xi: float) -> complex:
         raise ValueError("the 2F0 route needs xi != 0")
     n = kv.n
     with mp.workdps(ORACLE_DPS):
-        xs = [mp.mpf(float(x)) for x in kv.xs]
-        wp = wprime_table(kv)
         xim = mp.mpf(float(xi))
-        total = mp.mpc(0)
-        for k in range(n):
-            poly = mp.mpf(0)
-            for j in range(r + 1):
-                cj = (
-                    math.prod(-r + i for i in range(j))
-                    * math.prod(n - 1 + i for i in range(j))
-                    / math.factorial(j)
-                )
-                poly += cj * (mp.mpc(0, -1) * n * xim) ** (-j) * xs[k] ** (r - j)
-            total += mp.e ** (mp.mpc(0, -1) * n * xim * xs[k]) * poly / wp[k]
+        w = mp.mpc(0, -1) * n * xim
+        coeffs = [
+            math.prod(-r + i for i in range(j))
+            * math.prod(n - 1 + i for i in range(j))
+            / math.factorial(j)
+            * w ** (-j)
+            for j in range(r + 1)
+        ]
+
+        def term(x):
+            poly = sum((cj * x ** (r - j) for j, cj in enumerate(coeffs)), mp.mpf(0))
+            return mp.e ** (w * x) * poly
+
+        total = certify(*partial_fraction_sum(kv, term))
         pref = (
             (-1) ** r
             * mp.factorial(n - 2)
@@ -168,32 +158,20 @@ def corollary3_sum_2f0(kv: KnotVector, r: int, xi: float) -> complex:
         return complex(val)
 
 
-def _bspline_scaled_mp(kv, xs, t):
-    """B(t/n) as an mpmath scalar; xs are the mpf knots of kv."""
-    n = kv.n
-    wp = wprime_table(kv)
-    s = t / n
-    e = n - 2
-    total = mp.mpf(0)
-    for k in range(n):
-        if xs[k] > s:
-            num = (xs[k] - s) ** e if e > 0 else mp.mpf(1)
-            total += num / wp[k]
-    return total
-
-
 def _corollary3_quadrature_mp(kv: KnotVector, r: int, xi):
     n = kv.n
+    e = n - 2
     with mp.workdps(40):
-        xs = [mp.mpf(float(x)) for x in kv.xs]
+        xs, _ = knot_table(kv)
         xim = mp.mpf(xi)
 
         def f(t):
-            return (
-                (mp.mpc(0, 1) * t) ** r
-                * _bspline_scaled_mp(kv, xs, t)
-                * mp.e ** (mp.mpc(0, -1) * t * xim)
-            )
+            s = t / n
+            # B(t/n), not certified: near the support's left end the summands
+            # cancel to nothing at quadrature precision, so a relative
+            # certificate would reject points the integral barely weighs
+            spline, _ = partial_fraction_sum(kv, lambda x: (x - s) ** e if x > s else None)
+            return (mp.mpc(0, 1) * t) ** r * spline * mp.e ** (mp.mpc(0, -1) * t * xim)
 
         pts = [n * x for x in xs]
         return mp.quad(f, pts)

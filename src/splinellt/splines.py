@@ -5,9 +5,11 @@ Two routes are provided for the same function
     B(t) = sum_k (x_k - t)_+^{n-2} / prod_{j != k} (x_k - x_j):
 
 * ``bspline_naive`` evaluates the sum literally in extended precision
-  (mpmath).  The terms cancel catastrophically -- their magnitudes grow
-  like the divided-difference condition number -- so this path is an
-  oracle only and refuses n > 24.
+  (mpmath) through ``partial_fraction_sum``, which the Corollary-3 routes
+  in ``specfun`` share.  The terms cancel catastrophically -- their
+  magnitudes grow like the divided-difference condition number -- so this
+  path is an oracle only, refuses n > 24 and passes every sum through
+  ``certify``.
 * ``bspline_stable`` evaluates the identical spline through the
   triangular Cox-de Boor recursion in plain doubles, which involves only
   convex combinations and is safe for large n.
@@ -37,30 +39,54 @@ def _wprime_mp(xs, k):
 
 
 @functools.lru_cache(maxsize=256)
-def _wprime_table(xs: tuple, prec: int) -> tuple:
+def _knot_table(xs: tuple, prec: int) -> tuple:
     with mp.workprec(prec):
-        xm = [mp.mpf(x) for x in xs]
-        return tuple(_wprime_mp(xm, k) for k in range(len(xm)))
+        xm = tuple(mp.mpf(x) for x in xs)
+        return xm, tuple(_wprime_mp(xm, k) for k in range(len(xm)))
 
 
-def wprime_table(kv: KnotVector) -> tuple:
-    """(W'(x_0), ..., W'(x_{n-1})) as mpf values at the current mpmath precision.
+def knot_table(kv: KnotVector) -> tuple:
+    """(knots as mpf, (W'(x_0), ..., W'(x_{n-1}))) at the current precision.
 
     W'(x_k) = prod_{j != k} (x_k - x_j).  Memoized per (knot values, binary
-    precision): mp.quad evaluates its integrand 20 bits above the caller's
-    precision, so the quadrature and the oracle need different entries.
-    Each entry is the product a caller would form itself at that precision,
-    so dividing by it is bit-identical to recomputing it.
+    precision): mp.quad runs its integrand 20 bits above the caller's
+    precision, so the quadrature and the oracle read different entries.
     """
-    return _wprime_table(tuple(kv.xs.tolist()), mp.mp.prec)
+    return _knot_table(tuple(kv.xs.tolist()), mp.mp.prec)
+
+
+def partial_fraction_sum(kv: KnotVector, term):
+    """(sum_k term(x_k) / W'(x_k), max_k |summand|) at the current precision.
+
+    ``term`` maps an mpf knot to its numerator, or to None where the summand
+    vanishes.  B and the three Corollary-3 routes all take this form.
+    """
+    xs, wp = knot_table(kv)
+    total = biggest = mp.mpf(0)
+    for x, w in zip(xs, wp):
+        num = term(x)
+        if num is not None:
+            summand = num / w
+            total += summand
+            biggest = max(biggest, abs(summand))
+    return total, biggest
+
+
+def certify(total, biggest):
+    """``total``, or PrecisionLoss when the rounding error estimate (largest
+    summand times the ORACLE_DPS epsilon, two digits of slack) exceeds 1e-10
+    of it."""
+    err = biggest * mp.mpf(10) ** (2 - ORACLE_DPS)
+    if abs(total) > 0 and err > mp.mpf("1e-10") * abs(total):
+        raise PrecisionLoss(f"cancellation too severe: est rel err {float(err / abs(total)):.2e}")
+    return total
 
 
 def bspline_naive(kv: KnotVector, t: float, r: int = 0) -> float:
     """Extended-precision oracle for the explicit partial-fraction sum.
 
     Returns sum_k (x_k - t)_+^{n-2-r} / W'(x_k) rounded to double.  Raises
-    PrecisionLoss when the internal error estimate (largest term times the
-    working epsilon) exceeds 1e-10 of the result, or when n > 24.
+    PrecisionLoss when n > 24 or when ``certify`` rejects the sum.
     """
     n = kv.n
     if not 0 <= r <= n - 2:
@@ -69,27 +95,9 @@ def bspline_naive(kv: KnotVector, t: float, r: int = 0) -> float:
         raise PrecisionLoss(f"oracle limited to n <= {ORACLE_MAX_N}, got n={n}")
     e = n - 2 - r
     with mp.workdps(ORACLE_DPS):
-        xs = [mp.mpf(float(x)) for x in kv.xs]
-        wp = wprime_table(kv)
         tm = mp.mpf(float(t))
-        total = mp.mpf(0)
-        biggest = mp.mpf(0)
-        for k in range(n):
-            if xs[k] > tm:
-                num = (xs[k] - tm) ** e if e > 0 else mp.mpf(1)
-            else:
-                continue
-            term = num / wp[k]
-            total += term
-            biggest = max(biggest, abs(term))
-        if biggest == 0:
-            return 0.0
-        err = biggest * mp.mpf(10) ** (2 - ORACLE_DPS)
-        if abs(total) > 0 and err > mp.mpf("1e-10") * abs(total):
-            raise PrecisionLoss(
-                f"cancellation too severe at n={n}: est rel err {float(err / abs(total)):.2e}"
-            )
-        return float(total)
+        total, biggest = partial_fraction_sum(kv, lambda x: (x - tm) ** e if x > tm else None)
+        return float(certify(total, biggest))
 
 
 def _basis(xs: np.ndarray, ts: np.ndarray, order: int) -> np.ndarray:

@@ -202,6 +202,15 @@ def test_nan_record_fails_run(monkeypatch, tmp_path):
     assert summary["nan_records"]
 
 
+def test_cli_inversion_refuses_uncertified_radius(capsys):
+    # uniform_random n=8 has no truncation radius below the cap; sampling and
+    # inverting on the capped disc would run for minutes
+    rc = cli.main(["inversion", "--family", "uniform_random", "--n", "8", "--N", "20000"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "uniform_random n=8" in err and "R=200" in err
+
+
 def test_inversion_symmetry_detects_asymmetric_knots():
     # equispaced knots are symmetric under x -> -x; uniform_random ones are not,
     # so the batched grid must see the first coordinate's flip change the density

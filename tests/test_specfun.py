@@ -136,16 +136,25 @@ def test_wprime_cache_order_independent():
     def naive():
         return [splines.bspline_naive(kv, t, 0) for t in ts]
 
-    splines._wprime_table.cache_clear()
+    splines._knot_table.cache_clear()
     fresh_quad = quad()
-    splines._wprime_table.cache_clear()
+    splines._knot_table.cache_clear()
     fresh_naive = naive()
-    splines._wprime_table.cache_clear()
+    splines._knot_table.cache_clear()
     q1, n1 = quad(), naive()
-    splines._wprime_table.cache_clear()
+    splines._knot_table.cache_clear()
     n2, q2 = naive(), quad()
     assert q1 == q2 == fresh_quad
     assert n1 == n2 == fresh_naive
+
+
+def test_2f0_route_is_certified(monkeypatch):
+    kv = knots.family("chebyshev", 8, seed=1)
+    # with a 5-digit certificate epsilon no sum can meet the 1e-10 bound (the
+    # sum itself still runs at 140 digits), so the route must raise
+    monkeypatch.setattr(splines, "ORACLE_DPS", 5)
+    with pytest.raises(PrecisionLoss):
+        specfun.corollary3_sum_2f0(kv, 1, 0.5)
 
 
 def test_fourier_of_b_frozen():

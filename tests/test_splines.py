@@ -117,10 +117,28 @@ def test_wprime_table_keyed_by_precision():
     for dps in (40, splines.ORACLE_DPS):
         with mp.workdps(dps):
             xs = [mp.mpf(x) for x in kv.xs.tolist()]
-            tables.append(splines.wprime_table(kv))
+            table_xs, wp = splines.knot_table(kv)
+            assert list(table_xs) == xs
+            tables.append(wp)
             assert tables[-1] == tuple(splines._wprime_mp(xs, k) for k in range(kv.n))
     # the 140-digit products carry digits the 40-digit ones cannot hold
     assert tables[0] != tables[1]
+
+
+def test_certify_threshold():
+    # the sum passes while 10^(2 - ORACLE_DPS) * biggest <= 1e-10 * |total|
+    with mp.workdps(splines.ORACLE_DPS):
+        eps = mp.mpf(10) ** (2 - splines.ORACLE_DPS)
+        biggest = mp.mpf(1)
+        total = eps * mp.mpf("1e10")
+        assert splines.certify(total * 2, biggest) == total * 2
+        assert splines.certify(-total * 2, biggest) == -total * 2
+        with pytest.raises(PrecisionLoss):
+            splines.certify(total / 2, biggest)
+        with pytest.raises(PrecisionLoss):
+            splines.certify(-total / 2, biggest)
+        # an empty sum (every summand vanished) is exact
+        assert splines.certify(mp.mpf(0), mp.mpf(0)) == 0
 
 
 def test_normalization_all_families():
