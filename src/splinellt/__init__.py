@@ -19,6 +19,7 @@ from .charprob import (
     char_diff_integral,
     eval_char_state,
     grad_FG,
+    pdf_Q_exact,
     pdf_Q_inversion_grid,
     pdf_gaussian_ratio,
     phi_Q,

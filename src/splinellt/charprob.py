@@ -7,8 +7,9 @@ Q = sum v_k (P_k - 1) factorizes over k and equals e^{F + iG} with
 
 to be compared with the Gaussian exponent H = -|xi|^2/2.  This module
 evaluates the state, its closed-form first derivatives, the xi-space L^1
-closeness integral, 2-D Fourier inversion of the density, and quotient
-densities (including the Gaussian-ratio benchmark).
+closeness integral, the density of Q in closed form and by a certified 2-D
+Fourier inversion, and quotient densities (including the Gaussian-ratio
+benchmark).
 """
 
 import math
@@ -24,6 +25,11 @@ _TAIL_THRESHOLD = 1e-12
 INVERSION_TAIL_THRESHOLD = 1e-14
 _R_MIN = 12.0
 _R_CAP = 200.0
+_INVERSION_TOL = 1e-9
+_ALIAS_TOL = 1e-12
+_DELTA_MIN = 0.01
+_TAIL_ANGLES = 2048
+_BLOCK_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -143,60 +149,139 @@ def char_diff_integral(kv: KnotVector, ell: int = 0) -> float:
     raise QuadratureNotConverged("char_diff_integral refinement stalled")
 
 
-def _phi_node_chunks(kv: KnotVector, R: float, n_panels: int, n_theta: int):
-    """Yield (xi1, xi2, weight * phi_Q) over quadrature nodes, chunked.
+def pdf_Q_exact(kv: KnotVector, q1, q2):
+    """Density of Q at (q1, q2) in closed form; broadcasts over arrays.
 
-    Chunking keeps peak memory flat: the full node set at the finest
-    refinement runs to millions of points, and a chunk holds about 200 000.
+    s = sum P_k = n + sqrt(n) q2 is Gamma(n) and independent of P/s, which
+    is uniform on the simplex (Lukacs), and <x, P/s> has density (n-1) B
+    (Curry-Schoenberg).  Since Q1 = s <x, P/s>,
+
+        f_Q(q1, q2) = sqrt(n) gamma_n(s) (n-1) B(q1/s) / s  for s > 0, else 0.
     """
-    rs, ws = _polar_panels(R, n_panels)
-    thetas = (np.arange(n_theta) + 0.5) * (2 * np.pi / n_theta)
-    c, s = np.cos(thetas), np.sin(thetas)
-    rows = max(1, 200_000 // n_theta)
-    for lo in range(0, rs.size, rows):
-        r_chunk, w_chunk = rs[lo : lo + rows], ws[lo : lo + rows]
-        xi1 = np.multiply.outer(r_chunk, c).ravel()
-        xi2 = np.multiply.outer(r_chunk, s).ravel()
-        w = (
-            np.multiply.outer(r_chunk * w_chunk, np.ones(n_theta))
-            * (2 * np.pi / n_theta)
-        ).ravel()
-        # t is built twice rather than held through both sums: holding it
-        # raised the n=16 inversion's peak RSS from 1084 to 1146 MB
-        phi = np.exp(_log_modulus(_tk(kv, xi1, xi2)) + 1j * _phase(_tk(kv, xi1, xi2)))
-        yield xi1, xi2, w * phi
+    # imported here: importing splines (hence mpmath) while charprob loads
+    # raised the resident memory of every process by about 2 MB
+    from .splines import bspline_stable
+
+    n = kv.n
+    q1, q2 = np.broadcast_arrays(np.asarray(q1, dtype=float), np.asarray(q2, dtype=float))
+    s = n + math.sqrt(n) * q2
+    out = np.zeros(s.shape)
+    pos = s > 0
+    sp = s[pos]
+    gamma_n = np.exp((n - 1) * np.log(sp) - sp - math.lgamma(n))
+    out[pos] = math.sqrt(n) * (n - 1) * gamma_n * bspline_stable(kv, q1[pos] / sp) / sp
+    return out if out.ndim else float(out)
+
+
+def _aliasing_bound(kv: KnotVector, s1, s2, delta: float) -> float:
+    """Upper bound on max over the grid of sum_{k != 0} f_Q(s + 2 pi k / delta).
+
+    f_Q vanishes unless s = n + sqrt(n) q2 > 0 and x_0 <= q1/s <= x_{n-1};
+    there it is at most sqrt(n) (n-1) max B gamma_n(s) / s, with
+    max B <= 1/(x_{n-1} - x_0) (partition of unity).  Each shift k2 of q2
+    therefore contributes that envelope times the number of shifts k1 of q1
+    that land in the support.
+    """
+    n, rn, h = kv.n, math.sqrt(kv.n), 2 * np.pi / delta
+    lo, hi = float(kv.xs[0]), float(kv.xs[-1])
+    log_c = 0.5 * math.log(n) + math.log(n - 1) - math.log(hi - lo) - math.lgamma(n)
+    col = s1[:, None]
+    total, prev = 0.0, math.inf
+    # from the first shift with s > 0 upwards; past the mode (s > n) the
+    # envelope falls faster than geometrically in k2, so once every term is
+    # tiny and at most half the one before, the rest add up to at most it
+    k2 = math.floor(-(rn + float(s2.max())) / h)
+    while True:
+        sk = n + rn * (s2 + k2 * h)
+        s = np.maximum(sk, 1e-300)
+        count = np.floor((s * hi - col) / h) - np.ceil((s * lo - col) / h) + 1
+        if k2 == 0:
+            count -= (s * lo <= col) & (col <= s * hi)
+        env = np.where(sk > 0, np.exp(log_c + (n - 2) * np.log(s) - s), 0.0)
+        term = env * np.maximum(count, 0.0)
+        total = total + term
+        past_mode = n + rn * (float(s2.min()) + k2 * h) > n
+        if past_mode and term.max() < 1e-30 and np.all(term <= prev / 2):
+            return float((total + term).max())
+        prev, k2 = term, k2 + 1
+
+
+def _truncation_tail(kv: KnotVector, R: float) -> float:
+    """Estimate of (1/4 pi^2) times the integral of |phi_Q| outside radius R.
+
+    Along each ray, with t_k = r a_k and c_k = R^2 a_k^2, convexity of
+    log(1 + c e^y) in y gives 1 + r^2 a_k^2 >= (1 + c_k) (r/R)^{2c_k/(1+c_k)},
+    so |phi_Q(r)| <= |phi_Q(R)| (r/R)^{-p} with p = sum c_k / (1 + c_k), and
+    the radial integral beyond R is at most |phi_Q(R)| R^2 / (p - 2) (infinite
+    when p <= 2).  The angular integral is a periodic trapezoid sum.
+    """
+    thetas = (np.arange(_TAIL_ANGLES) + 0.5) * (2 * np.pi / _TAIL_ANGLES)
+    t = _tk(kv, R * np.cos(thetas), R * np.sin(thetas))
+    c = t * t
+    p = (c / (1 + c)).sum(axis=-1)
+    if np.any(p <= 2):
+        return math.inf
+    radial = np.exp(_log_modulus(t)) * R**2 / (p - 2)
+    return float(radial.mean() / (2 * np.pi))
+
+
+def _phi_blocks(kv: KnotVector, nodes):
+    """Yield (rows, Phi[rows]) for Phi[j, k] = phi_Q(nodes[j], nodes[k]).
+
+    A block holds about _BLOCK_FLOATS values of t, so neither Phi nor the
+    (M x M x n) array of t is ever held whole.
+    """
+    step = max(1, _BLOCK_FLOATS // (nodes.size * kv.n))
+    for lo in range(0, nodes.size, step):
+        rows = slice(lo, lo + step)
+        t = _tk(kv, nodes[rows, None], nodes[None, :])
+        yield rows, np.exp(_log_modulus(t) + 1j * _phase(t))
 
 
 def pdf_Q_inversion_grid(kv: KnotVector, s1, s2):
     """Density of Q on the grid s1 x s2 by 2-D Fourier inversion.
 
-    Returns the pdf array of shape (len(s1), len(s2)).  Panel counts double
-    until the whole grid moves by less than 1e-9; raises
-    QuadratureNotConverged if that never happens or if the converged grid
-    keeps an imaginary part above 1e-8.
+    Returns the pdf array of shape (len(s1), len(s2)).  The inversion
+    integral is the trapezoid sum over xi in delta {-J..J}^2, J = ceil(R /
+    delta), evaluated separably as E1 Phi E2^T delta^2 / 4 pi^2 over row
+    blocks of Phi.  By Poisson summation its error is the aliasing sum
+    sum_{k != 0} f_Q(s + 2 pi k / delta) plus the truncation beyond R:
+    delta is the largest step of 0.9^j whose aliasing bound is below 1e-12,
+    and QuadratureNotConverged is raised when the two bounds together
+    exceed 1e-9, or when the sum keeps an imaginary part above 1e-8.
+    Non-finite grid points raise ValueError.
     """
     if kv.n > 64:
         raise PrecisionLoss("inversion quadrature limited to n <= 64")
     s1 = np.atleast_1d(np.asarray(s1, dtype=float))
     s2 = np.atleast_1d(np.asarray(s2, dtype=float))
+    if not (np.all(np.isfinite(s1)) and np.all(np.isfinite(s2))):
+        raise ValueError("grid points must be finite")
+    # the radius need not be certified by the per-circle maximum: the tail
+    # estimate below is what certifies it
     R, _ = truncation_radius(kv, 0, threshold=INVERSION_TAIL_THRESHOLD)
-    prev = None
-    n_theta = 256
-    for n_panels in (16, 32, 64, 128, 256):
-        vals = np.zeros((s1.size, s2.size), dtype=complex)
-        for xi1, xi2, wphi in _phi_node_chunks(kv, R, n_panels, n_theta):
-            E1 = np.exp(-1j * np.multiply.outer(s1, xi1))
-            E2 = np.exp(-1j * np.multiply.outer(s2, xi2))
-            vals += (E1 * wphi[None, :]) @ E2.T
-        vals /= 4 * np.pi**2
-        if prev is not None and np.max(np.abs(vals - prev)) < 1e-9:
-            max_imag = float(np.max(np.abs(vals.imag)))
-            if max_imag > 1e-8:
-                raise QuadratureNotConverged(f"imaginary residue {max_imag:.2e} too large")
-            return vals.real
-        prev = vals
-        n_theta *= 2
-    raise QuadratureNotConverged("pdf_Q_inversion_grid refinement stalled")
+    tail = _truncation_tail(kv, R)
+    delta = 1.0
+    alias = _aliasing_bound(kv, s1, s2, delta)
+    while alias > _ALIAS_TOL and delta > _DELTA_MIN:
+        delta *= 0.9
+        alias = _aliasing_bound(kv, s1, s2, delta)
+    if alias + tail > _INVERSION_TOL:
+        raise QuadratureNotConverged(
+            f"inversion error bound {alias + tail:.2e} above {_INVERSION_TOL:g} "
+            f"(aliasing {alias:.1e} at step {delta:.3g}, truncation {tail:.1e} beyond R={R:g})"
+        )
+    nodes = delta * np.arange(-math.ceil(R / delta), math.ceil(R / delta) + 1)
+    E1 = np.exp(-1j * np.multiply.outer(s1, nodes))
+    E2T = np.exp(-1j * np.multiply.outer(nodes, s2))
+    vals = np.zeros((s1.size, s2.size), dtype=complex)
+    for rows, phi in _phi_blocks(kv, nodes):
+        vals += E1[:, rows] @ (phi @ E2T)
+    vals *= delta**2 / (4 * np.pi**2)
+    max_imag = float(np.max(np.abs(vals.imag)))
+    if max_imag > 1e-8:
+        raise QuadratureNotConverged(f"imaginary residue {max_imag:.2e} too large")
+    return vals.real
 
 
 def quotient_pdf(joint, s: float, y_range, tol: float = 1e-10) -> float:

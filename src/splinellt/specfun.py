@@ -9,6 +9,7 @@ appear anywhere here.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -43,17 +44,20 @@ def hermite_function(r: int, t):
 def laguerre(r: int, alpha, x):
     """Generalized Laguerre L_r^{(alpha)}(x) by its terminating series.
 
-    Valid for every real alpha, including alpha < -1.  Works elementwise on
-    mpmath types because the coefficients are plain Python numbers.
+    Valid for every real alpha, including alpha < -1.  The coefficients are
+    formed exactly as fractions and rounded once, to mpf when x is an
+    mpmath number (at the working precision) and to float otherwise.
     """
     if r < 0:
         raise ValueError("degree must be >= 0")
+    to_mp = isinstance(x, (mp.mpf, mp.mpc))
     total = 0
     for j in range(r + 1):
-        binom = math.prod(alpha + i for i in range(j + 1, r + 1)) / math.factorial(
-            r - j
+        c = Fraction((-1) ** j, math.factorial(j) * math.factorial(r - j)) * math.prod(
+            (Fraction(alpha) + i for i in range(j + 1, r + 1)), start=Fraction(1)
         )
-        total += (-1) ** j / math.factorial(j) * binom * x**j
+        c = mp.mpf(c.numerator) / c.denominator if to_mp else c.numerator / c.denominator
+        total += c * x**j
     return total
 
 
@@ -135,11 +139,9 @@ def corollary3_sum_2f0(kv: KnotVector, r: int, xi: float) -> complex:
     with mp.workdps(ORACLE_DPS):
         xim = mp.mpf(float(xi))
         w = mp.mpc(0, -1) * n * xim
+        # (-r)_j (n-1)_j / j! = (-1)^j C(r, j) (n-1)_j, an exact integer
         coeffs = [
-            math.prod(-r + i for i in range(j))
-            * math.prod(n - 1 + i for i in range(j))
-            / math.factorial(j)
-            * w ** (-j)
+            (-1) ** j * math.comb(r, j) * math.prod(n - 1 + i for i in range(j)) * w ** (-j)
             for j in range(r + 1)
         ]
 

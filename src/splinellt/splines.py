@@ -85,8 +85,9 @@ def certify(total, biggest):
 def bspline_naive(kv: KnotVector, t: float, r: int = 0) -> float:
     """Extended-precision oracle for the explicit partial-fraction sum.
 
-    Returns sum_k (x_k - t)_+^{n-2-r} / W'(x_k) rounded to double.  Raises
-    PrecisionLoss when n > 24 or when ``certify`` rejects the sum.
+    Returns sum_k (x_k - t)_+^{n-2-r} / W'(x_k) rounded to double, exactly
+    0.0 left of the support.  Raises PrecisionLoss when n > 24 or when
+    ``certify`` rejects the sum.
     """
     n = kv.n
     if not 0 <= r <= n - 2:
@@ -94,6 +95,12 @@ def bspline_naive(kv: KnotVector, t: float, r: int = 0) -> float:
     if n > ORACLE_MAX_N:
         raise PrecisionLoss(f"oracle limited to n <= {ORACLE_MAX_N}, got n={n}")
     e = n - 2 - r
+    # left of the support every summand is present (at x_0 the missing one
+    # is 0 unless e = 0), so the sum is the divided difference over all n
+    # knots of a polynomial of degree e < n - 1: exactly 0, where certify
+    # would see only rounding noise
+    if t < kv.xs[0] or (t == kv.xs[0] and e > 0):
+        return 0.0
     with mp.workdps(ORACLE_DPS):
         tm = mp.mpf(float(t))
         total, biggest = partial_fraction_sum(kv, lambda x: (x - tm) ** e if x > tm else None)

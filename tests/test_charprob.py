@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from splinellt import charprob, knots
+from splinellt import charprob, harness, knots, montecarlo
 from splinellt.errors import PrecisionLoss, QuadratureNotConverged
 
 EQ6_F = -0.42803841055129477  # frozen: direct sum at xi=(0.8,-0.6)
@@ -109,8 +109,9 @@ def test_gaussian_ratio_limits():
 def test_inversion_point_and_grid_consistent():
     kv = knots.family("equispaced", 8)
     pt = charprob.pdf_Q_inversion_grid(kv, [0.4], [-0.2])[0, 0]
-    # refinement stops on the worst grid point, so the grid adds only the
-    # mirror point, whose value refines in step for these symmetric knots
+    # the step comes from the aliasing bound over the whole grid, so the
+    # grid adds only the mirror point, whose bound is the same for these
+    # symmetric knots
     grid = charprob.pdf_Q_inversion_grid(kv, [-0.4, 0.4], [-0.2])
     assert grid[1, 0] == pytest.approx(pt, abs=1e-12)
     assert pt > 0
@@ -127,12 +128,80 @@ def test_inversion_rejects_large_n():
         charprob.pdf_Q_inversion_grid(knots.family("equispaced", 65), [0.0], [0.0])
 
 
-def test_inversion_rejects_imaginary_residue(monkeypatch):
-    # one node at xi = 0 with an imaginary weight: every refinement level
-    # returns 1e-5i / (4 pi^2), so refinement converges and the guard fires
-    def imaginary_nodes(kv, R, n_panels, n_theta):
-        yield np.zeros(1), np.zeros(1), np.array([1e-5j])
+def test_inversion_rejects_non_finite_grid():
+    # a NaN would never let the aliasing bound's sum over shifts terminate
+    kv = knots.family("equispaced", 16)
+    with pytest.raises(ValueError):
+        charprob.pdf_Q_inversion_grid(kv, [0.0, np.nan], [0.0])
+    with pytest.raises(ValueError):
+        charprob.pdf_Q_inversion_grid(kv, [0.0], [np.inf])
 
-    monkeypatch.setattr(charprob, "_phi_node_chunks", imaginary_nodes)
+
+def test_inversion_rejects_imaginary_residue(monkeypatch):
+    # the row of Phi at xi1 = 0 replaced by an imaginary constant: the sum
+    # keeps an imaginary part far above 1e-8 and the guard must fire
+    def imaginary_blocks(kv, nodes):
+        mid = nodes.size // 2
+        yield slice(mid, mid + 1), np.full((1, nodes.size), 1e-3j)
+
+    monkeypatch.setattr(charprob, "_phi_blocks", imaginary_blocks)
     with pytest.raises(QuadratureNotConverged, match="imaginary residue"):
         charprob.pdf_Q_inversion_grid(knots.family("equispaced", 8), [0.0], [0.0])
+
+
+# the 80 cell-average nodes per axis of the inversion experiment's grid
+CELL_NODES = harness._cell_average_nodes(montecarlo.default_grid()[0])
+
+
+@pytest.mark.parametrize(
+    "kind, n, s1, s2",
+    [
+        ("equispaced", 16, CELL_NODES, CELL_NODES),
+        ("equispaced", 48, CELL_NODES, CELL_NODES),
+        ("clustered", 20, CELL_NODES, CELL_NODES),
+        ("uniform_random", 16, CELL_NODES, CELL_NODES),
+        # validate's symmetry grid, on the capped radius R = 200
+        ("equispaced", 8, np.array([0.3, -0.3, 1.1, -1.1]), np.array([0.7, -0.4])),
+    ],
+)
+def test_inversion_matches_exact_density(kind, n, s1, s2):
+    kv = knots.family(kind, n, seed=1)
+    grid = charprob.pdf_Q_inversion_grid(kv, s1, s2)
+    exact = charprob.pdf_Q_exact(kv, s1[:, None], s2[None, :])
+    assert np.max(np.abs(grid - exact)) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [3, 4, 7])
+def test_inversion_raises_when_error_bound_fails(n):
+    # |phi_Q| decays like r^-n, so for small n the tail beyond the capped
+    # radius alone exceeds 1e-9
+    with pytest.raises(QuadratureNotConverged, match="error bound"):
+        charprob.pdf_Q_inversion_grid(knots.family("equispaced", n), [0.3], [0.7])
+
+
+def test_exact_density_support():
+    kv = knots.family("chebyshev", 10)
+    s = 10 + math.sqrt(10) * 0.5
+    # zero for s <= 0 and outside s [x_0, x_{n-1}], positive inside
+    assert charprob.pdf_Q_exact(kv, 0.0, -math.sqrt(10)) == 0.0
+    assert charprob.pdf_Q_exact(kv, 1.01 * s * kv.xs[-1], 0.5) == 0.0
+    assert charprob.pdf_Q_exact(kv, 0.99 * s * kv.xs[-1], 0.5) > 0.0
+    assert charprob.pdf_Q_exact(kv, np.zeros((3, 1)), np.zeros(4)).shape == (3, 4)
+
+
+def test_mc_histogram_matches_exact_cell_averages():
+    kv = knots.family("equispaced", 16)
+    N = 10**6
+    hist = montecarlo.mc_pdf_Q(kv, N, montecarlo.default_grid(), seed=3)
+    # 4-point Gauss-Legendre per cell and axis for the cell averages
+    gx, gw = np.polynomial.legendre.leggauss(4)
+    edges = hist.edges1
+    c, h = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    nodes = (c[:, None] + h[:, None] * gx).ravel()
+    w = np.tile(gw / 2, c.size)
+    vals = charprob.pdf_Q_exact(kv, nodes[:, None], nodes[None, :]) * np.multiply.outer(w, w)
+    avg = vals.reshape(c.size, 4, c.size, 4).sum(axis=(1, 3))
+    keep = avg * N * np.multiply.outer(2 * h, 2 * h) >= 20
+    dev = np.abs(avg - hist.density)[keep] / hist.std_error[keep]
+    assert keep.sum() > 500
+    assert dev.max() <= 4.0

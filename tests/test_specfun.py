@@ -113,6 +113,18 @@ def test_corollary3_routes_agree():
             assert abs(a - c) / scale < 1e-8
 
 
+def test_corollary3_routes_agree_at_high_order():
+    # the Laguerre coefficients used to be rounded to double before the
+    # 140-digit sum, whose xi^{-(n+r-1)} prefactor amplified that rounding
+    # to 9.1e-4 relative at chebyshev n=16, r=6, xi=0.1
+    for fam, n in (("chebyshev", 16), ("equispaced", 20)):
+        kv = knots.family(fam, n)
+        for r in (4, 5, 6):
+            a = specfun.corollary3_sum(kv, r, 0.1)
+            b = specfun.corollary3_sum_2f0(kv, r, 0.1)
+            assert abs(a - b) <= 1e-12 * abs(b)
+
+
 def test_corollary3_argument_checks():
     kv = knots.family("equispaced", 5)
     with pytest.raises(ValueError):

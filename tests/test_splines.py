@@ -154,6 +154,23 @@ def test_oracle_refuses_large_n():
         splines.bspline_naive(kv, 0.0, 0)
 
 
+def test_oracle_exact_zero_left_of_support():
+    # left of x_0 (and at x_0 unless n - 2 - r = 0) the sum is a divided
+    # difference of a polynomial of degree n - 2 - r, so it is exactly 0
+    for kind in knots.FAMILIES:
+        for n in range(3, 25):
+            kv = knots.family(kind, n, seed=1)
+            x0 = float(kv.xs[0])
+            for r in range(min(2, n - 2) + 1):
+                assert splines.bspline_naive(kv, x0 - 0.1, r) == 0.0
+                if n - 2 - r > 0:
+                    assert splines.bspline_naive(kv, x0, r) == 0.0
+                else:
+                    # only the x_0 summand is missing: 0 - 1/W'(x_0)
+                    expected = -1.0 / float(np.prod(x0 - kv.xs[1:]))
+                    assert splines.bspline_naive(kv, x0, r) == pytest.approx(expected, rel=1e-14)
+
+
 def test_derivative_order_bounds():
     kv = knots.family("equispaced", 5)
     with pytest.raises(ValueError):
