@@ -44,19 +44,23 @@ def hermite_function(r: int, t):
 def laguerre(r: int, alpha, x):
     """Generalized Laguerre L_r^{(alpha)}(x) by its terminating series.
 
-    Valid for every real alpha, including alpha < -1.  The coefficients are
-    formed exactly as fractions and rounded once, to mpf when x is an
-    mpmath number (at the working precision) and to float otherwise.
+    Valid for every real alpha, including alpha < -1.  For an mpmath x each
+    coefficient is formed exactly as a fraction and rounded once, at the
+    working precision; for a Python number it is formed in floating point.
     """
     if r < 0:
         raise ValueError("degree must be >= 0")
     to_mp = isinstance(x, (mp.mpf, mp.mpc))
     total = 0
     for j in range(r + 1):
-        c = Fraction((-1) ** j, math.factorial(j) * math.factorial(r - j)) * math.prod(
-            (Fraction(alpha) + i for i in range(j + 1, r + 1)), start=Fraction(1)
-        )
-        c = mp.mpf(c.numerator) / c.denominator if to_mp else c.numerator / c.denominator
+        if to_mp:
+            c = Fraction((-1) ** j, math.factorial(j) * math.factorial(r - j)) * math.prod(
+                (Fraction(alpha) + i for i in range(j + 1, r + 1)), start=Fraction(1)
+            )
+            c = mp.mpf(c.numerator) / c.denominator
+        else:
+            binom = math.prod(alpha + i for i in range(j + 1, r + 1)) / math.factorial(r - j)
+            c = (-1) ** j / math.factorial(j) * binom
         total += c * x**j
     return total
 

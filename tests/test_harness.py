@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from splinellt import cli, harness, knots
+from splinellt import charprob, cli, harness, knots
 from splinellt.errors import ConfigError, InsufficientData
 
 
@@ -214,5 +214,20 @@ def test_cli_inversion_refuses_uncertified_radius(capsys):
 def test_inversion_symmetry_detects_asymmetric_knots():
     # equispaced knots are symmetric under x -> -x; uniform_random ones are not,
     # so the batched grid must see the first coordinate's flip change the density
-    assert harness.inversion_symmetry(knots.family("equispaced", 8, 1)) <= 1e-8
-    assert harness.inversion_symmetry(knots.family("uniform_random", 8, 1)) > 1e-8
+    def asymmetry(kv):
+        vals = charprob.pdf_Q_inversion_grid(kv, [0.3, -0.3, 1.1, -1.1], [0.7, -0.4])
+        return max(abs(vals[0, 0] - vals[1, 0]), abs(vals[2, 1] - vals[3, 1]))
+
+    assert asymmetry(knots.family("equispaced", 8, 1)) <= 1e-8
+    assert asymmetry(knots.family("uniform_random", 8, 1)) > 1e-8
+
+
+def test_inversion_symmetry_check_detects_scaled_inversion(monkeypatch):
+    # a scaling error keeps the mirror symmetry; the comparison with the
+    # exact density must still see it
+    ok, detail = harness.check_inversion_symmetry(1)
+    assert ok, detail
+    grid = charprob.pdf_Q_inversion_grid
+    monkeypatch.setattr(charprob, "pdf_Q_inversion_grid", lambda *a: 1.001 * grid(*a))
+    ok, detail = harness.check_inversion_symmetry(1)
+    assert not ok, detail
