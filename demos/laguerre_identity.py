@@ -5,11 +5,12 @@ Route 1: an oscillatory sum of generalized Laguerre polynomials with
 negative integer parameter, one term per knot.
 Route 2: the same sum with each Laguerre value replaced by a terminating
 2F0 hypergeometric series (a classical identity between the two).
-Route 3: brute force -- knot-aligned Gauss-Legendre quadrature of the
-integral itself.
+Route 3: brute force -- mpmath quadrature of the integral itself, split at
+the knot images.
 
 All three agree to ~1e-10 for r up to 4, which is the package's strongest
-internal cross-check: the routes share no code beyond the knot vector.
+internal cross-check: the routes share only the knot vector and the one
+partial-fraction loop over its W' products.
 """
 
 from splinellt import knots, specfun

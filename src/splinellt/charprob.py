@@ -22,7 +22,7 @@ from .errors import PrecisionLoss, QuadratureNotConverged
 from .knots import KnotVector
 
 _TAIL_THRESHOLD = 1e-12
-INVERSION_TAIL_THRESHOLD = 1e-14
+_INVERSION_TAIL_THRESHOLD = 1e-14
 _R_MIN = 12.0
 _R_CAP = 200.0
 _INVERSION_TOL = 1e-9
@@ -259,7 +259,7 @@ def pdf_Q_inversion_grid(kv: KnotVector, s1, s2):
         raise ValueError("grid points must be finite")
     # the radius need not be certified by the per-circle maximum: the tail
     # estimate below is what certifies it
-    R, _ = truncation_radius(kv, 0, threshold=INVERSION_TAIL_THRESHOLD)
+    R, _ = truncation_radius(kv, 0, threshold=_INVERSION_TAIL_THRESHOLD)
     tail = _truncation_tail(kv, R)
     delta = 1.0
     alias = _aliasing_bound(kv, s1, s2, delta)

@@ -362,10 +362,12 @@ def _cell_average_nodes(edges):
 
 def inversion_vs_mc(kv, N, seed):
     """Max |cell-averaged inversion - histogram| in SE units over retained cells."""
-    hist = montecarlo.mc_pdf_Q(kv, N, montecarlo.default_grid(), seed)
-    g1 = _cell_average_nodes(hist.edges1)
-    g2 = _cell_average_nodes(hist.edges2)
+    edges1, edges2 = montecarlo.default_grid()
+    g1 = _cell_average_nodes(edges1)
+    g2 = _cell_average_nodes(edges2)
+    # the grid certifies itself or raises, before any sampling
     fine = charprob.pdf_Q_inversion_grid(kv, g1, g2)
+    hist = montecarlo.mc_pdf_Q(kv, N, (edges1, edges2), seed)
     pdf = fine.reshape(g1.size // 2, 2, g2.size // 2, 2).mean(axis=(1, 3))
     area = np.multiply.outer(np.diff(hist.edges1), np.diff(hist.edges2))
     expected = pdf * N * area
@@ -375,15 +377,6 @@ def inversion_vs_mc(kv, N, seed):
 
 
 def run_inversion(config):
-    # refuse before sampling: on an uncertified radius (the cap) the grid
-    # is integrated over the whole capped disc, for minutes at 1 GB
-    for fam in config.families:
-        for n in config.n_list:
-            kv = knots.family(fam, n, config.seed)
-            R, ok = charprob.truncation_radius(kv, 0, threshold=charprob.INVERSION_TAIL_THRESHOLD)
-            if not ok:
-                raise ConfigError(
-                    f"inversion: no certified truncation radius for {fam} n={n} (R={R:g})")
     records = []
     checks = {}
     for fam in config.families:
@@ -419,7 +412,7 @@ def check_knot_normalization(seed):
 def check_direction_orthonormal(seed):
     worst = 0.0
     for _, _, kv in _all_kvs(seed):
-        V = knots.direction_vectors(kv).vs
+        V = knots.direction_vectors(kv)
         worst = max(worst, float(np.max(np.abs(V.T @ V - np.eye(2)))))
     return worst <= 1e-10, f"max |V^T V - I| = {worst:.2e}"
 

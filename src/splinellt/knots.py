@@ -44,13 +44,6 @@ class KnotVector:
         return float((self.xs * self.xs).sum())
 
 
-@dataclass(frozen=True)
-class DirectionVectors:
-    """Rows v_k = (x_k, n^{-1/2}); satisfies V^T V = I_2."""
-
-    vs: np.ndarray
-
-
 def normalize(raw) -> KnotVector:
     """Affinely map raw values onto a valid KnotVector.
 
@@ -102,9 +95,9 @@ def family(kind: str, n: int, seed: int = 0) -> KnotVector:
     raise DegenerateInput(f"unknown knot family {kind!r}")
 
 
-def direction_vectors(kv: KnotVector) -> DirectionVectors:
-    vs = np.column_stack([kv.xs, np.full(kv.n, kv.n ** -0.5)])
-    return DirectionVectors(vs=vs)
+def direction_vectors(kv: KnotVector) -> np.ndarray:
+    """The (n, 2) array of rows v_k = (x_k, n^{-1/2}); it satisfies V^T V = I_2."""
+    return np.column_stack([kv.xs, np.full(kv.n, kv.n ** -0.5)])
 
 
 def m3(kv: KnotVector) -> float:

@@ -2,21 +2,21 @@
 
 The seminorm ||f||_{p,q} = sup_t |t|^p |d^q f(t)| is approximated on a
 finite grid [-T, T] with step h.  Derivatives on the spline side come from
-exact exponent reduction (never finite differences in t); derivatives in
-xi for the Laguerre-sum comparison are taken by mpmath's extended-precision
-numerical differentiation.
+exact exponent reduction (never finite differences in t).  The Laguerre sum
+S_r(xi) is the Fourier transform of (it)^r B(t/n), so differentiating under
+the integral gives d^q/dxi^q S_r(xi) = (-1)^q S_{q+r}(xi): its
+xi-derivatives are taken exactly, as the sum of order q+r.
 """
 
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .errors import OrderTooHigh
 from .knots import KnotVector
 from .montecarlo import simplex_projection_samples
-from .specfun import corollary3_sum, corollary3_sum_mp, hermite, hermite_function
+from .specfun import corollary3_sum, hermite, hermite_function
 from .splines import bspline_stable_deriv
 
 
@@ -135,31 +135,22 @@ def corollary2_error(
 def corollary3_error(
     kv: KnotVector, p: int, q: int, r: int, xi_grid
 ) -> SeminormResult:
-    """Laguerre sum vs He_r(xi) e^{-xi^2/2} in the xi variable.
+    """d^q in xi of the Laguerre sum S_r vs He_r(xi) e^{-xi^2/2}.
 
-    d^q in xi is numerical (mpmath, extended precision); the target side is
-    differentiated exactly through the Hermite ladder.
+    Both sides are differentiated exactly: d^q S_r = (-1)^q S_{q+r} and
+    d^q [He_r(xi) e^{-xi^2/2}] = (-1)^q He_{q+r}(xi) e^{-xi^2/2}, so the
+    error is that of order q+r at q = 0 (the common sign drops under |.|).
     """
     if r > 4:
         raise ValueError("r <= 4 required")
     if q > 2:
         raise ValueError("q <= 2 required")
+    m = q + r
     xis = np.asarray(xi_grid, dtype=float)
     diffs = np.empty(xis.size, dtype=complex)
     for i, xi in enumerate(xis):
-        if q == 0:
-            s = corollary3_sum(kv, r, float(xi))
-        else:
-            with mp.workdps(40):
-                s = complex(
-                    mp.diff(
-                        lambda z: corollary3_sum_mp(kv, r, z),
-                        mp.mpf(float(xi)),
-                        q,
-                    )
-                )
-        target = (-1) ** q * hermite(q + r, float(xi)) * math.exp(-xi * xi / 2)
-        diffs[i] = s - target
+        xi = float(xi)
+        diffs[i] = corollary3_sum(kv, m, xi) - hermite(m, xi) * math.exp(-xi * xi / 2)
     return _weighted_sup(xis, diffs, p, q, r, xis)
 
 

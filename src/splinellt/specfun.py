@@ -100,24 +100,6 @@ def _c3_prefactor(n, r):
     )
 
 
-def corollary3_sum_mp(kv: KnotVector, r: int, xi):
-    """mpmath-valued version of corollary3_sum; keeps the extended digits.
-
-    Needed by callers that go on to difference the result in xi.
-    """
-    _check_c3_args(kv, r)
-    if abs(xi) < XI_MIN:
-        return _corollary3_quadrature_mp(kv, r, xi)
-    n = kv.n
-    with mp.workdps(ORACLE_DPS):
-        xim = mp.mpf(xi)
-        w = mp.mpc(0, -1) * n * xim
-        total = certify(*partial_fraction_sum(
-            kv, lambda x: mp.e ** (w * x) * laguerre(r, -n - r + 1, -w * x)
-        ))
-        return _c3_prefactor(n, r) / xim ** (n + r - 1) * total
-
-
 def corollary3_sum(kv: KnotVector, r: int, xi: float) -> complex:
     """The Laguerre-weighted exponential sum approximating He_r(xi) e^{-xi^2/2}.
 
@@ -127,7 +109,17 @@ def corollary3_sum(kv: KnotVector, r: int, xi: float) -> complex:
     removable singularity is handled by the equivalent oscillatory-moment
     quadrature (see corollary3_quadrature).
     """
-    return complex(corollary3_sum_mp(kv, r, float(xi)))
+    _check_c3_args(kv, r)
+    if abs(xi) < XI_MIN:
+        return corollary3_quadrature(kv, r, xi)
+    n = kv.n
+    with mp.workdps(ORACLE_DPS):
+        xim = mp.mpf(float(xi))
+        w = mp.mpc(0, -1) * n * xim
+        total = certify(*partial_fraction_sum(
+            kv, lambda x: mp.e ** (w * x) * laguerre(r, -n - r + 1, -w * x)
+        ))
+        return complex(_c3_prefactor(n, r) / xim ** (n + r - 1) * total)
 
 
 def corollary3_sum_2f0(kv: KnotVector, r: int, xi: float) -> complex:
@@ -164,12 +156,18 @@ def corollary3_sum_2f0(kv: KnotVector, r: int, xi: float) -> complex:
         return complex(val)
 
 
-def _corollary3_quadrature_mp(kv: KnotVector, r: int, xi):
+def corollary3_quadrature(kv: KnotVector, r: int, xi: float) -> complex:
+    """Oracle route: integral of (i t)^r B(t/n) e^{-i t xi} dt in mpmath.
+
+    Equals corollary3_sum identically (Fourier transform of the r-th
+    moment-weighted rescaled spline); finite at xi = 0.
+    """
+    _check_c3_args(kv, r)
     n = kv.n
     e = n - 2
     with mp.workdps(40):
         xs, _ = knot_table(kv)
-        xim = mp.mpf(xi)
+        xim = mp.mpf(float(xi))
 
         def f(t):
             s = t / n
@@ -179,15 +177,4 @@ def _corollary3_quadrature_mp(kv: KnotVector, r: int, xi):
             spline, _ = partial_fraction_sum(kv, lambda x: (x - s) ** e if x > s else None)
             return (mp.mpc(0, 1) * t) ** r * spline * mp.e ** (mp.mpc(0, -1) * t * xim)
 
-        pts = [n * x for x in xs]
-        return mp.quad(f, pts)
-
-
-def corollary3_quadrature(kv: KnotVector, r: int, xi: float) -> complex:
-    """Oracle route: integral of (i t)^r B(t/n) e^{-i t xi} dt in mpmath.
-
-    Equals corollary3_sum identically (Fourier transform of the r-th
-    moment-weighted rescaled spline); finite at xi = 0.
-    """
-    _check_c3_args(kv, r)
-    return complex(_corollary3_quadrature_mp(kv, r, float(xi)))
+        return complex(mp.quad(f, [n * x for x in xs]))

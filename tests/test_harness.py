@@ -1,10 +1,11 @@
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
 
-from splinellt import charprob, cli, harness, knots
+from splinellt import charprob, cli, harness, knots, montecarlo
 from splinellt.errors import ConfigError, InsufficientData
 
 
@@ -202,13 +203,26 @@ def test_nan_record_fails_run(monkeypatch, tmp_path):
     assert summary["nan_records"]
 
 
-def test_cli_inversion_refuses_uncertified_radius(capsys):
-    # uniform_random n=8 has no truncation radius below the cap; sampling and
-    # inverting on the capped disc would run for minutes
-    rc = cli.main(["inversion", "--family", "uniform_random", "--n", "8", "--N", "20000"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "uniform_random n=8" in err and "R=200" in err
+def test_cli_inversion_refuses_uncertified_radius(capsys, monkeypatch):
+    # the grid's own error bound is the one refusal, and it comes before any
+    # sampling: equispaced n=5 cannot be certified on the capped disc
+    def no_sampling(*args):
+        raise AssertionError("sampled before the grid was certified")
+
+    with monkeypatch.context() as m:
+        m.setattr(montecarlo, "mc_pdf_Q", no_sampling)
+        t0 = time.perf_counter()
+        rc = cli.main(["inversion", "--family", "equispaced", "--n", "5"])
+        assert time.perf_counter() - t0 < 1.0
+    assert rc == 1
+    assert "inversion error bound" in capsys.readouterr().err
+    # uniform_random n=8 has no certified radius below the cap, yet the
+    # grid's bound certifies it on the experiment's grid
+    config = harness.ExperimentConfig(
+        experiment="inversion", families=["uniform_random"], n_list=[8], N_mc=20000
+    )
+    records, _, _ = harness.run(config)
+    assert len(records) == 1 and np.isfinite(records[0].error_value)
 
 
 def test_inversion_symmetry_detects_asymmetric_knots():

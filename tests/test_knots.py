@@ -43,7 +43,7 @@ def test_uniform_random_deterministic():
 def test_direction_vectors_orthonormal():
     for n in (2, 7, 33):
         kv = knots.family("uniform_random", n, seed=n)
-        V = knots.direction_vectors(kv).vs
+        V = knots.direction_vectors(kv)
         np.testing.assert_allclose(V.T @ V, np.eye(2), atol=1e-12)
 
 

@@ -110,6 +110,35 @@ def test_corollary3_error_q0_matches_direct():
         seminorm.corollary3_error(kv, 0, 0, 5, xis)
 
 
+@pytest.mark.parametrize("family", ["chebyshev", "uniform_random"])
+@pytest.mark.parametrize("q,r", [(1, 0), (1, 1), (2, 0), (2, 2)])
+def test_corollary3_xi_derivative_is_order_q_plus_r(family, q, r):
+    kv = knots.family(family, 10, seed=2)
+    xis = (0.1, 0.5, 1.0, 2.0, 5.0)
+    res = seminorm.corollary3_error(kv, 1, q, r, xis)
+    ref = seminorm.corollary3_error(kv, 1, 0, q + r, xis)
+    assert (res.value, res.argmax_t) == (ref.value, ref.argmax_t)
+    assert (res.p, res.q, res.r) == (1, q, r)
+
+
+@pytest.mark.parametrize("family", ["chebyshev", "uniform_random"])
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_laguerre_sum_derivative_identity(family, r):
+    # d/dxi S_r = -S_{r+1}, checked by a Richardson-extrapolated central
+    # difference of the sum itself, independent of the identity
+    from splinellt.specfun import corollary3_sum
+
+    kv = knots.family(family, 10, seed=2)
+
+    def central(xi, step):
+        return (corollary3_sum(kv, r, xi + step) - corollary3_sum(kv, r, xi - step)) / (2 * step)
+
+    h = 2e-3
+    for xi in (0.5, 2.0):
+        fd = (4 * central(xi, h / 2) - central(xi, h)) / 3
+        assert abs(fd + corollary3_sum(kv, r + 1, xi)) <= 1e-8
+
+
 def test_corollary4_noise_floor_and_validation():
     kv = knots.family("equispaced", 16)
     cos_res, sin_res = seminorm.corollary4_error(kv, 0, 0, (0.5, 1.0), 10**5, seed=3)
