@@ -5,8 +5,10 @@ Route 1: an oscillatory sum of generalized Laguerre polynomials with
 negative integer parameter, one term per knot.
 Route 2: the same sum with each Laguerre value replaced by a terminating
 2F0 hypergeometric series (a classical identity between the two).
-Route 3: brute force -- mpmath quadrature of the integral itself, split at
-the knot images.
+Route 3: the integral itself, by a Gauss-Legendre rule on each knot image
+[n x_k, n x_{k+1}], where (it)^r B(t/n) is a polynomial the rule integrates
+exactly; its error bound (Taylor remainder of the exponential plus
+rounding) must stay below 1e-10 of the value, or the route raises.
 
 All three agree to ~1e-10 for r up to 4, which is the package's strongest
 internal cross-check: the routes share only the knot vector and the one

@@ -49,8 +49,8 @@ def knot_table(kv: KnotVector) -> tuple:
     """(knots as mpf, (W'(x_0), ..., W'(x_{n-1}))) at the current precision.
 
     W'(x_k) = prod_{j != k} (x_k - x_j).  Memoized per (knot values, binary
-    precision): mp.quad runs its integrand 20 bits above the caller's
-    precision, so the quadrature and the oracle read different entries.
+    precision): the Corollary-3 quadrature runs at 40 digits plus 20 guard
+    bits, so the quadrature and the oracle read different entries.
     """
     return _knot_table(tuple(kv.xs.tolist()), mp.mp.prec)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splinellt import knots, specfun, splines
-from splinellt.errors import PrecisionLoss
+from splinellt.errors import PrecisionLoss, QuadratureNotConverged
 
 # frozen from a 50-digit evaluation of the closed-form Fourier transform
 EQ6_FT_AT_07 = 0.97095882945561702
@@ -122,6 +122,54 @@ def test_corollary3_routes_agree_at_high_order():
         for r in (4, 5, 6):
             a = specfun.corollary3_sum(kv, r, 0.1)
             b = specfun.corollary3_sum_2f0(kv, r, 0.1)
+            assert abs(a - b) <= 1e-12 * abs(b)
+
+
+@pytest.mark.parametrize("family", ["uniform_random", "clustered"])
+@pytest.mark.parametrize("n", [16, 24])
+def test_corollary3_quadrature_matches_2f0(family, n):
+    # the widest knot panels, where h * xi reaches the values at which the
+    # Gauss-Legendre rule must split a panel to certify
+    kv = knots.family(family, n, seed=1)
+    for r in (0, 6):
+        for xi in (0.1, 2.0, 5.0):
+            q = specfun.corollary3_quadrature(kv, r, xi)
+            b = specfun.corollary3_sum_2f0(kv, r, xi)
+            assert abs(q - b) <= 1e-12 * abs(b)
+
+
+def test_corollary3_quadrature_refuses_uncertified(monkeypatch):
+    kv = knots.family("clustered", 8, seed=1)
+    # clustered n=8, r=6, xi=5 needs sub-panels to bring its truncation
+    # bound below 1e-10 of the value; without them the route must raise
+    specfun.corollary3_quadrature(kv, 6, 5.0)
+    monkeypatch.setattr(specfun, "_QUAD_MAX_SPLITS", 1)
+    with pytest.raises(QuadratureNotConverged):
+        specfun.corollary3_quadrature(kv, 6, 5.0)
+    # no rule meets a tolerance far below its own rounding bound
+    monkeypatch.undo()
+    monkeypatch.setattr(specfun, "_QUAD_RTOL", 1e-60)
+    with pytest.raises(QuadratureNotConverged):
+        specfun.corollary3_quadrature(kv, 0, 1.0)
+
+
+def test_corollary3_quadrature_odd_moments_vanish_on_symmetric_knots():
+    # at xi = 0 the route gives i^r times the r-th moment; equispaced knots
+    # are exactly symmetric, so the odd moments are exactly 0
+    kv = knots.family("equispaced", 9)
+    assert specfun.corollary3_quadrature(kv, 1, 0.0) == 0
+    assert specfun.corollary3_quadrature(kv, 3, 0.0) == 0
+    assert specfun.corollary3_quadrature(kv, 0, 0.0) == pytest.approx(9 / 8, rel=1e-14)
+
+
+@pytest.mark.parametrize("family,n", [("chebyshev", 6), ("equispaced", 12), ("clustered", 16)])
+def test_corollary3_sum_below_xi_min_matches_2f0(family, n):
+    # below XI_MIN the sum hands over to the quadrature route
+    kv = knots.family(family, n, seed=1)
+    for r in (0, 1, 2):
+        for xi in (0.01, 0.049):
+            a = specfun.corollary3_sum(kv, r, xi)
+            b = specfun.corollary3_sum_2f0(kv, r, xi)
             assert abs(a - b) <= 1e-12 * abs(b)
 
 
