@@ -187,9 +187,9 @@ def corollary3_quadrature(kv: KnotVector, r: int, xi: float) -> complex:
     w h |t|^r max_k |summand| eps per node, eps being the working epsilon
     with two digits of slack.  Raises QuadratureNotConverged when the bound
     exceeds 1e-10 of the value, or when a panel would need more than
-    _QUAD_MAX_SPLITS sub-panels.  At xi = 0 the value is i^r
-    times a moment of B, and symmetric knots make the odd ones exactly 0:
-    there a value within its bound of zero is returned as exactly 0.
+    _QUAD_MAX_SPLITS sub-panels.  At xi = 0 the value is i^r times a moment
+    of B, and symmetric knots make the odd ones exactly 0: there a value
+    within its bound of zero is returned as exactly 0.
     """
     _check_c3_args(kv, r)
     n, d = kv.n, kv.n - 2 + r
@@ -208,10 +208,10 @@ def corollary3_quadrature(kv: KnotVector, r: int, xi: float) -> complex:
             coef = 4 * h * max(-a, b) ** r / (xs[-1] - xs[0]) / mp.factorial(k1)
             panels.append((a, b, h * abs(xim), coef))
 
-        def panel(k, splits):
-            """(sum, rounding bound, truncation bound) on panel k cut into
+        def panel(p, splits):
+            """(sum, rounding bound, truncation bound) on one panel cut into
             equal sub-panels."""
-            a, b, hxi, coef = panels[k]
+            a, b, hxi, coef = p
             value, rounding = mp.mpc(0), mp.mpf(0)
             h = (b - a) / (2 * splits)
             for j in range(splits):
@@ -227,17 +227,9 @@ def corollary3_quadrature(kv: KnotVector, r: int, xi: float) -> complex:
                     rounding += abs(wt) * biggest
             return value, rounding * eps, coef * (hxi / splits) ** k1
 
-        def splits_needed(k, target):
-            _, _, hxi, coef = panels[k]
-            return max(1, int(mp.ceil(hxi * (coef / target) ** (mp.mpf(1) / k1))))
-
         splits = [1] * len(panels)
-        done = {}
         while max(splits) <= _QUAD_MAX_SPLITS:
-            for k, sk in enumerate(splits):
-                if (k, sk) not in done:
-                    done[k, sk] = panel(k, sk)
-            parts = zip(*(done[k, sk] for k, sk in enumerate(splits)))
+            parts = zip(*map(panel, panels, splits))
             value, rounding, truncation = (mp.fsum(col) for col in parts)
             limit = _QUAD_RTOL * abs(value)
             if rounding + truncation <= limit:
@@ -246,7 +238,10 @@ def corollary3_quadrature(kv: KnotVector, r: int, xi: float) -> complex:
             target = (limit - rounding) / len(panels)
             if target <= 0:
                 break
-            grown = [max(sk, splits_needed(k, target)) for k, sk in enumerate(splits)]
+            grown = [
+                max(sk, int(mp.ceil(hxi * (coef / target) ** (mp.mpf(1) / k1))))
+                for (_, _, hxi, coef), sk in zip(panels, splits)
+            ]
             if grown == splits:
                 break
             splits = grown
