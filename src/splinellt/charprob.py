@@ -119,11 +119,15 @@ def char_diff_integral(kv: KnotVector, ell: int = 0) -> float:
     """Polar quadrature of |xi|^ell |e^{F+iG} - e^H| over the plane.
 
     Radius is truncated where the slower of the two tails is below 1e-12;
-    panels double until the estimate moves by less than 1e-9.
+    panels double until the estimate moves by less than 1e-9.  Raises
+    QuadratureNotConverged when no such radius is certified (equispaced
+    n <= 8 at ell = 0, n <= 16 at ell = 6) or the refinement stalls.
     """
     if ell > 6:
         raise ValueError("ell <= 6 required")
-    R, _ = truncation_radius(kv, ell)
+    R, certified = truncation_radius(kv, ell)
+    if not certified:
+        raise QuadratureNotConverged(f"no certified truncation radius for ell={ell} at n={kv.n}")
     prev = None
     n_theta = max(64, 2 * kv.n)
     for n_panels in (8, 16, 32, 64, 128):

@@ -58,7 +58,13 @@ class SeminormResult:
 
 
 def default_grid(n: int, h: float = 0.05) -> GridSpec:
-    """T = max(8, n): beyond |t| = n the spline term vanishes identically."""
+    """T = max(8, n): beyond |t| = n the spline term vanishes identically.
+
+    Most of [-n, n] lies outside the support [n x_0, n x_{n-1}) at large n
+    (about 0.15 of the points are inside on the n <= 256 scaling runs); the
+    stable kernel returns exact zeros there without running the recursion,
+    so those points cost nothing.
+    """
     return GridSpec(T=float(max(8, n)), h=h)
 
 

@@ -12,7 +12,13 @@ Two routes are provided for the same function
   ``certify``.
 * ``bspline_stable`` evaluates the identical spline through the
   triangular Cox-de Boor recursion in plain doubles, which involves only
-  convex combinations and is safe for large n.
+  convex combinations and is safe for large n.  It works only where B is
+  nonzero: points outside [x_0, x_{n-1}) are exact zeros at no cost, and
+  the rest are sorted and run in chunks of _CHUNK points, each level of
+  the triangle one broadcast step over the band of rows the chunk's knot
+  spans reach.  The values are bit-identical to the full row-by-row
+  triangle, and memory is bounded by (n - 1) * _CHUNK doubles per
+  temporary, whatever the number of points.
 
 Derivatives are never taken numerically: exponent reduction in the naive
 sum and coefficient differencing in the stable recursion are both exact.
@@ -28,6 +34,8 @@ from .knots import KnotVector
 
 ORACLE_DPS = 140
 ORACLE_MAX_N = 24
+# points per Cox-de Boor chunk: the working set is (n - 1) * _CHUNK doubles
+_CHUNK = 256
 
 
 def _wprime_mp(xs, k):
@@ -112,20 +120,44 @@ def _basis(xs: np.ndarray, ts: np.ndarray, order: int) -> np.ndarray:
 
     Order counts spanned knot gaps: N_{i,1} is the indicator of
     [x_i, x_{i+1}).  Returns shape (n - order, len(ts)).
+
+    Work is done only where a basis function can be nonzero.  Points
+    outside [x_0, x_{n-1}) have every level-1 indicator 0, so their
+    columns stay exact zeros.  The others are sorted and taken _CHUNK at a
+    time; at level m a point in knot span j (x_j <= t < x_{j+1}) is nonzero
+    only in rows j-m+1..j, so each level is one broadcast step over the
+    chunk's band of rows and every row outside it stays an exact zero.
+    Inside the band each element is formed by the same expression in the
+    same order as the full recursion, so the values are bit-identical to
+    it, and each temporary holds at most (n - 1) * _CHUNK doubles.
     """
     n = xs.size
-    B = np.zeros((n - 1, ts.size))
-    for i in range(n - 1):
-        B[i] = (xs[i] <= ts) & (ts < xs[i + 1])
-    for m in range(2, order + 1):
-        nb = n - m
-        new = np.empty((nb, ts.size))
-        for i in range(nb):
-            new[i] = (ts - xs[i]) / (xs[i + m - 1] - xs[i]) * B[i] + (
-                xs[i + m] - ts
-            ) / (xs[i + m] - xs[i + 1]) * B[i + 1]
-        B = new
-    return B
+    out = np.zeros((n - order, ts.size))
+    inside = np.flatnonzero((xs[0] <= ts) & (ts < xs[-1]))
+    inside = inside[np.argsort(ts[inside], kind="stable")]
+    for start in range(0, inside.size, _CHUNK):
+        cols = inside[start : start + _CHUNK]
+        t = ts[cols]
+        span = np.searchsorted(xs, t, side="right") - 1
+        j_min, j_max = int(span[0]), int(span[-1])
+        # rows past the current band are exact zeros, as in the full triangle
+        B = np.zeros((n - 1, t.size))
+        B[span, np.arange(t.size)] = 1.0
+        for m in range(2, order + 1):
+            lo, hi = max(0, j_min - m + 1), min(j_max, n - m - 1) + 1
+            x_lo, x_lo1 = xs[lo:hi, None], xs[lo + 1 : hi + 1, None]
+            x_m1, x_m = xs[lo + m - 1 : hi + m - 1, None], xs[lo + m : hi + m, None]
+            # (t - x_i) / (x_{i+m-1} - x_i) * B_i
+            #   + (x_{i+m} - t) / (x_{i+m} - x_{i+1}) * B_{i+1}, op for op
+            left = t - x_lo
+            left /= x_m1 - x_lo
+            left *= B[lo:hi]
+            right = x_m - t
+            right /= x_m - x_lo1
+            right *= B[lo + 1 : hi + 1]
+            np.add(left, right, out=B[lo:hi])
+        out[:, cols] = B[: n - order]
+    return out
 
 
 def _deriv_coeffs(xs: np.ndarray, q: int):
@@ -152,8 +184,7 @@ def bspline_stable_deriv(kv: KnotVector, t, q: int = 0):
     xs = kv.xs
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     coeffs, order = _deriv_coeffs(xs, q)
-    basis = _basis(xs, ts, order)
-    vals = coeffs @ basis[: coeffs.size]
+    vals = coeffs @ _basis(xs, ts, order)
     vals = vals / (xs[-1] - xs[0])
     if np.isscalar(t) or np.ndim(t) == 0:
         return float(vals[0])
@@ -194,9 +225,11 @@ def integrate_bspline(kv: KnotVector) -> float:
     """
     n_nodes = (kv.n - 1) // 2 + 2
     gl_x, gl_w = np.polynomial.legendre.leggauss(n_nodes)
+    a, b = kv.xs[:-1], kv.xs[1:]
+    mids, halfs = 0.5 * (a + b), 0.5 * (b - a)
+    # every panel's nodes in one kernel call, summed panel by panel
+    vals = bspline_stable(kv, (mids[:, None] + halfs[:, None] * gl_x).ravel())
     total = 0.0
-    for a, b in zip(kv.xs[:-1], kv.xs[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        ts = mid + half * gl_x
-        total += half * float(gl_w @ bspline_stable_deriv(kv, ts, 0))
+    for half, v in zip(halfs, vals.reshape(halfs.size, n_nodes)):
+        total += half * float(gl_w @ v)
     return total

@@ -73,20 +73,22 @@ def test_truncation_radius_certified_for_moderate_n():
 
 def test_char_diff_integral_positive_and_decreasing():
     vals = []
-    for n in (8, 16, 64):
+    for n in (12, 16, 64):
         kv = knots.family("equispaced", n)
         vals.append(charprob.char_diff_integral(kv, 0))
     assert all(v > 0 for v in vals)
-    assert vals[2] < vals[1]  # closer to Gaussian as n grows
+    assert vals[2] < vals[1] < vals[0]  # closer to Gaussian as n grows
     with pytest.raises(ValueError):
         charprob.char_diff_integral(knots.family("equispaced", 8), 7)
 
 
 def test_char_diff_integral_small_n_not_integrable():
     # |phi_Q| decays only like r^{-2} for n = 2, so the plane integral
-    # diverges and refinement must refuse to report a number
-    with pytest.raises(QuadratureNotConverged):
-        charprob.char_diff_integral(knots.family("equispaced", 2), 0)
+    # diverges; at n = 8 it converges, but too slowly for the tail to drop
+    # below 1e-12 within the radius cap, so neither may report a number
+    for n in (2, 8):
+        with pytest.raises(QuadratureNotConverged):
+            charprob.char_diff_integral(knots.family("equispaced", n), 0)
 
 
 def test_quotient_pdf_cauchy():

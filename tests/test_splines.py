@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splinellt import knots, splines
+from splinellt import charprob, knots, seminorm, splines
 from splinellt.errors import DuplicateKnots, PrecisionLoss
 
 # values frozen from a 50-digit direct evaluation of the partial-fraction sum
@@ -109,6 +109,79 @@ def test_vectorized_matches_scalar_bitwise_at_q0():
             vec = splines.bspline_stable(kv, ts)
             scal = np.array([splines.bspline_stable(kv, float(t)) for t in ts])
             np.testing.assert_array_equal(vec, scal)
+
+
+def _row_loop_basis(xs, ts, order):
+    # the full Cox-de Boor triangle, one row at a time over every point: the
+    # reference the trimmed, chunked kernel must reproduce bit for bit
+    n = xs.size
+    B = np.zeros((n - 1, ts.size))
+    for i in range(n - 1):
+        B[i] = (xs[i] <= ts) & (ts < xs[i + 1])
+    for m in range(2, order + 1):
+        nb = n - m
+        new = np.empty((nb, ts.size))
+        for i in range(nb):
+            new[i] = (ts - xs[i]) / (xs[i + m - 1] - xs[i]) * B[i] + (
+                xs[i + m] - ts
+            ) / (xs[i + m] - xs[i + 1]) * B[i + 1]
+        B = new
+    return B
+
+
+def _row_loop_deriv(kv, ts, q):
+    coeffs, order = splines._deriv_coeffs(kv.xs, q)
+    vals = coeffs @ _row_loop_basis(kv.xs, ts, order)[: coeffs.size]
+    return vals / (kv.xs[-1] - kv.xs[0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 24, 64, 256])
+def test_kernel_bit_identical_to_row_loop(n):
+    rng = np.random.default_rng(n)
+    for kind in knots.FAMILIES:
+        kv = knots.family(kind, n, seed=1)
+        lo, hi = float(kv.xs[0]), float(kv.xs[-1])
+        # unsorted, more than one chunk, every knot, both ends and outside
+        ts = np.concatenate(
+            [rng.uniform(lo - 0.2, hi + 0.2, 700), kv.xs, [lo - 1.0, hi + 1.0]]
+        )
+        rng.shuffle(ts)
+        outside = np.array([lo - 0.5, hi, hi + 0.5])
+        for q in range(min(3, n - 2) + 1):
+            np.testing.assert_array_equal(
+                splines.bspline_stable_deriv(kv, ts, q), _row_loop_deriv(kv, ts, q)
+            )
+            np.testing.assert_array_equal(
+                splines.bspline_stable_deriv(kv, outside, q), np.zeros(3)
+            )
+            if n <= 64:  # the row loop costs about 0.5 s per call at n = 256
+                t = float(ts[0])
+                ref = _row_loop_deriv(kv, np.array([t]), q)[0]
+                assert splines.bspline_stable_deriv(kv, t, q) == ref
+
+
+def test_theorem1_rate_past_n128():
+    # symmetric knots have no third cumulant, so the error of Theorem 1
+    # falls like 1/n; doubling n from 256 to 512 must about halve it, at a
+    # size no oracle reaches
+    errs = []
+    for n in (256, 512):
+        kv = knots.family("equispaced", n)
+        errs.append(seminorm.theorem1_error(kv, 0, 0, seminorm.default_grid(n)).value)
+    assert 0.45 <= errs[1] / errs[0] <= 0.55
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_stable_matches_fourier_slice_above_oracle_range(n):
+    # pdf_Q_exact reads B(s1/n) through the kernel at q2 = 0; the trapezoid
+    # inversion of phi_Q gives the same slice without it, so this is an
+    # independent oracle for B where bspline_naive refuses (n > 24)
+    s1 = np.linspace(-9, 9, 181)
+    for kind in knots.FAMILIES:
+        kv = knots.family(kind, n, seed=1)
+        grid = charprob.pdf_Q_inversion_grid(kv, s1, [0.0])
+        exact = charprob.pdf_Q_exact(kv, s1[:, None], 0.0)
+        assert np.max(np.abs(grid - exact)) <= 1e-9
 
 
 def test_wprime_table_keyed_by_precision():
