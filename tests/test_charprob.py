@@ -108,6 +108,31 @@ def test_gaussian_ratio_limits():
         charprob.pdf_gaussian_ratio(1, 0.0)
 
 
+def _hinkley_ratio_pdf(n, t):
+    # density of N1 / (1 + N2/sqrt(n)) at t in closed form (Hinkley 1969,
+    # uncorrelated case); the exponent is written -n t^2 / (2A), since the
+    # textbook b^2/(2a^2) - 1/(2 sigma^2) cancels and loses about 1e-12 at n = 1e4
+    A = t * t + n
+    return n**1.5 * math.exp(-n * t * t / (2 * A)) * math.erf(n / math.sqrt(2 * A)) / (
+        math.sqrt(2 * math.pi) * A**1.5
+    ) + math.sqrt(n) * math.exp(-n / 2) / (math.pi * A)
+
+
+@pytest.mark.parametrize("n", [2, 16, 64, 256, 10**4])
+def test_gaussian_ratio_matches_closed_form(n):
+    for t in (-3.0, -0.7, 0.0, 0.9, 2.0, 5.0):
+        assert charprob.pdf_gaussian_ratio(n, t) == pytest.approx(
+            _hinkley_ratio_pdf(n, t), rel=1e-12
+        )
+
+
+def test_quotient_pdf_refuses_discontinuous_joint():
+    # the jump at y = 0.3 falls inside a panel at every level, so the
+    # refinement never settles
+    with pytest.raises(QuadratureNotConverged):
+        charprob.quotient_pdf(lambda a, b: (b < 0.3) * 1.0, 0.0, (-1.0, 1.0))
+
+
 def test_inversion_point_and_grid_consistent():
     kv = knots.family("equispaced", 8)
     pt = charprob.pdf_Q_inversion_grid(kv, [0.4], [-0.2])[0, 0]

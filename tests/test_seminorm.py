@@ -17,13 +17,21 @@ def test_gridspec_validation():
     assert ts[0] == -8.0 and ts[-1] == pytest.approx(8.0)
 
 
-def test_points_avoiding_knot_images():
-    kv = knots.family("equispaced", 16)
-    g = seminorm.default_grid(16)
+@pytest.mark.parametrize("n, moved", [(16, 0), (17, 1)])
+def test_points_avoiding_knot_images(n, moved):
+    # at n = 17 the middle knot's image is t = 0, a grid point
+    kv = knots.family("equispaced", n)
+    g = seminorm.default_grid(n)
     ts = g.points_avoiding(kv)
-    images = 16 * kv.xs
+    images = n * kv.xs
     for im in images:
         assert np.min(np.abs(ts - im)) > g.h * 1e-10
+    assert np.count_nonzero(ts != g.points()) == moved
+    # reference: nudge the points hit by each image in turn
+    ref = g.points()
+    for im in images:
+        ref = np.where(np.abs(ref - im) < g.h * 1e-9, ref + g.h / 10, ref)
+    np.testing.assert_array_equal(ts, ref)
 
 
 def test_default_grid_extends_with_n():
