@@ -31,6 +31,7 @@ _ALIAS_TOL = 1e-12
 _DELTA_MIN = 0.01
 _TAIL_ANGLES = 2048
 _BLOCK_FLOATS = 1 << 20
+_CACHE_FLOATS = 1 << 15
 _QUOTIENT_RTOL = 1e-10
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 
@@ -125,6 +126,16 @@ def char_diff_integral(kv: KnotVector, ell: int = 0) -> float:
     panels double until the estimate moves by less than 1e-9.  Raises
     QuadratureNotConverged when no such radius is certified (equispaced
     n <= 8 at ell = 0, n <= 16 at ell = 6) or the refinement stalls.
+
+    The angular rule is the midpoint rule on N = n_theta angles, which
+    converges geometrically on a periodic integrand, and only half of it is
+    evaluated: t_k(theta + pi) = -t_k(theta), F is even in t and G odd, so
+    the integrand at theta + pi is |conj(e^{F+iG}) - e^H|, the same value.
+    N is even, so the nodes pair up as theta_{j+N/2} = theta_j + pi, and the
+    sum over j < N/2 carries the weight 4 pi / N.  The direction matrix
+    u[j, k] = t_k at unit radius and angle theta_j is built once per level;
+    t = r u is then walked in blocks of about _CACHE_FLOATS values (whole
+    radial rows when they fit, else runs of angles along one radius).
     """
     if ell > 6:
         raise ValueError("ell <= 6 required")
@@ -135,20 +146,21 @@ def char_diff_integral(kv: KnotVector, ell: int = 0) -> float:
     n_theta = max(64, 2 * kv.n)
     for n_panels in (8, 16, 32, 64, 128):
         rs, ws = _gl_panels(0.0, R, n_panels)
-        thetas = (np.arange(n_theta) + 0.5) * (2 * np.pi / n_theta)
-        c, s = np.cos(thetas), np.sin(thetas)
+        half = n_theta // 2
+        thetas = (np.arange(half) + 0.5) * (2 * np.pi / n_theta)
+        u = _tk(kv, np.cos(thetas), np.sin(thetas))
+        radial = ws * rs**ell * rs
+        gauss = np.exp(-0.5 * np.square(rs))
+        n_rows = max(1, _CACHE_FLOATS // u.size)
+        n_angles = min(half, max(1, _CACHE_FLOATS // kv.n))
         total = 0.0
-        # keep the (radial nodes x angles x knots) workspace around ~4e6 floats
-        rows = max(1, 4_000_000 // (n_theta * kv.n))
-        n_chunks = max(1, math.ceil(rs.size / rows))
-        for r_chunk, w_chunk in zip(np.array_split(rs, n_chunks), np.array_split(ws, n_chunks)):
-            t = _tk(kv, np.multiply.outer(r_chunk, c), np.multiply.outer(r_chunk, s))
-            F = _log_modulus(t)
-            G = _phase(t)
-            H = -0.5 * np.square(r_chunk)[:, None]
-            diff = np.abs(np.exp(F + 1j * G) - np.exp(H))
-            integrand = (r_chunk**ell * r_chunk)[:, None] * diff
-            total += float((w_chunk @ integrand).sum()) * (2 * np.pi / n_theta)
+        for r0 in range(0, rs.size, n_rows):
+            r = slice(r0, r0 + n_rows)
+            for a0 in range(0, half, n_angles):
+                t = rs[r, None, None] * u[None, a0 : a0 + n_angles]
+                diff = np.abs(np.exp(_log_modulus(t) + 1j * _phase(t)) - gauss[r, None])
+                total += float(radial[r] @ diff.sum(axis=1))
+        total *= 4 * np.pi / n_theta
         if prev is not None and abs(total - prev) < 1e-9:
             return total
         prev = total
@@ -336,3 +348,15 @@ def pdf_gaussian_ratio(n: int, t: float) -> float:
         )
 
     return quotient_pdf(joint, t, (1.0 - 12.0 * rt, 1.0 + 12.0 * rt))
+
+
+def pdf_gaussian_ratio_closed_form(n: int, t: float) -> float:
+    """pdf_gaussian_ratio(n, t) in closed form (Hinkley 1969, uncorrelated case).
+
+    The exponent is written -n t^2 / (2A), since the textbook
+    b^2/(2a^2) - 1/(2 sigma^2) cancels and loses about 1e-12 at n = 1e4.
+    """
+    A = t * t + n
+    return n**1.5 * math.exp(-n * t * t / (2 * A)) * math.erf(n / math.sqrt(2 * A)) / (
+        math.sqrt(2 * math.pi) * A**1.5
+    ) + math.sqrt(n) * math.exp(-n / 2) / (math.pi * A)

@@ -2,7 +2,7 @@
 
 All sampling goes through counter-based Philox streams keyed by
 (master seed, stream index), so parallel callers can claim disjoint
-deterministic streams.  Estimates are accumulated in a fixed chunk order,
+deterministic streams.  Estimates are accumulated in a fixed block order,
 making every run bit-reproducible for a given (seed, N).
 """
 
@@ -14,7 +14,7 @@ import numpy as np
 from .knots import KnotVector
 from .splines import bspline_stable
 
-_CHUNK = 1 << 16
+_BLOCK_FLOATS = 1 << 16
 _HIST_BINS = 40
 
 
@@ -66,15 +66,34 @@ def _estimate(total, total_sq, count, seed) -> McEstimate:
 def _exp_blocks(n: int, N: int, seed: int):
     """Yield (pos, block) over N rows of n Exp(1) draws from stream (seed, 0).
 
-    Each block holds at most _CHUNK consecutive rows, the first being row pos.
+    A block holds the largest power of two of rows that fits in
+    _BLOCK_FLOATS values, at least one row, the first being row pos.
+    Philox fills the doubles in stream order whatever the block shape, and
+    every consumer works per row or adds integer counts, but BLAS computes
+    ``e @ x`` in groups of rows and sums a leftover row in another order.
+    Power-of-two blocks put the groups on the same rows for every block
+    size; a lone last row, which numpy would send to dot instead, joins the
+    block before it.  So no output depends on the block size while a block
+    holds at least 4 rows (n <= _BLOCK_FLOATS / 4).
     """
     rng = rng_stream(seed)
-    for pos in range(0, N, _CHUNK):
-        yield pos, sample_exp_vector(n, rng, rows=min(_CHUNK, N - pos))
+    step = 1 << max(0, (_BLOCK_FLOATS // n).bit_length() - 1)
+    starts = list(range(0, N, step))
+    if len(starts) > 1 and N - starts[-1] == 1:
+        starts.pop()
+    for pos, end in zip(starts, starts[1:] + [N]):
+        yield pos, sample_exp_vector(n, rng, rows=end - pos)
+
+
+def _q_blocks(kv: KnotVector, N: int, seed: int):
+    """Yield (q1, q2) per sampler block: Q = (sum x_k(P_k-1), n^{-1/2} sum(P_k-1))."""
+    for _, e in _exp_blocks(kv.n, N, seed):
+        p = e - 1.0
+        yield p @ kv.xs, p.sum(axis=1) / math.sqrt(kv.n)
 
 
 def simplex_projection_samples(kv: KnotVector, N: int, seed: int) -> np.ndarray:
-    """N draws of <x, S> for S uniform on the simplex, in chunked order."""
+    """N draws of <x, S> for S uniform on the simplex, in block order."""
     out = np.empty(N)
     for pos, e in _exp_blocks(kv.n, N, seed):
         out[pos : pos + len(e)] = (e @ kv.xs) / e.sum(axis=1)
@@ -100,10 +119,7 @@ def mc_pdf_Q(kv: KnotVector, N: int, grid2d, seed: int) -> Histogram2D:
     """
     edges1, edges2 = (np.asarray(e, dtype=float) for e in grid2d)
     counts = np.zeros((edges1.size - 1, edges2.size - 1))
-    for _, e in _exp_blocks(kv.n, N, seed):
-        p = e - 1.0
-        q1 = p @ kv.xs
-        q2 = p.sum(axis=1) / math.sqrt(kv.n)
+    for q1, q2 in _q_blocks(kv, N, seed):
         h, _, _ = np.histogram2d(q1, q2, bins=(edges1, edges2))
         counts += h
     area = np.multiply.outer(np.diff(edges1), np.diff(edges2))

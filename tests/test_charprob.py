@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,64 @@ def test_char_diff_integral_small_n_not_integrable():
             charprob.char_diff_integral(knots.family("equispaced", n), 0)
 
 
+def _full_circle_diff_integral(kv, ell):
+    # the full-circle body that the half-period quadrature replaced: every
+    # angle of the midpoint rule, t built from two outer products per block
+    R, certified = charprob.truncation_radius(kv, ell)
+    if not certified:
+        raise QuadratureNotConverged(f"no certified truncation radius for ell={ell} at n={kv.n}")
+    prev = None
+    n_theta = max(64, 2 * kv.n)
+    for n_panels in (8, 16, 32, 64, 128):
+        rs, ws = charprob._gl_panels(0.0, R, n_panels)
+        thetas = (np.arange(n_theta) + 0.5) * (2 * np.pi / n_theta)
+        c, s = np.cos(thetas), np.sin(thetas)
+        total = 0.0
+        rows = max(1, 4_000_000 // (n_theta * kv.n))
+        n_chunks = max(1, math.ceil(rs.size / rows))
+        for r_chunk, w_chunk in zip(np.array_split(rs, n_chunks), np.array_split(ws, n_chunks)):
+            t = charprob._tk(kv, np.multiply.outer(r_chunk, c), np.multiply.outer(r_chunk, s))
+            F = charprob._log_modulus(t)
+            G = charprob._phase(t)
+            H = -0.5 * np.square(r_chunk)[:, None]
+            diff = np.abs(np.exp(F + 1j * G) - np.exp(H))
+            integrand = (r_chunk**ell * r_chunk)[:, None] * diff
+            total += float((w_chunk @ integrand).sum()) * (2 * np.pi / n_theta)
+        if prev is not None and abs(total - prev) < 1e-9:
+            return total
+        prev = total
+        n_theta *= 2
+    raise QuadratureNotConverged("char_diff_integral refinement stalled")
+
+
+@pytest.mark.parametrize("n", [24, 64])
+@pytest.mark.parametrize("kind", knots.FAMILIES)
+def test_half_period_matches_full_circle(kind, n):
+    kv = knots.family(kind, n, seed=1)
+    for ell in (0, 2, 6):
+        if (kind, n, ell) == ("clustered", 24, 6):
+            # the one case without a certified radius: both refuse
+            for body in (charprob.char_diff_integral, _full_circle_diff_integral):
+                with pytest.raises(QuadratureNotConverged):
+                    body(kv, ell)
+            continue
+        full = _full_circle_diff_integral(kv, ell)
+        assert charprob.char_diff_integral(kv, ell) == pytest.approx(full, rel=1e-13, abs=0)
+
+
+def test_char_diff_integral_memory_bounded():
+    # the cache-sized blocks keep the working set small at large n; the
+    # full-circle body with its 4e6-float workspace peaked at about 95 MB
+    kv = knots.family("equispaced", 256)
+    tracemalloc.start()
+    try:
+        charprob.char_diff_integral(kv, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+
+
 def test_quotient_pdf_cauchy():
     for s in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0):
         v = charprob.quotient_pdf(charprob.gaussian_joint, s, (-40.0, 40.0))
@@ -108,22 +167,10 @@ def test_gaussian_ratio_limits():
         charprob.pdf_gaussian_ratio(1, 0.0)
 
 
-def _hinkley_ratio_pdf(n, t):
-    # density of N1 / (1 + N2/sqrt(n)) at t in closed form (Hinkley 1969,
-    # uncorrelated case); the exponent is written -n t^2 / (2A), since the
-    # textbook b^2/(2a^2) - 1/(2 sigma^2) cancels and loses about 1e-12 at n = 1e4
-    A = t * t + n
-    return n**1.5 * math.exp(-n * t * t / (2 * A)) * math.erf(n / math.sqrt(2 * A)) / (
-        math.sqrt(2 * math.pi) * A**1.5
-    ) + math.sqrt(n) * math.exp(-n / 2) / (math.pi * A)
-
-
-@pytest.mark.parametrize("n", [2, 16, 64, 256, 10**4])
+@pytest.mark.parametrize("n", harness.GAUSSIAN_RATIO_NS)
 def test_gaussian_ratio_matches_closed_form(n):
-    for t in (-3.0, -0.7, 0.0, 0.9, 2.0, 5.0):
-        assert charprob.pdf_gaussian_ratio(n, t) == pytest.approx(
-            _hinkley_ratio_pdf(n, t), rel=1e-12
-        )
+    # the same body as validate's charprob.gaussian_ratio check
+    assert harness.gaussian_ratio_deviation(n) <= 1e-12
 
 
 def test_quotient_pdf_refuses_discontinuous_joint():

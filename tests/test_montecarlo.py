@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +52,42 @@ def test_projection_samples_chunk_invariant():
     small = montecarlo.simplex_projection_samples(kv, 70000, seed=3)
     np.testing.assert_array_equal(big, small)
     assert np.all(np.abs(big) <= np.max(np.abs(kv.xs)) + 1e-12)
+
+
+_BLOCK_SIZE_SCRIPT = """
+import numpy as np
+from splinellt import knots, montecarlo
+
+# from 4 rows per block (2^10 floats at n = 256) to every row in one block
+# (2^20 floats at n <= 8); N is a multiple of none of the sizes, and 20001
+# leaves a lone last row at 4 to 32 rows per block
+for n, N in [(5, 70001), (8, 70001), (100, 20001), (256, 20001)]:
+    kv = knots.family("uniform_random", n, seed=9)
+    outputs = []
+    for block_floats in (1 << 10, 1 << 16, 1 << 20):
+        montecarlo._BLOCK_FLOATS = block_floats
+        proj = montecarlo.simplex_projection_samples(kv, N, seed=3)
+        counts = montecarlo.mc_pdf_Q(kv, N, montecarlo.default_grid(), seed=3).counts
+        outputs.append((proj, counts))
+    for proj, counts in outputs[1:]:
+        np.testing.assert_array_equal(proj, outputs[0][0])
+        np.testing.assert_array_equal(counts, outputs[0][1])
+"""
+
+
+def test_sampler_output_independent_of_block_size():
+    # in a fresh interpreter with BLAS on one thread, as the benchmark runs
+    # it: a threaded gemv splits each block between threads at a row that
+    # depends on the block's size, and sums the rows next to the split in
+    # another order
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLOCK_SIZE_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_mc_char_at_zero():
