@@ -77,9 +77,9 @@ for n, N in [(5, 70001), (8, 70001), (100, 20001), (256, 20001)]:
 
 def test_sampler_output_independent_of_block_size():
     # in a fresh interpreter with BLAS on one thread, as the benchmark runs
-    # it: a threaded gemv splits each block between threads at a row that
-    # depends on the block's size, and sums the rows next to the split in
-    # another order
+    # it: a threaded gemv splits each block between threads at half its
+    # rows, so the rows after the split are grouped, and summed, in an
+    # order that depends on the block's size
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     src = Path(__file__).resolve().parent.parent / "src"
     env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
