@@ -30,6 +30,8 @@ _INVERSION_TOL = 1e-9
 _ALIAS_TOL = 1e-12
 _DELTA_MIN = 0.01
 _TAIL_ANGLES = 2048
+# The inversion adds E1 Phi E2^T block by block, so its block size fixes the
+# grid's last bits: 2^15 is faster there too but would move every inversion output.
 _BLOCK_FLOATS = 1 << 20
 _CACHE_FLOATS = 1 << 15
 _QUOTIENT_RTOL = 1e-10

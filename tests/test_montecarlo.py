@@ -45,15 +45,6 @@ def test_simplex_point():
         montecarlo.sample_simplex(1, rng)
 
 
-def test_projection_samples_chunk_invariant():
-    # chunked accumulation is fixed-order: same stream regardless of N split
-    kv = knots.family("uniform_random", 5, seed=9)
-    big = montecarlo.simplex_projection_samples(kv, 70000, seed=3)
-    small = montecarlo.simplex_projection_samples(kv, 70000, seed=3)
-    np.testing.assert_array_equal(big, small)
-    assert np.all(np.abs(big) <= np.max(np.abs(kv.xs)) + 1e-12)
-
-
 _BLOCK_SIZE_SCRIPT = """
 import numpy as np
 from splinellt import knots, montecarlo
@@ -72,11 +63,15 @@ for n, N in [(5, 70001), (8, 70001), (100, 20001), (256, 20001)]:
     for proj, counts in outputs[1:]:
         np.testing.assert_array_equal(proj, outputs[0][0])
         np.testing.assert_array_equal(counts, outputs[0][1])
+    # <x, S> is a convex combination of the knots
+    assert np.all(np.abs(outputs[0][0]) <= np.max(np.abs(kv.xs)) + 1e-12)
 """
 
 
-def test_sampler_output_independent_of_block_size():
-    # in a fresh interpreter with BLAS on one thread, as the benchmark runs
+def test_projection_samples_chunk_invariant():
+    # block accumulation is fixed-order: the outputs do not depend on how N
+    # is split into blocks.  Run in a fresh interpreter with BLAS on one
+    # thread, as the benchmark runs
     # it: a threaded gemv splits each block between threads at half its
     # rows, so the rows after the split are grouped, and summed, in an
     # order that depends on the block's size
