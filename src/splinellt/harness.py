@@ -329,26 +329,27 @@ def run_corollary3(config):
 
 
 def run_corollary4(config):
-    records = []
-    checks = {}
+    # the families at one n share one Monte Carlo draw, so each record's
+    # runtime_ms runs from the start of that draw
+    done = {}
+    for n in config.n_list:
+        t0 = time.perf_counter()
+        kvs = [knots.family(fam, n, config.seed) for fam in config.families]
+        projs = montecarlo._simplex_projections(kvs, config.N_mc, config.seed)
+        for fam, kv, proj in zip(config.families, kvs, projs):
+            cos_res, sin_res = seminorm._corollary4_from_samples(kv, config.p, (0.5, 1.0, 2.0), proj)
+            floor = 5 * knots.m3(kv)
+            done[fam, n] = (
+                [_record(fam, kv, config.p, 0, 0, cos_res.value, cos_res.argmax_t, cos_res.noise_floor, t0, config.seed),
+                 _record(fam, kv, config.p, 0, 1, sin_res.value, sin_res.argmax_t, sin_res.noise_floor, t0, config.seed)],
+                {f"{fam}/n={n}/cos": cos_res.value <= max(cos_res.noise_floor, floor),
+                 f"{fam}/n={n}/sin": sin_res.value <= max(sin_res.noise_floor, floor)},
+            )
+    records, checks = [], {}
     for fam in config.families:
         for n in config.n_list:
-            t0 = time.perf_counter()
-            kv = knots.family(fam, n, config.seed)
-            cos_res, sin_res = seminorm.corollary4_error(
-                kv, config.p, 0, (0.5, 1.0, 2.0), config.N_mc, config.seed
-            )
-            bound = max(cos_res.noise_floor, 5 * knots.m3(kv))
-            checks[f"{fam}/n={n}/cos"] = cos_res.value <= bound
-            checks[f"{fam}/n={n}/sin"] = sin_res.value <= max(
-                sin_res.noise_floor, 5 * knots.m3(kv)
-            )
-            records.append(
-                _record(fam, kv, config.p, 0, 0, cos_res.value, cos_res.argmax_t, cos_res.noise_floor, t0, config.seed)
-            )
-            records.append(
-                _record(fam, kv, config.p, 0, 1, sin_res.value, sin_res.argmax_t, sin_res.noise_floor, t0, config.seed)
-            )
+            records += done[fam, n][0]
+            checks.update(done[fam, n][1])
     return records, {"checks": checks}
 
 
@@ -619,8 +620,9 @@ def check_mc_density_histogram(seed):
 
 def check_mc_cos_sin_bound(seed):
     kv = knots.family("equispaced", 16, seed)
+    proj = montecarlo.simplex_projection_samples(kv, 10**5, seed)
     for xi in (0.0, 0.5, 1.0, 2.0, 4.0):
-        c, s = montecarlo.mc_char_simplex(kv, xi, 10**5, seed)
+        c, s = montecarlo._char_estimates(kv, proj, xi, seed)
         se = math.hypot(c.std_error, s.std_error)
         if c.mean**2 + s.mean**2 > 1 + 4 * se:
             return False, f"cos^2 + sin^2 > 1 + 4 SE at xi={xi}"

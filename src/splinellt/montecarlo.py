@@ -4,9 +4,23 @@ All sampling goes through counter-based Philox streams keyed by
 (master seed, stream index), so parallel callers can claim disjoint
 deterministic streams.  Estimates are accumulated in a fixed block order,
 making every run bit-reproducible for a given (seed, N).
+
+The block sampler ``_exp_blocks`` fills its stream on every CPU the process
+may run on.  Philox is counter-based (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011): it makes 4 doubles per counter
+step, so advancing the counter by k // 4 and discarding k % 4 doubles
+positions a fresh generator exactly k doubles into the stream, and each
+block is filled from its own positioned generator with the bits of the
+serial stream.  The block boundaries do not depend on the worker count, and
+every consumer of a block (the BLAS ``e @ x``, the histogram adds) runs on
+the calling thread in block order, so no output depends on the worker
+count.  BLAS is not pinned here: a threaded gemv splits each block between
+its threads, so the BLAS thread count can still move the sums in the last
+bits (see ``test_projection_samples_chunk_invariant``).
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +56,16 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), stream]))
 
 
+def _exp_in_place(u: np.ndarray) -> np.ndarray:
+    """Turn U[0, 1) draws into Exp(1) in place, bit for bit -log1p(-u)."""
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    return np.negative(u, out=u)
+
+
 def sample_exp_vector(n: int, rng: np.random.Generator, rows: int | None = None) -> np.ndarray:
     """n iid Exp(1) draws by the inverse CDF -ln(1 - U); shape (rows, n) if rows is given."""
-    return -np.log1p(-rng.random(n if rows is None else (rows, n)))
+    return _exp_in_place(rng.random(n if rows is None else (rows, n)))
 
 
 def sample_simplex(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -63,26 +84,82 @@ def _estimate(total, total_sq, count, seed) -> McEstimate:
     )
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _block_rows(n: int) -> int:
+    """Rows per sampler block: the largest power of two within _BLOCK_FLOATS values."""
+    return 1 << max(0, (_BLOCK_FLOATS // n).bit_length() - 1)
+
+
+def _fill_exp(seed: int, offset: int, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with Exp(1) draws offset..offset+out.size of stream (seed, 0)."""
+    rng = rng_stream(seed)
+    rng.bit_generator.advance(offset // 4)
+    rng.random(offset % 4)
+    rng.random(out=out)
+    return _exp_in_place(out)
+
+
 def _exp_blocks(n: int, N: int, seed: int):
     """Yield (pos, block) over N rows of n Exp(1) draws from stream (seed, 0).
 
-    A block holds the largest power of two of rows that fits in
-    _BLOCK_FLOATS values, at least one row, the first being row pos.
-    Philox fills the doubles in stream order whatever the block shape, and
-    every consumer works per row or adds integer counts, but BLAS computes
-    ``e @ x`` in groups of rows and sums a leftover row in another order.
-    Power-of-two blocks put the groups on the same rows for every block
-    size; a lone last row, which numpy would send to dot instead, joins the
-    block before it.  So no output depends on the block size while a block
-    holds at least 4 rows (n <= _BLOCK_FLOATS / 4).
+    A block holds _block_rows(n) rows, the first being row pos.  Every
+    block is filled from a generator positioned at row pos (see the module
+    docstring), so its bits are those of the serial stream whatever the
+    block shape.  Every consumer works per row or adds integer counts, but
+    BLAS computes ``e @ x`` in groups of rows and sums a leftover row in
+    another order.  Power-of-two blocks put the groups on the same rows for
+    every block size; a lone last row, which numpy would send to dot
+    instead, joins the block before it.  So no output depends on the block
+    size while a block holds at least 4 rows (n <= _BLOCK_FLOATS / 4).
+
+    With W workers (``_worker_count()``, at most one per block) the calling
+    thread fills every W-th block and W - 1 threads fill the blocks between,
+    up to about two blocks each ahead of it, into a ring of 3W - 2
+    preallocated buffers; a block that no thread has started by the time it
+    is due is filled by the caller.  With W = 1 no thread is started.
+    Blocks are still yielded on the calling thread in order, so every
+    consumer, BLAS included, runs there as it would serially.  A yielded
+    block is a view into the ring: it is valid only until the next
+    iteration, and a consumer that keeps it must copy it.
     """
-    rng = rng_stream(seed)
-    step = 1 << max(0, (_BLOCK_FLOATS // n).bit_length() - 1)
+    step = _block_rows(n)
     starts = list(range(0, N, step))
     if len(starts) > 1 and N - starts[-1] == 1:
         starts.pop()
-    for pos, end in zip(starts, starts[1:] + [N]):
-        yield pos, sample_exp_vector(n, rng, rows=end - pos)
+    ends = starts[1:] + [N]
+    workers = max(1, min(_worker_count(), len(starts)))
+    ring = np.empty((min(3 * workers - 2, len(starts)), min(N, step + 1), n))
+
+    def fill(i):
+        return _fill_exp(seed, starts[i] * n, ring[i % len(ring), : ends[i] - starts[i]])
+
+    pool = None
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(workers - 1)
+    ahead = {}
+    queued = 1
+    try:
+        for i, pos in enumerate(starts):
+            # block i - 1 is consumed, so the ring may run up to block i + len(ring) - 1
+            while queued < min(i + len(ring), len(starts)):
+                if queued % workers:
+                    ahead[queued] = pool.submit(fill, queued)
+                queued += 1
+            # a block no worker has started yet is filled here instead
+            task = ahead.pop(i, None)
+            yield pos, fill(i) if task is None or task.cancel() else task.result()
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def _q_blocks(kv: KnotVector, N: int, seed: int):
@@ -92,23 +169,44 @@ def _q_blocks(kv: KnotVector, N: int, seed: int):
         yield p @ kv.xs, p.sum(axis=1) / math.sqrt(kv.n)
 
 
+def _simplex_projections(kvs, N: int, seed: int) -> list[np.ndarray]:
+    """N draws of <x, S> for each knot vector, all of one n, from one pass.
+
+    Every knot vector sees the same simplex points S.  Per block the row
+    sums are formed once and each knot vector takes one gemv, into
+    preallocated arrays, with the bits of ``(e @ x) / e.sum(axis=1)``.
+    """
+    n = kvs[0].n
+    outs = [np.empty(N) for _ in kvs]
+    sums = np.empty(min(N, _block_rows(n) + 1))
+    for pos, e in _exp_blocks(n, N, seed):
+        s = np.sum(e, axis=1, out=sums[: len(e)])
+        for kv, out in zip(kvs, outs):
+            proj = np.matmul(e, kv.xs, out=out[pos : pos + len(e)])
+            np.divide(proj, s, out=proj)
+    return outs
+
+
 def simplex_projection_samples(kv: KnotVector, N: int, seed: int) -> np.ndarray:
     """N draws of <x, S> for S uniform on the simplex, in block order."""
-    out = np.empty(N)
-    for pos, e in _exp_blocks(kv.n, N, seed):
-        out[pos : pos + len(e)] = (e @ kv.xs) / e.sum(axis=1)
-    return out
+    return _simplex_projections([kv], N, seed)[0]
+
+
+def _char_estimates(kv: KnotVector, proj: np.ndarray, xi: float, seed: int):
+    """MC means of cos and sin of n*xi*proj over the projection samples."""
+    N = proj.size
+    u = kv.n * xi * proj
+    c, s = np.cos(u), np.sin(u)
+    cos_est = _estimate(float(c.sum()), float((c * c).sum()), N, seed)
+    sin_est = _estimate(float(s.sum()), float((s * s).sum()), N, seed)
+    return cos_est, sin_est
 
 
 def mc_char_simplex(kv: KnotVector, xi: float, N: int, seed: int):
     """MC means of cos and sin of n*xi*<x, Unif simplex>, with standard errors."""
     if N < 2:
         raise ValueError("N >= 2 required")
-    u = kv.n * xi * simplex_projection_samples(kv, N, seed)
-    c, s = np.cos(u), np.sin(u)
-    cos_est = _estimate(float(c.sum()), float((c * c).sum()), N, seed)
-    sin_est = _estimate(float(s.sum()), float((s * s).sum()), N, seed)
-    return cos_est, sin_est
+    return _char_estimates(kv, simplex_projection_samples(kv, N, seed), xi, seed)
 
 
 def mc_pdf_Q(kv: KnotVector, N: int, grid2d, seed: int) -> Histogram2D:

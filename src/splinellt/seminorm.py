@@ -175,20 +175,31 @@ def corollary4_error(
         raise ValueError("q = 0 required")
     if N < 10**5:
         raise ValueError("N >= 1e5 required")
+    return _corollary4_from_samples(kv, p, xi_grid, simplex_projection_samples(kv, N, seed))
+
+
+def _corollary4_from_samples(kv: KnotVector, p: int, xi_grid, proj: np.ndarray):
+    """``corollary4_error`` at q = 0 on given samples of <x, S>.
+
+    Two N-length buffers serve every xi: one holds n*xi*proj and then its
+    sine (in place), the other its cosine.
+    """
     xis = np.asarray(xi_grid, dtype=float)
-    proj = simplex_projection_samples(kv, N, seed)
+    N = proj.size
     cos_diffs = np.empty(xis.size)
     sin_diffs = np.empty(xis.size)
     floors_c = np.empty(xis.size)
     floors_s = np.empty(xis.size)
     w = np.abs(xis) ** p if p > 0 else np.ones_like(xis)
+    u, c = np.empty(N), np.empty(N)
     for i, xi in enumerate(xis):
-        u = kv.n * xi * proj
-        c, s = np.cos(u), np.sin(u)
+        np.multiply(kv.n * xi, proj, out=u)
+        np.cos(u, out=c)
+        s = np.sin(u, out=u)
         cos_diffs[i] = c.mean() - math.exp(-xi * xi / 2)
         sin_diffs[i] = s.mean()
         floors_c[i] = 4 * c.std(ddof=1) / math.sqrt(N) * w[i]
         floors_s[i] = 4 * s.std(ddof=1) / math.sqrt(N) * w[i]
-    cos_res = _weighted_sup(xis, cos_diffs, p, q, 0, xis, float(floors_c.max()))
-    sin_res = _weighted_sup(xis, sin_diffs, p, q, 0, xis, float(floors_s.max()))
+    cos_res = _weighted_sup(xis, cos_diffs, p, 0, 0, xis, float(floors_c.max()))
+    sin_res = _weighted_sup(xis, sin_diffs, p, 0, 0, xis, float(floors_s.max()))
     return cos_res, sin_res

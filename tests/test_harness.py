@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from splinellt import charprob, cli, harness, knots, montecarlo
+from splinellt import charprob, cli, harness, knots, montecarlo, seminorm
 from splinellt.errors import ConfigError, InsufficientData
 
 
@@ -93,6 +94,51 @@ def test_record_schema_values():
         assert r.error_value > 0 and np.isfinite(r.error_value)
         assert r.m3 > 0 and r.sum_abs_x3 > 0
         assert r.runtime_ms >= 0
+
+
+def test_corollary4_draws_once_per_n(monkeypatch):
+    # the families at one n share one pass over the simplex stream, and give
+    # the records and checks of separate corollary4_error calls bit for bit
+    passes = []
+    blocks = montecarlo._exp_blocks
+
+    def counted(*args):
+        passes.append(args)
+        return blocks(*args)
+
+    monkeypatch.setattr(montecarlo, "_exp_blocks", counted)
+    families = ["equispaced", "uniform_random"]
+    config = harness.ExperimentConfig(
+        experiment="corollary4", families=families, n_list=[16], p=1, N_mc=10**5, seed=2
+    )
+    records, summary, code = harness.run(config)
+    assert code == 0 and len(passes) == 1
+    expected, checks = [], {}
+    for fam in families:
+        kv = knots.family(fam, 16, 2)
+        cos_res, sin_res = seminorm.corollary4_error(kv, 1, 0, (0.5, 1.0, 2.0), 10**5, 2)
+        floor = 5 * knots.m3(kv)
+        for r, res in enumerate((cos_res, sin_res)):
+            expected.append((fam, r, res.value, res.argmax_t, res.noise_floor))
+            checks[f"{fam}/n=16/{('cos', 'sin')[r]}"] = res.value <= max(res.noise_floor, floor)
+    assert [(rec.family, rec.r, rec.error_value, rec.argmax, rec.noise_floor) for rec in records] == expected
+    assert summary["checks"] == checks
+
+
+def test_corollary4_memory_peak():
+    # two families at n = 32 on 1e6 draws: the two projections, two buffers
+    # and one temporary of N doubles each, about 38 MB
+    config = harness.ExperimentConfig(
+        experiment="corollary4", families=["equispaced", "uniform_random"], n_list=[32], N_mc=10**6
+    )
+    tracemalloc.start()
+    try:
+        _, _, code = harness.run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak / 2**20 <= 42.0
 
 
 def test_validate_experiment_passes(tmp_path):

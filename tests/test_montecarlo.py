@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -45,32 +47,98 @@ def test_simplex_point():
         montecarlo.sample_simplex(1, rng)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4 * 1001, 4 * 1001 + 1, 4 * 1001 + 2, 4 * 1001 + 3])
+def test_positioned_stream_matches_serial(k):
+    # Philox makes 4 doubles per counter step: the positioned generator
+    # advances k // 4 steps and discards k % 4 doubles
+    serial = montecarlo.sample_exp_vector(k + 37, montecarlo.rng_stream(11))
+    out = np.empty(37)
+    np.testing.assert_array_equal(montecarlo._fill_exp(11, k, out), serial[k:])
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n, N", [(5, 70001), (8, 20001), (2**15 + 1, 9), (2**16 + 3, 7)])
+def test_blocks_are_the_serial_stream(monkeypatch, workers, n, N):
+    # one- and two-row blocks at n = 2^15+1 and 2^16+3 start at offsets that
+    # are not multiples of 4 doubles
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        blocks = []
+        for pos, e in montecarlo._exp_blocks(n, N, seed=4):
+            time.sleep(1e-3)  # the workers run ahead while the block is held
+            blocks.append((pos, e.copy()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [pos for pos, _ in blocks] == [sum(len(e) for _, e in blocks[:i]) for i in range(len(blocks))]
+    serial = montecarlo.sample_exp_vector(n, montecarlo.rng_stream(4), rows=N)
+    np.testing.assert_array_equal(np.concatenate([e for _, e in blocks]), serial)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_leaving_the_blocks_early_stops_the_workers(monkeypatch, workers):
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+    before = threading.active_count()
+    for _ in montecarlo._exp_blocks(8, 10**5, seed=1):
+        # with one worker no thread is started
+        assert (threading.active_count() > before) == (workers > 1)
+        break
+    assert threading.active_count() == before
+
+
 _BLOCK_SIZE_SCRIPT = """
 import numpy as np
 from splinellt import knots, montecarlo
 
-# from 4 rows per block (2^10 floats at n = 256) to every row in one block
-# (2^20 floats at n <= 8); N is a multiple of none of the sizes, and 20001
-# leaves a lone last row at 4 to 32 rows per block
+
+def outputs(kv, N):
+    # the projections, the mc_pdf_Q counts and the samples of
+    # harness.check_mc_covariance, which reads montecarlo._q_blocks
+    proj = montecarlo.simplex_projection_samples(kv, N, seed=3)
+    counts = montecarlo.mc_pdf_Q(kv, N, montecarlo.default_grid(), seed=3).counts
+    q = np.concatenate([np.column_stack(b) for b in montecarlo._q_blocks(kv, N, seed=3)])
+    return proj, counts, q
+
+
+def assert_all_equal(runs):
+    for run in runs[1:]:
+        for a, b in zip(run, runs[0]):
+            np.testing.assert_array_equal(a, b)
+
+
+# block sizes from 4 rows per block (2^10 floats at n = 256) to every row
+# in one block (2^20 floats at n <= 8), then 1, 2 and 3 workers at the
+# default size, where the ring of buffers wraps at every n here; N is a
+# multiple of none of the sizes, and 20001 leaves a lone last row at 4 to 32
+# rows per block
 for n, N in [(5, 70001), (8, 70001), (100, 20001), (256, 20001)]:
     kv = knots.family("uniform_random", n, seed=9)
-    outputs = []
-    for block_floats in (1 << 10, 1 << 16, 1 << 20):
+    runs = []
+    for block_floats, workers in [(1 << 10, 1), (1 << 20, 1), (1 << 16, 1), (1 << 16, 2), (1 << 16, 3)]:
         montecarlo._BLOCK_FLOATS = block_floats
-        proj = montecarlo.simplex_projection_samples(kv, N, seed=3)
-        counts = montecarlo.mc_pdf_Q(kv, N, montecarlo.default_grid(), seed=3).counts
-        outputs.append((proj, counts))
-    for proj, counts in outputs[1:]:
-        np.testing.assert_array_equal(proj, outputs[0][0])
-        np.testing.assert_array_equal(counts, outputs[0][1])
+        montecarlo._worker_count = lambda: workers
+        runs.append(outputs(kv, N))
+    assert_all_equal(runs)
     # <x, S> is a convex combination of the knots
-    assert np.all(np.abs(outputs[0][0]) <= np.max(np.abs(kv.xs)) + 1e-12)
+    assert np.all(np.abs(runs[0][0]) <= np.max(np.abs(kv.xs)) + 1e-12)
+
+# one- and two-row blocks, whose sums BLAS groups differently from larger
+# ones, so only the worker count varies
+montecarlo._BLOCK_FLOATS = 1 << 16
+for kind, n, N in [("chebyshev", 2**15 + 1, 9), ("equispaced", 2**16 + 3, 7)]:
+    kv = knots.family(kind, n)
+    runs = []
+    for workers in (1, 2, 3):
+        montecarlo._worker_count = lambda: workers
+        runs.append(outputs(kv, N))
+    assert_all_equal(runs)
 """
 
 
 def test_projection_samples_chunk_invariant():
     # block accumulation is fixed-order: the outputs do not depend on how N
-    # is split into blocks.  Run in a fresh interpreter with BLAS on one
+    # is split into blocks, nor on how many threads fill them.  Run in a fresh interpreter with BLAS on one
     # thread, as the benchmark runs
     # it: a threaded gemv splits each block between threads at half its
     # rows, so the rows after the split are grouped, and summed, in an
