@@ -127,7 +127,7 @@ def test_corollary4_draws_once_per_n(monkeypatch):
 
 def test_corollary4_memory_peak():
     # two families at n = 32 on 1e6 draws: the two projections, two buffers
-    # and one temporary of N doubles each, about 38 MB
+    # and one temporary of N doubles each, about 38 MiB
     config = harness.ExperimentConfig(
         experiment="corollary4", families=["equispaced", "uniform_random"], n_list=[32], N_mc=10**6
     )
