@@ -22,7 +22,6 @@ def main():
     counts, _ = np.histogram(samples, bins=edges)
     width = edges[1] - edges[0]
     density = counts / (N * width)
-    se = np.sqrt(counts) / (N * width)
 
     # the histogram estimates cell averages, so average the exact density
     # over each cell too (2-point Gauss); midpoint values are visibly biased
@@ -33,14 +32,12 @@ def main():
         splines.bspline_stable(kv, mids - off) + splines.bspline_stable(kv, mids + off)
     )
 
-    print(f"{'t':>7} {'mc density':>11} {'exact':>9} {'z-score':>8}  bar")
-    worst = 0.0
-    for t, d, e, s in zip(mids, density, exact, se):
-        z = (d - e) / s if s > 0 else 0.0
-        worst = max(worst, abs(z))
+    print(f"{'t':>7} {'mc density':>11} {'exact':>9}  bar")
+    for t, d, e in zip(mids, density, exact):
         bar = "#" * int(round(40 * e / exact.max()))
-        print(f"{t:>7.3f} {d:>11.4f} {e:>9.4f} {z:>+8.2f}  {bar}")
-    print(f"\nworst cell z-score: {worst:.2f} (|z| <= 4 expected)")
+        print(f"{t:>7.3f} {d:>11.4f} {e:>9.4f}  {bar}")
+    worst, kept = montecarlo.histogram_deviation(exact, counts, N, width)
+    print(f"\nworst cell: {worst:.2f} SE over {kept} cells expecting >= 20 draws (<= 4 expected)")
 
     # the same samples estimate divided differences (Hermite-Genocchi):
     # E[f^{(n-1)}(<x, S>)] / (n-1)! equals the divided difference of f

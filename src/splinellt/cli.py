@@ -1,8 +1,9 @@
 """Command-line entry point (``spline-llt``).
 
 Exit codes: 0 all embedded assertions passed, 1 an assertion or numerical
-check failed, 2 configuration error.  The master seed comes from --seed,
-falling back to the SPLINE_LLT_SEED environment variable, then to 1.
+check failed, 2 configuration error (a malformed value included).  The
+master seed comes from --seed, then the config file, then the
+SPLINE_LLT_SEED environment variable, then 1.
 """
 
 import argparse
@@ -13,21 +14,34 @@ from .errors import ConfigError, SplineLLTError
 from .harness import EXPERIMENTS, ExperimentConfig, run
 
 
-def _parse_int_list(values):
-    out = []
-    for v in values:
-        for part in str(v).split(","):
-            part = part.strip()
-            if part:
-                out.append(int(part))
-    return out
+def _last(conv):
+    """Parser of a scalar option: the last value given wins."""
+    return lambda values: conv(values[-1])
 
 
-def _parse_str_list(values):
-    out = []
-    for v in values:
-        out.extend(p.strip() for p in str(v).split(",") if p.strip())
-    return out
+def _comma_list(conv):
+    """Parser of a list option: every value given, each comma-separated."""
+    return lambda values: [conv(p.strip()) for v in values for p in v.split(",") if p.strip()]
+
+
+# config-file key: (ExperimentConfig field, parser of the given strings, help);
+# the flag is --key with "_" spelled "-"
+OPTIONS = {
+    "family": ("families", _comma_list(str), "knot family (repeatable or comma-separated)"),
+    "n": ("n_list", _comma_list(int), "knot count (repeatable or comma-separated)"),
+    "p": ("p", _last(int), None),
+    "q": ("q", _last(int), None),
+    "r": ("r", _last(int), None),
+    "N": ("N_mc", _last(int), "Monte Carlo sample count"),
+    "seed": ("seed", _last(int), None),
+    "grid_T": ("grid_T", _last(float), None),
+    "grid_h": ("grid_h", _last(float), None),
+    "out": ("out", _last(str), "CSV output path (JSON written next to it)"),
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def read_config_file(path: str) -> dict:
@@ -54,71 +68,35 @@ def build_parser() -> argparse.ArgumentParser:
     for name in EXPERIMENTS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="flat key=value config file")
-        sp.add_argument("--family", action="append", default=None,
-                        help="knot family (repeatable or comma-separated)")
-        sp.add_argument("--n", action="append", default=None,
-                        help="knot count (repeatable or comma-separated)")
-        sp.add_argument("--p", type=int, default=None)
-        sp.add_argument("--q", type=int, default=None)
-        sp.add_argument("--r", type=int, default=None)
-        sp.add_argument("--N", type=int, default=None, help="Monte Carlo sample count")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--grid-T", type=float, default=None)
-        sp.add_argument("--grid-h", type=float, default=None)
-        sp.add_argument("--out", default=None, help="CSV output path (JSON written next to it)")
+        # values stay strings here and are parsed in config_from_args, so a
+        # malformed one is a configuration error like any other
+        for key, (_, _, help_text) in OPTIONS.items():
+            sp.add_argument(_flag(key), dest=key, action="append", help=help_text)
     return parser
 
 
-_CONFIG_KEYS = {
-    "family": ("families", lambda v: _parse_str_list([v])),
-    "n": ("n_list", lambda v: _parse_int_list([v])),
-    "p": ("p", int),
-    "q": ("q", int),
-    "r": ("r", int),
-    "N": ("N_mc", int),
-    "seed": ("seed", int),
-    "grid_T": ("grid_T", float),
-    "grid_h": ("grid_h", float),
-    "out": ("out", str),
-}
-
-
 def config_from_args(args) -> ExperimentConfig:
-    cfg = ExperimentConfig(experiment=args.experiment)
+    """Flags override the config file, which overrides SPLINE_LLT_SEED."""
     file_cfg = read_config_file(args.config) if args.config else {}
+    given = {}
+    env = os.environ.get("SPLINE_LLT_SEED")
+    if env is not None:
+        given["seed"] = ("SPLINE_LLT_SEED", [env])
     for key, val in file_cfg.items():
-        if key not in _CONFIG_KEYS:
+        if key not in OPTIONS:
             raise ConfigError(f"unknown config key {key!r}")
-        attr, conv = _CONFIG_KEYS[key]
+        given[key] = (f"config key {key!r}", [val])
+    for key in OPTIONS:
+        values = getattr(args, key)
+        if values is not None:
+            given[key] = (_flag(key), values)
+    cfg = ExperimentConfig(experiment=args.experiment)
+    for key, (source, values) in given.items():
+        attr, parse, _ = OPTIONS[key]
         try:
-            setattr(cfg, attr, conv(val))
+            setattr(cfg, attr, parse(values))
         except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {val!r}") from exc
-    if args.family is not None:
-        cfg.families = _parse_str_list(args.family)
-    if args.n is not None:
-        cfg.n_list = _parse_int_list(args.n)
-    for flag in ("p", "q", "r"):
-        v = getattr(args, flag)
-        if v is not None:
-            setattr(cfg, flag, v)
-    if args.N is not None:
-        cfg.N_mc = args.N
-    if args.seed is not None:
-        cfg.seed = args.seed
-    elif "seed" not in file_cfg:
-        env = os.environ.get("SPLINE_LLT_SEED")
-        if env is not None:
-            try:
-                cfg.seed = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"SPLINE_LLT_SEED={env!r} is not an integer") from exc
-    if args.grid_T is not None:
-        cfg.grid_T = args.grid_T
-    if args.grid_h is not None:
-        cfg.grid_h = args.grid_h
-    if args.out is not None:
-        cfg.out = args.out
+            raise ConfigError(f"bad value for {source}: {','.join(values)!r}") from exc
     return cfg
 
 

@@ -10,7 +10,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -18,20 +18,6 @@ from . import charprob, knots, montecarlo, seminorm, specfun, splines
 from .errors import ConfigError, InsufficientData
 
 SCHEMA_VERSION = 1
-CSV_HEADER = [
-    "family",
-    "n",
-    "m3",
-    "sum_abs_x3",
-    "p",
-    "q",
-    "r",
-    "error_value",
-    "argmax",
-    "noise_floor",
-    "runtime_ms",
-    "seed",
-]
 
 EXPERIMENTS = ("validate", "scaling", "identity", "corollary3", "corollary4", "inversion")
 
@@ -101,6 +87,9 @@ class ExperimentRecord:
     noise_floor: float
     runtime_ms: float
     seed: int
+
+
+CSV_HEADER = [f.name for f in fields(ExperimentRecord)]
 
 
 def fit_slope(ns, errs):
@@ -331,25 +320,17 @@ def run_corollary3(config):
 def run_corollary4(config):
     # the families at one n share one Monte Carlo draw, so each record's
     # runtime_ms runs from the start of that draw
-    done = {}
+    records, checks = [], {}
     for n in config.n_list:
         t0 = time.perf_counter()
         kvs = [knots.family(fam, n, config.seed) for fam in config.families]
-        projs = montecarlo._simplex_projections(kvs, config.N_mc, config.seed)
+        projs = montecarlo.simplex_projections(kvs, config.N_mc, config.seed)
         for fam, kv, proj in zip(config.families, kvs, projs):
-            cos_res, sin_res = seminorm._corollary4_from_samples(kv, config.p, (0.5, 1.0, 2.0), proj)
+            cos_res, sin_res = seminorm.corollary4_from_samples(kv, config.p, (0.5, 1.0, 2.0), proj, config.seed)
             floor = 5 * knots.m3(kv)
-            done[fam, n] = (
-                [_record(fam, kv, config.p, 0, 0, cos_res.value, cos_res.argmax_t, cos_res.noise_floor, t0, config.seed),
-                 _record(fam, kv, config.p, 0, 1, sin_res.value, sin_res.argmax_t, sin_res.noise_floor, t0, config.seed)],
-                {f"{fam}/n={n}/cos": cos_res.value <= max(cos_res.noise_floor, floor),
-                 f"{fam}/n={n}/sin": sin_res.value <= max(sin_res.noise_floor, floor)},
-            )
-    records, checks = [], {}
-    for fam in config.families:
-        for n in config.n_list:
-            records += done[fam, n][0]
-            checks.update(done[fam, n][1])
+            for r, (name, res) in enumerate((("cos", cos_res), ("sin", sin_res))):
+                records.append(_record(fam, kv, config.p, 0, r, res.value, res.argmax_t, res.noise_floor, t0, config.seed))
+                checks[f"{fam}/n={n}/{name}"] = res.value <= max(res.noise_floor, floor)
     return records, {"checks": checks}
 
 
@@ -370,11 +351,8 @@ def inversion_vs_mc(kv, N, seed):
     fine = charprob.pdf_Q_inversion_grid(kv, g1, g2)
     hist = montecarlo.mc_pdf_Q(kv, N, (edges1, edges2), seed)
     pdf = fine.reshape(g1.size // 2, 2, g2.size // 2, 2).mean(axis=(1, 3))
-    area = np.multiply.outer(np.diff(hist.edges1), np.diff(hist.edges2))
-    expected = pdf * N * area
-    keep = expected >= 20
-    dev = np.abs(pdf - hist.density) / np.where(hist.std_error > 0, hist.std_error, np.inf)
-    return float(dev[keep].max()), int(keep.sum())
+    area = np.multiply.outer(np.diff(edges1), np.diff(edges2))
+    return montecarlo.histogram_deviation(pdf, hist.counts, N, area)
 
 
 def run_inversion(config):
@@ -621,8 +599,8 @@ def check_mc_density_histogram(seed):
 def check_mc_cos_sin_bound(seed):
     kv = knots.family("equispaced", 16, seed)
     proj = montecarlo.simplex_projection_samples(kv, 10**5, seed)
-    for xi in (0.0, 0.5, 1.0, 2.0, 4.0):
-        c, s = montecarlo._char_estimates(kv, proj, xi, seed)
+    xis = (0.0, 0.5, 1.0, 2.0, 4.0)
+    for xi, (c, s) in zip(xis, montecarlo.char_estimates(kv, proj, xis, seed)):
         se = math.hypot(c.std_error, s.std_error)
         if c.mean**2 + s.mean**2 > 1 + 4 * se:
             return False, f"cos^2 + sin^2 > 1 + 4 SE at xi={xi}"
@@ -634,7 +612,7 @@ def check_mc_covariance(seed):
     N = 10**6
     q = np.empty((N, 2))
     pos = 0
-    for q1, q2 in montecarlo._q_blocks(kv, N, seed):
+    for q1, q2 in montecarlo.q_blocks(kv, N, seed):
         q[pos : pos + q1.size] = np.column_stack([q1, q2])
         pos += q1.size
     se_mean = q.std(axis=0, ddof=1) / math.sqrt(N)
@@ -755,9 +733,7 @@ def run(config: ExperimentConfig):
     records, summary = _RUNNERS[config.experiment](config)
     records.sort(key=lambda r: (r.family, r.n, r.p, r.q, r.r))
     has_nan = any(math.isnan(r.error_value) for r in records)
-    checks = summary.get("checks", {})
-    flat = _flatten_checks(checks)
-    passed = all(flat.values()) and not has_nan
+    passed = all(summary.get("checks", {}).values()) and not has_nan
     summary["schema_version"] = SCHEMA_VERSION
     summary["experiment"] = config.experiment
     summary["seed"] = config.seed
@@ -770,24 +746,12 @@ def run(config: ExperimentConfig):
     return records, summary, exit_code
 
 
-def _flatten_checks(checks, prefix=""):
-    flat = {}
-    for k, v in checks.items():
-        if isinstance(v, dict):
-            flat.update(_flatten_checks(v, prefix + k + "/"))
-        else:
-            flat[prefix + k] = bool(v)
-    return flat
-
-
 def write_outputs(out_path: str, records, summary):
     """Write RFC-4180 CSV to out_path and the JSON summary next to it."""
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_HEADER)
-        for r in records:
-            d = asdict(r)
-            w.writerow([d[k] for k in CSV_HEADER])
+        w.writerows(astuple(r) for r in records)
     json_path = out_path.rsplit(".", 1)[0] + ".json" if out_path.endswith(".csv") else out_path + ".json"
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, default=float)

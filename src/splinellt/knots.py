@@ -77,10 +77,13 @@ def family(kind: str, n: int, seed: int = 0) -> KnotVector:
         return normalize(np.cos((2 * k - 1) * np.pi / (2 * n)))
     if kind == "uniform_random":
         rng = np.random.default_rng(seed)
+        # every gap of n uniform points exceeds g * span with probability
+        # about exp(-n^2 g), so past n = 1000 the guard g shrinks as n^-2
+        # and a draw is kept with probability about 1/e
         while True:
             raw = np.sort(rng.random(n))
             span = raw[-1] - raw[0]
-            if span > 0 and np.min(np.diff(raw)) > 1e-6 * span:
+            if span > 0 and np.min(np.diff(raw)) > min(1e-6, n**-2) * span:
                 return normalize(raw)
     if kind == "clustered":
         # half the knots crowded into [-eps, eps], the rest equispaced;

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InsufficientData
 from .knots import KnotVector
 from .splines import bspline_stable
 
@@ -45,7 +46,6 @@ class Histogram2D:
     edges1: np.ndarray
     edges2: np.ndarray
     density: np.ndarray
-    std_error: np.ndarray
     counts: np.ndarray
     n_samples: int
     seed: int
@@ -63,9 +63,9 @@ def _exp_in_place(u: np.ndarray) -> np.ndarray:
     return np.negative(u, out=u)
 
 
-def sample_exp_vector(n: int, rng: np.random.Generator, rows: int | None = None) -> np.ndarray:
-    """n iid Exp(1) draws by the inverse CDF -ln(1 - U); shape (rows, n) if rows is given."""
-    return _exp_in_place(rng.random(n if rows is None else (rows, n)))
+def sample_exp_vector(n: int, rng: np.random.Generator) -> np.ndarray:
+    """n iid Exp(1) draws by the inverse CDF -ln(1 - U)."""
+    return _exp_in_place(rng.random(n))
 
 
 def sample_simplex(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -76,11 +76,14 @@ def sample_simplex(n: int, rng: np.random.Generator) -> np.ndarray:
     return e / e.sum()
 
 
-def _estimate(total, total_sq, count, seed) -> McEstimate:
-    mean = total / count
-    var = max(total_sq / count - mean * mean, 0.0) * count / (count - 1)
+def estimate(vals: np.ndarray, seed: int) -> McEstimate:
+    """Mean of the samples and its standard error std(ddof=1) / sqrt(N)."""
+    N = vals.size
     return McEstimate(
-        mean=mean, std_error=math.sqrt(var / count), n_samples=count, seed=seed
+        mean=float(vals.sum()) / N,
+        std_error=float(vals.std(ddof=1)) / math.sqrt(N),
+        n_samples=N,
+        seed=seed,
     )
 
 
@@ -162,14 +165,14 @@ def _exp_blocks(n: int, N: int, seed: int):
             pool.shutdown(cancel_futures=True)
 
 
-def _q_blocks(kv: KnotVector, N: int, seed: int):
+def q_blocks(kv: KnotVector, N: int, seed: int):
     """Yield (q1, q2) per sampler block: Q = (sum x_k(P_k-1), n^{-1/2} sum(P_k-1))."""
     for _, e in _exp_blocks(kv.n, N, seed):
         p = e - 1.0
         yield p @ kv.xs, p.sum(axis=1) / math.sqrt(kv.n)
 
 
-def _simplex_projections(kvs, N: int, seed: int) -> list[np.ndarray]:
+def simplex_projections(kvs, N: int, seed: int) -> list[np.ndarray]:
     """N draws of <x, S> for each knot vector, all of one n, from one pass.
 
     Every knot vector sees the same simplex points S.  Per block the row
@@ -189,41 +192,42 @@ def _simplex_projections(kvs, N: int, seed: int) -> list[np.ndarray]:
 
 def simplex_projection_samples(kv: KnotVector, N: int, seed: int) -> np.ndarray:
     """N draws of <x, S> for S uniform on the simplex, in block order."""
-    return _simplex_projections([kv], N, seed)[0]
+    return simplex_projections([kv], N, seed)[0]
 
 
-def _char_estimates(kv: KnotVector, proj: np.ndarray, xi: float, seed: int):
-    """MC means of cos and sin of n*xi*proj over the projection samples."""
-    N = proj.size
-    u = kv.n * xi * proj
-    c, s = np.cos(u), np.sin(u)
-    cos_est = _estimate(float(c.sum()), float((c * c).sum()), N, seed)
-    sin_est = _estimate(float(s.sum()), float((s * s).sum()), N, seed)
-    return cos_est, sin_est
+def char_estimates(kv: KnotVector, proj: np.ndarray, xis, seed: int):
+    """(cos, sin) McEstimates of n*xi*proj for each xi, over the projection samples.
+
+    Two N-length buffers serve every xi: one holds n*xi*proj and then its
+    sine (in place), the other its cosine.
+    """
+    u, c = np.empty(proj.size), np.empty(proj.size)
+    out = []
+    for xi in xis:
+        np.multiply(kv.n * xi, proj, out=u)
+        out.append((estimate(np.cos(u, out=c), seed), estimate(np.sin(u, out=u), seed)))
+    return out
 
 
 def mc_char_simplex(kv: KnotVector, xi: float, N: int, seed: int):
     """MC means of cos and sin of n*xi*<x, Unif simplex>, with standard errors."""
     if N < 2:
         raise ValueError("N >= 2 required")
-    return _char_estimates(kv, simplex_projection_samples(kv, N, seed), xi, seed)
+    return char_estimates(kv, simplex_projection_samples(kv, N, seed), (xi,), seed)[0]
 
 
 def mc_pdf_Q(kv: KnotVector, N: int, grid2d, seed: int) -> Histogram2D:
     """Normalized 2-D histogram of Q = (sum x_k(P_k-1), n^{-1/2} sum(P_k-1)).
 
-    Per-cell standard errors use the Poisson count approximation
-    sqrt(count) / (N * cell area).
+    ``histogram_deviation`` compares its counts against a density.
     """
     edges1, edges2 = (np.asarray(e, dtype=float) for e in grid2d)
     counts = np.zeros((edges1.size - 1, edges2.size - 1))
-    for q1, q2 in _q_blocks(kv, N, seed):
+    for q1, q2 in q_blocks(kv, N, seed):
         h, _, _ = np.histogram2d(q1, q2, bins=(edges1, edges2))
         counts += h
     area = np.multiply.outer(np.diff(edges1), np.diff(edges2))
-    density = counts / (N * area)
-    std_error = np.sqrt(counts) / (N * area)
-    return Histogram2D(edges1, edges2, density, std_error, counts, N, seed)
+    return Histogram2D(edges1, edges2, counts / (N * area), counts, N, seed)
 
 
 def default_grid():
@@ -239,26 +243,33 @@ def mc_divided_difference(kv: KnotVector, f_deriv, N: int, seed: int) -> McEstim
     is its simplex average divided by (n-1)!.
     """
     proj = simplex_projection_samples(kv, N, seed)
-    vals = np.asarray(f_deriv(proj), dtype=float) / math.factorial(kv.n - 1)
-    return _estimate(float(vals.sum()), float((vals * vals).sum()), N, seed)
+    return estimate(np.asarray(f_deriv(proj), dtype=float) / math.factorial(kv.n - 1), seed)
+
+
+def histogram_deviation(model, counts, N: int, cell):
+    """Largest |counts / (N cell) - model| in standard errors, and the cells it covers.
+
+    The standard error of a cell is sqrt(max(count, 1)) / (N cell), so a cell
+    that got no draw still counts.  Only the cells where the model expects
+    at least 20 draws are compared; if there is none, InsufficientData.
+    """
+    keep = model * N * cell >= 20
+    if not keep.any():
+        raise InsufficientData("no histogram cell expects 20 draws")
+    density = counts / (N * cell)
+    se = np.sqrt(np.maximum(counts, 1)) / (N * cell)
+    dev = np.abs(density[keep] - model[keep]) / se[keep]
+    return float(dev.max()), int(keep.sum())
 
 
 def density_histogram_check(kv: KnotVector, N: int, seed: int):
-    """Compare (n-1) B against a histogram of simplex projections.
+    """Compare (n-1) B at the cell midpoints against a histogram of simplex projections.
 
-    Returns (max abs deviation in SE units over retained cells, retained
-    cell count); cells with fewer than 20 expected counts are dropped.
+    Returns ``histogram_deviation`` over 40 equal cells spanning the knots.
     """
     proj = simplex_projection_samples(kv, N, seed)
-    lo, hi = float(kv.xs[0]), float(kv.xs[-1])
-    edges = np.linspace(lo, hi, _HIST_BINS + 1)
+    edges = np.linspace(float(kv.xs[0]), float(kv.xs[-1]), _HIST_BINS + 1)
     counts, _ = np.histogram(proj, bins=edges)
-    width = np.diff(edges)
-    density = counts / (N * width)
-    se = np.sqrt(np.maximum(counts, 1)) / (N * width)
     centers = 0.5 * (edges[:-1] + edges[1:])
     model = (kv.n - 1) * bspline_stable(kv, centers)
-    expected = model * N * width
-    keep = expected >= 20
-    dev = np.abs(density[keep] - model[keep]) / se[keep]
-    return float(dev.max()) if keep.any() else 0.0, int(keep.sum())
+    return histogram_deviation(model, counts, N, np.diff(edges))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import OrderTooHigh
 from .knots import KnotVector
-from .montecarlo import simplex_projection_samples
+from .montecarlo import char_estimates, simplex_projection_samples
 from .specfun import corollary3_sum, hermite, hermite_function
 from .splines import bspline_stable_deriv
 
@@ -55,7 +55,6 @@ class SeminormResult:
     r: int
     value: float
     argmax_t: float
-    grid: object
     noise_floor: float | None = None
 
 
@@ -70,16 +69,14 @@ def default_grid(n: int, h: float = 0.05) -> GridSpec:
     return GridSpec(T=float(max(8, n)), h=h)
 
 
-def _weighted_sup(ts, diffs, p, q, r, grid, noise_floor=None) -> SeminormResult:
+def _weighted_sup(ts, diffs, p, q, r, noise_floor=None) -> SeminormResult:
     weights = np.abs(ts) ** p if p > 0 else np.ones_like(ts)
     vals = weights * np.abs(diffs)
     best = float(vals.max())
     # tie-break: among near-maximal points prefer the smallest |t|
     cand = np.flatnonzero(vals >= best * (1 - 1e-12))
     arg = float(ts[cand[np.argmin(np.abs(ts[cand]))]])
-    return SeminormResult(
-        p=p, q=q, r=r, value=best, argmax_t=arg, grid=grid, noise_floor=noise_floor
-    )
+    return SeminormResult(p=p, q=q, r=r, value=best, argmax_t=arg, noise_floor=noise_floor)
 
 
 def _spline_side(kv: KnotVector, ts: np.ndarray, q: int, r: int) -> np.ndarray:
@@ -107,7 +104,7 @@ def _hermite_error(kv, p, q, r, grid) -> SeminormResult:
     ts = grid.points_avoiding(kv)
     herm = (-1) ** q * hermite_function(q + r, ts)
     spline = _spline_side(kv, ts, q, r)
-    return _weighted_sup(ts, herm - spline, p, q, r, grid)
+    return _weighted_sup(ts, herm - spline, p, q, r)
 
 
 def theorem1_error(kv: KnotVector, p: int, q: int, grid: GridSpec) -> SeminormResult:
@@ -159,7 +156,7 @@ def corollary3_error(
     for i, xi in enumerate(xis):
         xi = float(xi)
         diffs[i] = corollary3_sum(kv, m, xi) - hermite(m, xi) * math.exp(-xi * xi / 2)
-    return _weighted_sup(xis, diffs, p, q, r, xis)
+    return _weighted_sup(xis, diffs, p, q, r)
 
 
 def corollary4_error(
@@ -175,31 +172,18 @@ def corollary4_error(
         raise ValueError("q = 0 required")
     if N < 10**5:
         raise ValueError("N >= 1e5 required")
-    return _corollary4_from_samples(kv, p, xi_grid, simplex_projection_samples(kv, N, seed))
+    return corollary4_from_samples(kv, p, xi_grid, simplex_projection_samples(kv, N, seed), seed)
 
 
-def _corollary4_from_samples(kv: KnotVector, p: int, xi_grid, proj: np.ndarray):
-    """``corollary4_error`` at q = 0 on given samples of <x, S>.
-
-    Two N-length buffers serve every xi: one holds n*xi*proj and then its
-    sine (in place), the other its cosine.
-    """
+def corollary4_from_samples(kv: KnotVector, p: int, xi_grid, proj: np.ndarray, seed: int):
+    """``corollary4_error`` at q = 0 on given samples of <x, S>."""
     xis = np.asarray(xi_grid, dtype=float)
-    N = proj.size
-    cos_diffs = np.empty(xis.size)
-    sin_diffs = np.empty(xis.size)
-    floors_c = np.empty(xis.size)
-    floors_s = np.empty(xis.size)
     w = np.abs(xis) ** p if p > 0 else np.ones_like(xis)
-    u, c = np.empty(N), np.empty(N)
-    for i, xi in enumerate(xis):
-        np.multiply(kv.n * xi, proj, out=u)
-        np.cos(u, out=c)
-        s = np.sin(u, out=u)
-        cos_diffs[i] = c.mean() - math.exp(-xi * xi / 2)
-        sin_diffs[i] = s.mean()
-        floors_c[i] = 4 * c.std(ddof=1) / math.sqrt(N) * w[i]
-        floors_s[i] = 4 * s.std(ddof=1) / math.sqrt(N) * w[i]
-    cos_res = _weighted_sup(xis, cos_diffs, p, 0, 0, xis, float(floors_c.max()))
-    sin_res = _weighted_sup(xis, sin_diffs, p, 0, 0, xis, float(floors_s.max()))
+    ests = char_estimates(kv, proj, xis, seed)
+    cos_diffs = np.array([c.mean - math.exp(-xi * xi / 2) for xi, (c, _) in zip(xis, ests)])
+    sin_diffs = np.array([s.mean for _, s in ests])
+    floor_c = max(4 * c.std_error * wi for wi, (c, _) in zip(w, ests))
+    floor_s = max(4 * s.std_error * wi for wi, (_, s) in zip(w, ests))
+    cos_res = _weighted_sup(xis, cos_diffs, p, 0, 0, float(floor_c))
+    sin_res = _weighted_sup(xis, sin_diffs, p, 0, 0, float(floor_s))
     return cos_res, sin_res

@@ -196,15 +196,9 @@ def bspline_stable(kv: KnotVector, t):
     return bspline_stable_deriv(kv, t, 0)
 
 
-def divided_difference(pairs, order: int | None = None) -> float:
-    """Divided difference of tabulated values by the recursive triangle.
-
-    ``pairs`` is a sequence of (node, value); ``order`` defaults to using
-    all of them (order = len - 1).
-    """
-    if order is None:
-        order = len(pairs) - 1
-    pts = list(pairs)[: order + 1]
+def divided_difference(pairs) -> float:
+    """Divided difference of tabulated (node, value) pairs by the recursive triangle."""
+    pts = list(pairs)
     nodes = [float(p[0]) for p in pts]
     if len(set(nodes)) != len(nodes):
         raise DuplicateKnots("divided difference needs distinct nodes")

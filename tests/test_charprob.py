@@ -275,7 +275,6 @@ def test_mc_histogram_matches_exact_cell_averages():
     w = np.tile(gw / 2, c.size)
     vals = charprob.pdf_Q_exact(kv, nodes[:, None], nodes[None, :]) * np.multiply.outer(w, w)
     avg = vals.reshape(c.size, 4, c.size, 4).sum(axis=(1, 3))
-    keep = avg * N * np.multiply.outer(2 * h, 2 * h) >= 20
-    dev = np.abs(avg - hist.density)[keep] / hist.std_error[keep]
-    assert keep.sum() > 500
-    assert dev.max() <= 4.0
+    dev, kept = montecarlo.histogram_deviation(avg, hist.counts, N, np.multiply.outer(2 * h, 2 * h))
+    assert kept > 500
+    assert dev <= 4.0

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -61,7 +62,10 @@ def test_scaling_run_outputs(tmp_path):
     assert summary["passed"]
     with open(tmp_path / "out.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == harness.CSV_HEADER
+    # the header is the record's field order, and it is a stable schema
+    assert rows[0] == harness.CSV_HEADER == (
+        "family,n,m3,sum_abs_x3,p,q,r,error_value,argmax,noise_floor,runtime_ms,seed".split(",")
+    )
     assert len(rows) == 4
     with open(tmp_path / "out.json") as fh:
         js = json.load(fh)
@@ -249,6 +253,20 @@ def test_cli_missing_config_file_exits_2():
     assert cli.main(["scaling", "--config", "/no/such/file.cfg"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, config_text",
+    [(["--n", "abc"], None), (["--n", "8,x"], None), (["--n", "8", "--p", "x"], None),
+     ([], "n = x\n")],
+)
+def test_cli_malformed_value_exits_2(tmp_path, capsys, argv, config_text):
+    if config_text is not None:
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(config_text)
+        argv = ["--config", str(cfg_file)]
+    assert cli.main(["scaling", *argv]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_nan_record_fails_run(monkeypatch, tmp_path):
     def bad_runner(config):
         rec = harness.ExperimentRecord(
@@ -307,3 +325,20 @@ def test_inversion_symmetry_check_detects_scaled_inversion(monkeypatch):
     monkeypatch.setattr(charprob, "pdf_Q_inversion_grid", lambda *a: 1.001 * grid(*a))
     ok, detail = harness.check_inversion_symmetry(1)
     assert not ok, detail
+
+
+def test_inversion_counts_an_empty_cell(monkeypatch):
+    # a cell that expects many draws but got none is as far off as it can
+    # be, not a cell without a standard error
+    sample = montecarlo.mc_pdf_Q
+
+    def emptied(kv, N, grid2d, seed):
+        hist = sample(kv, N, grid2d, seed)
+        counts = hist.counts.copy()
+        counts[np.unravel_index(np.argmax(counts), counts.shape)] = 0.0
+        return dataclasses.replace(hist, counts=counts)
+
+    monkeypatch.setattr(montecarlo, "mc_pdf_Q", emptied)
+    dev, kept = harness.inversion_vs_mc(knots.family("equispaced", 16), 2 * 10**4, seed=1)
+    assert kept > 0
+    assert dev >= 20

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -113,3 +114,13 @@ def test_uniform_random_gap_guard(n, seed):
     kv = knots.family("uniform_random", n, seed)
     gaps = np.diff(kv.xs)
     assert gaps.min() > 1e-7 * (kv.xs[-1] - kv.xs[0])
+
+
+@pytest.mark.parametrize("n", [4096, 2**15 + 1])
+def test_uniform_random_returns_at_large_n(n):
+    # the gap guard shrinks as n^-2 past n = 1000, so a draw passes it with
+    # probability about 1/e instead of exp(-n^2 * 1e-6)
+    t0 = time.perf_counter()
+    kv = knots.family("uniform_random", n, seed=1)
+    assert time.perf_counter() - t0 < 1.0
+    assert np.min(np.diff(kv.xs)) > 0.5 * (kv.xs[-1] - kv.xs[0]) / n**2

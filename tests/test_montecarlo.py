@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from splinellt import knots, montecarlo
+from splinellt.errors import InsufficientData
 
 
 def test_streams_deterministic_and_disjoint():
@@ -30,10 +31,9 @@ def test_exp_moments():
 
 
 def test_exp_rows_match_inverse_cdf():
-    # the (rows, n) form is the draw order the chunked samplers rely on
-    a = montecarlo.sample_exp_vector(5, montecarlo.rng_stream(7), rows=3)
+    # rows of n consecutive draws are the draw order the block sampler relies on
+    a = montecarlo.sample_exp_vector(3 * 5, montecarlo.rng_stream(7)).reshape(3, 5)
     b = -np.log1p(-montecarlo.rng_stream(7).random((3, 5)))
-    assert a.shape == (3, 5)
     np.testing.assert_array_equal(a, b)
 
 
@@ -72,7 +72,7 @@ def test_blocks_are_the_serial_stream(monkeypatch, workers, n, N):
     finally:
         sys.setswitchinterval(interval)
     assert [pos for pos, _ in blocks] == [sum(len(e) for _, e in blocks[:i]) for i in range(len(blocks))]
-    serial = montecarlo.sample_exp_vector(n, montecarlo.rng_stream(4), rows=N)
+    serial = montecarlo.sample_exp_vector(n * N, montecarlo.rng_stream(4)).reshape(N, n)
     np.testing.assert_array_equal(np.concatenate([e for _, e in blocks]), serial)
 
 
@@ -90,14 +90,15 @@ def test_leaving_the_blocks_early_stops_the_workers(monkeypatch, workers):
 _BLOCK_SIZE_SCRIPT = """
 import numpy as np
 from splinellt import knots, montecarlo
+from splinellt.errors import InsufficientData
 
 
 def outputs(kv, N):
     # the projections, the mc_pdf_Q counts and the samples of
-    # harness.check_mc_covariance, which reads montecarlo._q_blocks
+    # harness.check_mc_covariance, which reads montecarlo.q_blocks
     proj = montecarlo.simplex_projection_samples(kv, N, seed=3)
     counts = montecarlo.mc_pdf_Q(kv, N, montecarlo.default_grid(), seed=3).counts
-    q = np.concatenate([np.column_stack(b) for b in montecarlo._q_blocks(kv, N, seed=3)])
+    q = np.concatenate([np.column_stack(b) for b in montecarlo.q_blocks(kv, N, seed=3)])
     return proj, counts, q
 
 
@@ -163,6 +164,20 @@ def test_mc_char_at_zero():
         montecarlo.mc_char_simplex(kv, 0.0, 1, seed=1)
 
 
+def test_char_estimates_match_one_xi_at_a_time():
+    # the two buffers reused across xi carry nothing from one xi to the next
+    kv = knots.family("uniform_random", 8, seed=3)
+    N = 10**4
+    proj = montecarlo.simplex_projection_samples(kv, N, seed=2)
+    xis = (0.0, 0.7, 2.5)
+    together = montecarlo.char_estimates(kv, proj, xis, seed=2)
+    assert together == [montecarlo.mc_char_simplex(kv, xi, N, seed=2) for xi in xis]
+    c = np.cos(kv.n * xis[1] * proj)
+    assert together[1][0] == montecarlo.McEstimate(
+        float(c.sum()) / N, float(c.std(ddof=1)) / math.sqrt(N), N, 2
+    )
+
+
 def test_mc_char_gaussian_limit():
     kv = knots.family("equispaced", 64)
     xi = 1.0
@@ -179,7 +194,7 @@ def test_histogram_counts_and_density():
     area = np.multiply.outer(np.diff(hist.edges1), np.diff(hist.edges2))
     mass = float((hist.density * area).sum())
     assert 0.97 < mass <= 1.0 + 1e-12
-    assert np.all(hist.std_error >= 0)
+    np.testing.assert_array_equal(hist.density, hist.counts / (10**5 * area))
 
 
 def test_density_histogram_matches_spline():
@@ -187,6 +202,12 @@ def test_density_histogram_matches_spline():
     dev, kept = montecarlo.density_histogram_check(kv, 5 * 10**5, seed=1)
     assert kept > 10
     assert dev <= 4.0
+
+
+def test_density_histogram_needs_a_cell_with_20_draws():
+    kv = knots.family("equispaced", 8)
+    with pytest.raises(InsufficientData):
+        montecarlo.density_histogram_check(kv, 100, seed=1)
 
 
 def test_divided_difference_mc_exact_zero_for_low_degree():
