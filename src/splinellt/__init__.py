@@ -45,7 +45,6 @@ from .montecarlo import (
     mc_divided_difference,
     mc_pdf_Q,
     rng_stream,
-    sample_simplex,
 )
 from .seminorm import (
     GridSpec,

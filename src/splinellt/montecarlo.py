@@ -1,9 +1,9 @@
 """Seeded Monte Carlo for the simplex/exponential representations.
 
-All sampling goes through counter-based Philox streams keyed by
-(master seed, stream index), so parallel callers can claim disjoint
-deterministic streams.  Estimates are accumulated in a fixed block order,
-making every run bit-reproducible for a given (seed, N).
+All sampling goes through one counter-based Philox stream per master
+seed, ``rng_stream(seed)``; a sampler block is positioned in it by its
+offset, not drawn from a stream of its own.  Estimates are accumulated in a
+fixed block order, making every run bit-reproducible for a given (seed, N).
 
 The block sampler ``_exp_blocks`` fills its stream on every CPU the process
 may run on.  Philox is counter-based (Salmon et al., "Parallel random
@@ -37,8 +37,6 @@ _HIST_BINS = 40
 class McEstimate:
     mean: float
     std_error: float
-    n_samples: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -47,13 +45,11 @@ class Histogram2D:
     edges2: np.ndarray
     density: np.ndarray
     counts: np.ndarray
-    n_samples: int
-    seed: int
 
 
-def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator for the given (seed, stream) pair."""
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), stream]))
+def rng_stream(seed: int) -> np.random.Generator:
+    """Counter-based generator of the seed's one stream."""
+    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 0]))
 
 
 def _exp_in_place(u: np.ndarray) -> np.ndarray:
@@ -68,23 +64,12 @@ def sample_exp_vector(n: int, rng: np.random.Generator) -> np.ndarray:
     return _exp_in_place(rng.random(n))
 
 
-def sample_simplex(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One uniform point on the standard simplex (normalized exponentials)."""
-    if n < 2:
-        raise ValueError("n >= 2 required")
-    e = sample_exp_vector(n, rng)
-    return e / e.sum()
-
-
-def estimate(vals: np.ndarray, seed: int) -> McEstimate:
+def estimate(vals: np.ndarray) -> McEstimate:
     """Mean of the samples and its standard error std(ddof=1) / sqrt(N)."""
     N = vals.size
-    return McEstimate(
-        mean=float(vals.sum()) / N,
-        std_error=float(vals.std(ddof=1)) / math.sqrt(N),
-        n_samples=N,
-        seed=seed,
-    )
+    if N < 2:
+        raise ValueError("N >= 2 required")
+    return McEstimate(float(vals.sum()) / N, float(vals.std(ddof=1)) / math.sqrt(N))
 
 
 def _worker_count() -> int:
@@ -101,7 +86,7 @@ def _block_rows(n: int) -> int:
 
 
 def _fill_exp(seed: int, offset: int, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with Exp(1) draws offset..offset+out.size of stream (seed, 0)."""
+    """Fill ``out`` with Exp(1) draws offset..offset+out.size of the seed's stream."""
     rng = rng_stream(seed)
     rng.bit_generator.advance(offset // 4)
     rng.random(offset % 4)
@@ -110,7 +95,7 @@ def _fill_exp(seed: int, offset: int, out: np.ndarray) -> np.ndarray:
 
 
 def _exp_blocks(n: int, N: int, seed: int):
-    """Yield (pos, block) over N rows of n Exp(1) draws from stream (seed, 0).
+    """Yield (pos, block) over N rows of n Exp(1) draws from the seed's stream.
 
     A block holds _block_rows(n) rows, the first being row pos.  Every
     block is filled from a generator positioned at row pos (see the module
@@ -195,7 +180,7 @@ def simplex_projection_samples(kv: KnotVector, N: int, seed: int) -> np.ndarray:
     return simplex_projections([kv], N, seed)[0]
 
 
-def char_estimates(kv: KnotVector, proj: np.ndarray, xis, seed: int):
+def char_estimates(kv: KnotVector, proj: np.ndarray, xis):
     """(cos, sin) McEstimates of n*xi*proj for each xi, over the projection samples.
 
     Two N-length buffers serve every xi: one holds n*xi*proj and then its
@@ -205,15 +190,13 @@ def char_estimates(kv: KnotVector, proj: np.ndarray, xis, seed: int):
     out = []
     for xi in xis:
         np.multiply(kv.n * xi, proj, out=u)
-        out.append((estimate(np.cos(u, out=c), seed), estimate(np.sin(u, out=u), seed)))
+        out.append((estimate(np.cos(u, out=c)), estimate(np.sin(u, out=u))))
     return out
 
 
 def mc_char_simplex(kv: KnotVector, xi: float, N: int, seed: int):
     """MC means of cos and sin of n*xi*<x, Unif simplex>, with standard errors."""
-    if N < 2:
-        raise ValueError("N >= 2 required")
-    return char_estimates(kv, simplex_projection_samples(kv, N, seed), (xi,), seed)[0]
+    return char_estimates(kv, simplex_projection_samples(kv, N, seed), (xi,))[0]
 
 
 def mc_pdf_Q(kv: KnotVector, N: int, grid2d, seed: int) -> Histogram2D:
@@ -227,7 +210,7 @@ def mc_pdf_Q(kv: KnotVector, N: int, grid2d, seed: int) -> Histogram2D:
         h, _, _ = np.histogram2d(q1, q2, bins=(edges1, edges2))
         counts += h
     area = np.multiply.outer(np.diff(edges1), np.diff(edges2))
-    return Histogram2D(edges1, edges2, counts / (N * area), counts, N, seed)
+    return Histogram2D(edges1, edges2, counts / (N * area), counts)
 
 
 def default_grid():
@@ -243,7 +226,7 @@ def mc_divided_difference(kv: KnotVector, f_deriv, N: int, seed: int) -> McEstim
     is its simplex average divided by (n-1)!.
     """
     proj = simplex_projection_samples(kv, N, seed)
-    return estimate(np.asarray(f_deriv(proj), dtype=float) / math.factorial(kv.n - 1), seed)
+    return estimate(np.asarray(f_deriv(proj), dtype=float) / math.factorial(kv.n - 1))
 
 
 def histogram_deviation(model, counts, N: int, cell):

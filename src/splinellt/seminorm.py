@@ -172,14 +172,14 @@ def corollary4_error(
         raise ValueError("q = 0 required")
     if N < 10**5:
         raise ValueError("N >= 1e5 required")
-    return corollary4_from_samples(kv, p, xi_grid, simplex_projection_samples(kv, N, seed), seed)
+    return corollary4_from_samples(kv, p, xi_grid, simplex_projection_samples(kv, N, seed))
 
 
-def corollary4_from_samples(kv: KnotVector, p: int, xi_grid, proj: np.ndarray, seed: int):
+def corollary4_from_samples(kv: KnotVector, p: int, xi_grid, proj: np.ndarray):
     """``corollary4_error`` at q = 0 on given samples of <x, S>."""
     xis = np.asarray(xi_grid, dtype=float)
     w = np.abs(xis) ** p if p > 0 else np.ones_like(xis)
-    ests = char_estimates(kv, proj, xis, seed)
+    ests = char_estimates(kv, proj, xis)
     cos_diffs = np.array([c.mean - math.exp(-xi * xi / 2) for xi, (c, _) in zip(xis, ests)])
     sin_diffs = np.array([s.mean for _, s in ests])
     floor_c = max(4 * c.std_error * wi for wi, (c, _) in zip(w, ests))

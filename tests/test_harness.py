@@ -198,6 +198,24 @@ def test_cli_bad_precondition_exits_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["scaling", "--n", "8,16,32", "--grid-h", "0.1"],
+     ["scaling", "--n", "8,16,32", "--grid-T", "5"],
+     ["scaling", "--family", "uniform_random", "--n", "8", "--seed", "-1"],
+     ["identity", "--n", "8,30"]],
+    ids=["grid_h", "grid_T", "negative_seed", "identity_n"],
+)
+def test_cli_bad_config_exits_2_before_any_work(monkeypatch, capsys, argv):
+    # no knot vector is built, so no experiment has started
+    def no_work(*args):
+        raise AssertionError("work started before the configuration was checked")
+
+    monkeypatch.setattr(knots, "family", no_work)
+    assert cli.main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_scaling_end_to_end(tmp_path, capsys):
     out = tmp_path / "run.csv"
     rc = cli.main(
