@@ -6,6 +6,8 @@ normalized knot vector, rescale by n, and histogram the result.  The claim:
 the histogram matches (n-1) B(t) cell for cell, within Monte Carlo noise.
 """
 
+import math
+
 import numpy as np
 
 from splinellt import knots, montecarlo, splines
@@ -42,7 +44,7 @@ def main():
     # the same samples estimate divided differences (Hermite-Genocchi):
     # E[f^{(n-1)}(<x, S>)] / (n-1)! equals the divided difference of f
     exact_dd = splines.divided_difference([(x, float(np.exp(x))) for x in kv.xs])
-    est = montecarlo.mc_divided_difference(kv, np.exp, N, seed=0)
+    est = montecarlo.estimate(np.exp(samples) / math.factorial(kv.n - 1))
     print(
         f"divided difference of exp:  mc {est.mean:.6f} +/- {est.std_error:.1e}"
         f"  exact {exact_dd:.6f}"

@@ -12,65 +12,10 @@ Library layout:
 - :mod:`splinellt.montecarlo` — seeded simplex / exponential Monte Carlo
 - :mod:`splinellt.seminorm` — weighted-sup error seminorms on grids
 - :mod:`splinellt.harness` — reproducible experiments and the invariant suite
-"""
+- :mod:`splinellt.errors` — the exception hierarchy
 
-from .charprob import (
-    CharState,
-    char_diff_integral,
-    eval_char_state,
-    grad_FG,
-    pdf_Q_exact,
-    pdf_Q_inversion_grid,
-    pdf_gaussian_ratio,
-    phi_Q,
-    quotient_pdf,
-    truncation_radius,
-)
-from .errors import (
-    ConfigError,
-    DegenerateInput,
-    DuplicateKnots,
-    InsufficientData,
-    OrderTooHigh,
-    PrecisionLoss,
-    QuadratureNotConverged,
-    SplineLLTError,
-)
-from .harness import ExperimentConfig, ExperimentRecord, fit_slope, run
-from .knots import FAMILIES, KnotVector, direction_vectors, family, m3, normalize, x_l3_cubed
-from .montecarlo import (
-    Histogram2D,
-    McEstimate,
-    mc_char_simplex,
-    mc_divided_difference,
-    mc_pdf_Q,
-    rng_stream,
-)
-from .seminorm import (
-    GridSpec,
-    SeminormResult,
-    corollary2_error,
-    corollary3_error,
-    corollary4_error,
-    default_grid,
-    theorem1_error,
-)
-from .specfun import (
-    corollary3_quadrature,
-    corollary3_sum,
-    corollary3_sum_2f0,
-    hermite,
-    hermite_function,
-    hyp2f0,
-    laguerre,
-    wprime,
-)
-from .splines import (
-    bspline_naive,
-    bspline_stable,
-    bspline_stable_deriv,
-    divided_difference,
-    integrate_bspline,
-)
+The package namespace holds only ``__version__``; import the modules, e.g.
+``from splinellt import knots, seminorm``.
+"""
 
 __version__ = "0.1.0"

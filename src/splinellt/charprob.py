@@ -6,7 +6,7 @@ Q = sum v_k (P_k - 1) factorizes over k and equals e^{F + iG} with
     F = -1/2 sum ln(1 + t_k^2),    G = -sum (t_k - arctan t_k),
 
 to be compared with the Gaussian exponent H = -|xi|^2/2.  This module
-evaluates the state, its closed-form first derivatives, the xi-space L^1
+evaluates the exponent, its closed-form first derivatives, the xi-space L^1
 closeness integral, the density of Q in closed form and by a certified 2-D
 Fourier inversion, and quotient densities (including the Gaussian-ratio
 benchmark).  Both one-dimensional integrals, the radial part of the
@@ -15,7 +15,6 @@ Gauss-Legendre rule on equal panels, refined by doubling.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,16 +37,6 @@ _QUOTIENT_RTOL = 1e-10
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 
 
-@dataclass(frozen=True)
-class CharState:
-    xi: tuple
-    t: np.ndarray
-    F: float
-    G: float
-    H: float
-    Z: complex
-
-
 def _tk(kv: KnotVector, xi1, xi2):
     """t_k = <xi, v_k> for scalar or array xi coordinates; k on the last axis."""
     return np.multiply.outer(xi1, kv.xs) + np.multiply.outer(
@@ -63,13 +52,10 @@ def _phase(t):
     return -(t - np.arctan(t)).sum(axis=-1)
 
 
-def eval_char_state(kv: KnotVector, xi) -> CharState:
-    xi1, xi2 = float(xi[0]), float(xi[1])
-    t = _tk(kv, xi1, xi2)
-    F = float(_log_modulus(t))
-    G = float(_phase(t))
-    H = -0.5 * (xi1 * xi1 + xi2 * xi2)
-    return CharState(xi=(xi1, xi2), t=t, F=F, G=G, H=H, Z=complex(F, G))
+def char_exponent(kv: KnotVector, xi) -> complex:
+    """The exponent F + iG of phi_Q at xi, so that phi_Q(xi) = e^{F + iG}."""
+    t = _tk(kv, float(xi[0]), float(xi[1]))
+    return complex(float(_log_modulus(t)), float(_phase(t)))
 
 
 def phi_Q(kv: KnotVector, xi) -> complex:

@@ -22,18 +22,21 @@ class KnotVector:
     """Normalized strictly increasing knots."""
 
     xs: np.ndarray
-    n: int
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
         xs.setflags(write=False)
         object.__setattr__(self, "xs", xs)
-        if self.n < 2 or xs.size != self.n:
+        if xs.size < 2:
             raise DegenerateInput(f"need n >= 2 knots, got {xs.size}")
         if not np.all(np.diff(xs) > 0):
             raise DuplicateKnots("knots must be strictly increasing")
         if abs(xs.sum()) > _SUM_TOL or abs((xs * xs).sum() - 1.0) > _SUM_TOL:
             raise DegenerateInput("knots are not normalized to sum 0, sum of squares 1")
+
+    @property
+    def n(self) -> int:
+        return self.xs.size
 
     @property
     def sum_x(self) -> float:
@@ -63,7 +66,7 @@ def normalize(raw) -> KnotVector:
     # one Newton-style cleanup pass keeps both sums within 1e-12 of target
     out = out - out.mean()
     out = out / np.sqrt((out * out).sum())
-    return KnotVector(out, out.size)
+    return KnotVector(out)
 
 
 def family(kind: str, n: int, seed: int = 0) -> KnotVector:

@@ -39,17 +39,15 @@ class McEstimate:
     std_error: float
 
 
-@dataclass(frozen=True)
-class Histogram2D:
-    edges1: np.ndarray
-    edges2: np.ndarray
-    density: np.ndarray
-    counts: np.ndarray
-
-
 def rng_stream(seed: int) -> np.random.Generator:
-    """Counter-based generator of the seed's one stream."""
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 0]))
+    """Counter-based generator of the seed's one stream; the seed is a 64-bit key.
+
+    The key is built as uint64: numpy would turn a list holding a seed of
+    2^63 or more into float64, rounding it onto a neighbour's stream.
+    """
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
 
 
 def _exp_in_place(u: np.ndarray) -> np.ndarray:
@@ -194,39 +192,23 @@ def char_estimates(kv: KnotVector, proj: np.ndarray, xis):
     return out
 
 
-def mc_char_simplex(kv: KnotVector, xi: float, N: int, seed: int):
-    """MC means of cos and sin of n*xi*<x, Unif simplex>, with standard errors."""
-    return char_estimates(kv, simplex_projection_samples(kv, N, seed), (xi,))[0]
+def mc_pdf_Q(kv: KnotVector, N: int, grid2d, seed: int) -> np.ndarray:
+    """Counts of N draws of Q = (sum x_k(P_k-1), n^{-1/2} sum(P_k-1)) in the cells of grid2d.
 
-
-def mc_pdf_Q(kv: KnotVector, N: int, grid2d, seed: int) -> Histogram2D:
-    """Normalized 2-D histogram of Q = (sum x_k(P_k-1), n^{-1/2} sum(P_k-1)).
-
-    ``histogram_deviation`` compares its counts against a density.
+    ``histogram_deviation`` compares them against a density.
     """
     edges1, edges2 = (np.asarray(e, dtype=float) for e in grid2d)
     counts = np.zeros((edges1.size - 1, edges2.size - 1))
     for q1, q2 in q_blocks(kv, N, seed):
         h, _, _ = np.histogram2d(q1, q2, bins=(edges1, edges2))
         counts += h
-    area = np.multiply.outer(np.diff(edges1), np.diff(edges2))
-    return Histogram2D(edges1, edges2, counts / (N * area), counts)
+    return counts
 
 
 def default_grid():
     """Default binning: 40 equal bins over mean +- 5 sigma on both axes."""
     e = np.linspace(-5.0, 5.0, _HIST_BINS + 1)
     return e, e.copy()
-
-
-def mc_divided_difference(kv: KnotVector, f_deriv, N: int, seed: int) -> McEstimate:
-    """Simplex-integral estimate of a divided difference.
-
-    ``f_deriv`` must be the analytic (n-1)-th derivative of f; the estimate
-    is its simplex average divided by (n-1)!.
-    """
-    proj = simplex_projection_samples(kv, N, seed)
-    return estimate(np.asarray(f_deriv(proj), dtype=float) / math.factorial(kv.n - 1))
 
 
 def histogram_deviation(model, counts, N: int, cell):

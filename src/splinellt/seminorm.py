@@ -50,9 +50,6 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SeminormResult:
-    p: int
-    q: int
-    r: int
     value: float
     argmax_t: float
     noise_floor: float | None = None
@@ -69,14 +66,14 @@ def default_grid(n: int, h: float = 0.05) -> GridSpec:
     return GridSpec(T=float(max(8, n)), h=h)
 
 
-def _weighted_sup(ts, diffs, p, q, r, noise_floor=None) -> SeminormResult:
+def _weighted_sup(ts, diffs, p, noise_floor=None) -> SeminormResult:
     weights = np.abs(ts) ** p if p > 0 else np.ones_like(ts)
     vals = weights * np.abs(diffs)
     best = float(vals.max())
     # tie-break: among near-maximal points prefer the smallest |t|
     cand = np.flatnonzero(vals >= best * (1 - 1e-12))
     arg = float(ts[cand[np.argmin(np.abs(ts[cand]))]])
-    return SeminormResult(p=p, q=q, r=r, value=best, argmax_t=arg, noise_floor=noise_floor)
+    return SeminormResult(value=best, argmax_t=arg, noise_floor=noise_floor)
 
 
 def _spline_side(kv: KnotVector, ts: np.ndarray, q: int, r: int) -> np.ndarray:
@@ -104,7 +101,7 @@ def _hermite_error(kv, p, q, r, grid) -> SeminormResult:
     ts = grid.points_avoiding(kv)
     herm = (-1) ** q * hermite_function(q + r, ts)
     spline = _spline_side(kv, ts, q, r)
-    return _weighted_sup(ts, herm - spline, p, q, r)
+    return _weighted_sup(ts, herm - spline, p)
 
 
 def theorem1_error(kv: KnotVector, p: int, q: int, grid: GridSpec) -> SeminormResult:
@@ -156,7 +153,7 @@ def corollary3_error(
     for i, xi in enumerate(xis):
         xi = float(xi)
         diffs[i] = corollary3_sum(kv, m, xi) - hermite(m, xi) * math.exp(-xi * xi / 2)
-    return _weighted_sup(xis, diffs, p, q, r)
+    return _weighted_sup(xis, diffs, p)
 
 
 def corollary4_error(
@@ -184,6 +181,6 @@ def corollary4_from_samples(kv: KnotVector, p: int, xi_grid, proj: np.ndarray):
     sin_diffs = np.array([s.mean for _, s in ests])
     floor_c = max(4 * c.std_error * wi for wi, (c, _) in zip(w, ests))
     floor_s = max(4 * s.std_error * wi for wi, (_, s) in zip(w, ests))
-    cos_res = _weighted_sup(xis, cos_diffs, p, 0, 0, float(floor_c))
-    sin_res = _weighted_sup(xis, sin_diffs, p, 0, 0, float(floor_s))
+    cos_res = _weighted_sup(xis, cos_diffs, p, float(floor_c))
+    sin_res = _weighted_sup(xis, sin_diffs, p, float(floor_s))
     return cos_res, sin_res

@@ -13,19 +13,18 @@ EQ6_G = 0.14935561245541096
 
 def test_state_n2_hand_value():
     kv = knots.family("equispaced", 2)
-    st = charprob.eval_char_state(kv, (1.0, 0.0))
+    z = charprob.char_exponent(kv, (1.0, 0.0))
     # t = (-1/sqrt2, 1/sqrt2): F = -ln(3/2), G = 0 by symmetry
-    assert st.F == pytest.approx(-math.log(1.5), rel=1e-14)
-    assert st.G == pytest.approx(0.0, abs=1e-15)
-    assert st.H == -0.5
-    assert st.Z == complex(st.F, st.G)
+    assert isinstance(z, complex)
+    assert z.real == pytest.approx(-math.log(1.5), rel=1e-14)
+    assert z.imag == pytest.approx(0.0, abs=1e-15)
 
 
 def test_state_frozen_values():
     kv = knots.family("equispaced", 6)
-    st = charprob.eval_char_state(kv, (0.8, -0.6))
-    assert st.F == pytest.approx(EQ6_F, rel=1e-14)
-    assert st.G == pytest.approx(EQ6_G, rel=1e-13)
+    z = charprob.char_exponent(kv, (0.8, -0.6))
+    assert z.real == pytest.approx(EQ6_F, rel=1e-14)
+    assert z.imag == pytest.approx(EQ6_G, rel=1e-13)
 
 
 def test_phi_product_vs_exponent():
@@ -34,10 +33,10 @@ def test_phi_product_vs_exponent():
         n = int(rng.integers(2, 40))
         kv = knots.family("uniform_random", n, int(rng.integers(10**6)))
         xi = rng.normal(scale=2.0, size=2)
-        st = charprob.eval_char_state(kv, xi)
+        z = charprob.char_exponent(kv, xi)
         prod = charprob.phi_Q(kv, xi)
-        assert prod == pytest.approx(complex(np.exp(st.Z)), rel=1e-12)
-        assert abs(prod) == pytest.approx(math.exp(st.F), rel=1e-12)
+        assert prod == pytest.approx(complex(np.exp(z)), rel=1e-12)
+        assert abs(prod) == pytest.approx(math.exp(z.real), rel=1e-12)
 
 
 def test_grad_matches_finite_differences():
@@ -48,10 +47,10 @@ def test_grad_matches_finite_differences():
         dF, dG = charprob.grad_FG(kv, xi, b)
         e = np.zeros(2)
         e[b - 1] = h
-        sp = charprob.eval_char_state(kv, xi + e)
-        sm = charprob.eval_char_state(kv, xi - e)
-        assert dF == pytest.approx((sp.F - sm.F) / (2 * h), abs=1e-7)
-        assert dG == pytest.approx((sp.G - sm.G) / (2 * h), abs=1e-7)
+        zp = charprob.char_exponent(kv, xi + e)
+        zm = charprob.char_exponent(kv, xi - e)
+        assert dF == pytest.approx((zp.real - zm.real) / (2 * h), abs=1e-7)
+        assert dG == pytest.approx((zp.imag - zm.imag) / (2 * h), abs=1e-7)
     with pytest.raises(ValueError):
         charprob.grad_FG(kv, xi, 3)
 
@@ -266,15 +265,16 @@ def test_exact_density_support():
 def test_mc_histogram_matches_exact_cell_averages():
     kv = knots.family("equispaced", 16)
     N = 10**6
-    hist = montecarlo.mc_pdf_Q(kv, N, montecarlo.default_grid(), seed=3)
+    grid = montecarlo.default_grid()
+    counts = montecarlo.mc_pdf_Q(kv, N, grid, seed=3)
+    edges = grid[0]
     # 4-point Gauss-Legendre per cell and axis for the cell averages
     gx, gw = np.polynomial.legendre.leggauss(4)
-    edges = hist.edges1
     c, h = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
     nodes = (c[:, None] + h[:, None] * gx).ravel()
     w = np.tile(gw / 2, c.size)
     vals = charprob.pdf_Q_exact(kv, nodes[:, None], nodes[None, :]) * np.multiply.outer(w, w)
     avg = vals.reshape(c.size, 4, c.size, 4).sum(axis=(1, 3))
-    dev, kept = montecarlo.histogram_deviation(avg, hist.counts, N, np.multiply.outer(2 * h, 2 * h))
+    dev, kept = montecarlo.histogram_deviation(avg, counts, N, np.multiply.outer(2 * h, 2 * h))
     assert kept > 500
     assert dev <= 4.0

@@ -1,6 +1,6 @@
 import csv
-import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -158,6 +158,50 @@ def test_validate_experiment_passes(tmp_path):
         assert json.load(fh)["passed"]
 
 
+def test_mc_determinism_detects_a_moved_sample(monkeypatch):
+    # the rerun differs from the first draw in one sample by one ulp
+    ok, detail = harness.check_mc_determinism(3)
+    assert ok, detail
+    sample = montecarlo.simplex_projection_samples
+    calls = []
+
+    def moved_on_rerun(kv, N, seed):
+        out = sample(kv, N, seed)
+        calls.append(N)
+        if len(calls) == 2:
+            out[N // 2] = np.nextafter(out[N // 2], np.inf)
+        return out
+
+    monkeypatch.setattr(montecarlo, "simplex_projection_samples", moved_on_rerun)
+    ok, detail = harness.check_mc_determinism(3)
+    assert not ok, detail
+
+
+def test_mc_covariance_bounds_each_entry_by_its_own_se(monkeypatch):
+    # Q2's variance is moved to 1 + d, with d between 4 of its own SE,
+    # sqrt((2 + 6/n) / N), and the looser 4 sqrt(3/N) that bounded every entry
+    seed, n, N = 3, 8, 10**6
+    ok, detail = harness.check_mc_covariance(seed)
+    assert ok, detail
+    kv = knots.family("uniform_random", n, seed)
+    q2 = np.concatenate([b for _, b in montecarlo.q_blocks(kv, N, seed)])
+    d = 2 * math.sqrt((2 + 6 / n) / N) + 2 * math.sqrt(3 / N)
+    scale = math.sqrt((1 + d) / q2.var(ddof=1))
+    blocks = montecarlo.q_blocks
+
+    def scaled(kv, N, seed):
+        for a, b in blocks(kv, N, seed):
+            yield a, scale * b
+
+    monkeypatch.setattr(montecarlo, "q_blocks", scaled)
+    q = np.concatenate([np.column_stack(b) for b in montecarlo.q_blocks(kv, N, seed)])
+    dev = np.abs(np.cov(q.T) - np.eye(2))
+    assert 4 * math.sqrt((2 + 6 / n) / N) < dev[1, 1] < 4 * math.sqrt(3 / N)
+    assert np.max(dev) < 4 * math.sqrt(3 / N)
+    ok, detail = harness.check_mc_covariance(seed)
+    assert not ok, detail
+
+
 def test_validate_check_names_cover_modules():
     prefixes = {name.split(".")[0] for name in harness.VALIDATE_CHECKS}
     assert prefixes >= {
@@ -174,6 +218,24 @@ def test_validate_check_names_cover_modules():
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
+
+def test_package_import_loads_no_module():
+    # each module is the one way to its names: the package re-exports nothing
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
+    script = (
+        "import sys, splinellt\n"
+        "print(sorted(m for m in sys.modules if m.startswith('splinellt.')),\n"
+        "      sorted(k for k in vars(splinellt) if not k.startswith('_')),\n"
+        "      hasattr(splinellt, '__version__'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[] [] True"
+
 
 def test_cli_import_loads_no_scipy():
     src = Path(__file__).resolve().parent.parent / "src"
@@ -203,8 +265,10 @@ def test_cli_bad_precondition_exits_2(capsys):
     [["scaling", "--n", "8,16,32", "--grid-h", "0.1"],
      ["scaling", "--n", "8,16,32", "--grid-T", "5"],
      ["scaling", "--family", "uniform_random", "--n", "8", "--seed", "-1"],
+     ["corollary4", "--family", "uniform_random", "--n", "8", "--N", "100000",
+      "--seed", str(2**64 + 1)],
      ["identity", "--n", "8,30"]],
-    ids=["grid_h", "grid_T", "negative_seed", "identity_n"],
+    ids=["grid_h", "grid_T", "negative_seed", "seed_past_64_bits", "identity_n"],
 )
 def test_cli_bad_config_exits_2_before_any_work(monkeypatch, capsys, argv):
     # no knot vector is built, so no experiment has started
@@ -351,10 +415,9 @@ def test_inversion_counts_an_empty_cell(monkeypatch):
     sample = montecarlo.mc_pdf_Q
 
     def emptied(kv, N, grid2d, seed):
-        hist = sample(kv, N, grid2d, seed)
-        counts = hist.counts.copy()
+        counts = sample(kv, N, grid2d, seed)
         counts[np.unravel_index(np.argmax(counts), counts.shape)] = 0.0
-        return dataclasses.replace(hist, counts=counts)
+        return counts
 
     monkeypatch.setattr(montecarlo, "mc_pdf_Q", emptied)
     dev, kept = harness.inversion_vs_mc(knots.family("equispaced", 16), 2 * 10**4, seed=1)

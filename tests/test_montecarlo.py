@@ -19,6 +19,13 @@ def test_streams_deterministic_and_disjoint():
     c = montecarlo.rng_stream(124).random(10)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+    # every 64-bit seed keys its own stream, the top ones included; a list
+    # key would pass through float64 and round 2^63 + 1 onto 2^63, 2^64 - 1 onto 0
+    for s, t in [(2**63, 2**63 + 1), (0, 2**64 - 1)]:
+        assert montecarlo.rng_stream(s).random() != montecarlo.rng_stream(t).random()
+    # a seed past 64 bits would share the draws of the seed 2^64 below it
+    with pytest.raises(ValueError):
+        montecarlo.rng_stream(2**64 + 1)
 
 
 def test_exp_moments():
@@ -85,7 +92,7 @@ def outputs(kv, N):
     # the projections, the mc_pdf_Q counts and the samples of
     # harness.check_mc_covariance, which reads montecarlo.q_blocks
     proj = montecarlo.simplex_projection_samples(kv, N, seed=3)
-    counts = montecarlo.mc_pdf_Q(kv, N, montecarlo.default_grid(), seed=3).counts
+    counts = montecarlo.mc_pdf_Q(kv, N, montecarlo.default_grid(), seed=3)
     q = np.concatenate([np.column_stack(b) for b in montecarlo.q_blocks(kv, N, seed=3)])
     return proj, counts, q
 
@@ -144,11 +151,12 @@ def test_projection_samples_chunk_invariant():
 
 def test_mc_char_at_zero():
     kv = knots.family("equispaced", 6)
-    c, s = montecarlo.mc_char_simplex(kv, 0.0, 1000, seed=1)
+    proj = montecarlo.simplex_projection_samples(kv, 1000, seed=1)
+    [(c, s)] = montecarlo.char_estimates(kv, proj, (0.0,))
     assert c.mean == 1.0 and c.std_error == 0.0
     assert s.mean == 0.0
     with pytest.raises(ValueError):
-        montecarlo.mc_char_simplex(kv, 0.0, 1, seed=1)
+        montecarlo.char_estimates(kv, proj[:1], (0.0,))
 
 
 def test_estimate_needs_two_samples():
@@ -157,7 +165,7 @@ def test_estimate_needs_two_samples():
     with pytest.raises(ValueError):
         montecarlo.estimate(np.array([1.0]))
     with pytest.raises(ValueError):
-        montecarlo.mc_divided_difference(kv, np.exp, 1, seed=1)
+        montecarlo.estimate(np.exp(montecarlo.simplex_projection_samples(kv, 1, seed=1)))
 
 
 def test_char_estimates_match_one_xi_at_a_time():
@@ -167,7 +175,7 @@ def test_char_estimates_match_one_xi_at_a_time():
     proj = montecarlo.simplex_projection_samples(kv, N, seed=2)
     xis = (0.0, 0.7, 2.5)
     together = montecarlo.char_estimates(kv, proj, xis)
-    assert together == [montecarlo.mc_char_simplex(kv, xi, N, seed=2) for xi in xis]
+    assert together == [montecarlo.char_estimates(kv, proj, (xi,))[0] for xi in xis]
     c = np.cos(kv.n * xis[1] * proj)
     assert together[1][0] == montecarlo.McEstimate(
         float(c.sum()) / N, float(c.std(ddof=1)) / math.sqrt(N)
@@ -177,7 +185,8 @@ def test_char_estimates_match_one_xi_at_a_time():
 def test_mc_char_gaussian_limit():
     kv = knots.family("equispaced", 64)
     xi = 1.0
-    c, s = montecarlo.mc_char_simplex(kv, xi, 2 * 10**5, seed=11)
+    proj = montecarlo.simplex_projection_samples(kv, 2 * 10**5, seed=11)
+    [(c, s)] = montecarlo.char_estimates(kv, proj, (xi,))
     # bias is O(m^3); at n=64 that is ~0.1, noise ~1e-3
     assert abs(c.mean - math.exp(-xi * xi / 2)) < 0.05
     assert abs(s.mean) < 0.02
@@ -185,12 +194,14 @@ def test_mc_char_gaussian_limit():
 
 def test_histogram_counts_and_density():
     kv = knots.family("uniform_random", 6, seed=4)
-    hist = montecarlo.mc_pdf_Q(kv, 10**5, montecarlo.default_grid(), seed=2)
-    assert hist.counts.sum() <= 10**5
-    area = np.multiply.outer(np.diff(hist.edges1), np.diff(hist.edges2))
-    mass = float((hist.density * area).sum())
+    edges1, edges2 = montecarlo.default_grid()
+    counts = montecarlo.mc_pdf_Q(kv, 10**5, (edges1, edges2), seed=2)
+    assert counts.shape == (edges1.size - 1, edges2.size - 1)
+    assert counts.sum() <= 10**5
+    area = np.multiply.outer(np.diff(edges1), np.diff(edges2))
+    density = counts / (10**5 * area)
+    mass = float((density * area).sum())
     assert 0.97 < mass <= 1.0 + 1e-12
-    np.testing.assert_array_equal(hist.density, hist.counts / (10**5 * area))
 
 
 def test_density_histogram_matches_spline():
@@ -209,9 +220,8 @@ def test_density_histogram_needs_a_cell_with_20_draws():
 def test_divided_difference_mc_exact_zero_for_low_degree():
     # f = x^{n-2} has vanishing (n-1)-th derivative: the estimate is exactly 0
     kv = knots.family("uniform_random", 8, seed=5)
-    est = montecarlo.mc_divided_difference(
-        kv, lambda t: np.zeros_like(t), 10**4, seed=1
-    )
+    proj = montecarlo.simplex_projection_samples(kv, 10**4, seed=1)
+    est = montecarlo.estimate(np.zeros_like(proj) / math.factorial(kv.n - 1))
     assert est.mean == 0.0
 
 
@@ -220,5 +230,7 @@ def test_divided_difference_mc_exp():
 
     kv = knots.family("uniform_random", 8, seed=5)
     exact = divided_difference([(x, math.exp(x)) for x in kv.xs])
-    est = montecarlo.mc_divided_difference(kv, np.exp, 2 * 10**5, seed=1)
+    # Hermite-Genocchi: the divided difference of f is E f^{(n-1)}(<x, S>) / (n-1)!
+    proj = montecarlo.simplex_projection_samples(kv, 2 * 10**5, seed=1)
+    est = montecarlo.estimate(np.exp(proj) / math.factorial(kv.n - 1))
     assert abs(est.mean - exact) <= 4 * est.std_error
