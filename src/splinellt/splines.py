@@ -4,12 +4,16 @@ Two routes are provided for the same function
 
     B(t) = sum_k (x_k - t)_+^{n-2} / prod_{j != k} (x_k - x_j):
 
-* ``bspline_naive`` evaluates the sum literally in extended precision
-  (mpmath) through ``partial_fraction_sum``, which the Corollary-3 routes
-  in ``specfun`` share.  The terms cancel catastrophically -- their
-  magnitudes grow like the divided-difference condition number -- so this
-  path is an oracle only, refuses n > 24 and passes every sum through
-  ``certify``.
+* ``bspline_naive`` evaluates the sum literally and exactly.  The knots and
+  t are doubles, hence dyadic rationals, so over a common power of two the
+  sum is one of Python integers; it is bracketed by integer floor
+  divisions and narrowed until both ends round to the same double, which
+  is then the correctly rounded value, at any n.  The terms cancel
+  catastrophically -- their magnitudes grow like the divided-difference
+  condition number -- so each point costs n divisions of integers of
+  about 60n bits, and the route serves as the oracle.  ``partial_fraction_sum`` and
+  ``certify`` keep the extended-precision (mpmath) form of the sum for
+  the Corollary-3 routes in ``specfun``.
 * ``bspline_stable`` evaluates the identical spline through the
   triangular Cox-de Boor recursion in plain doubles, which involves only
   convex combinations and is safe for large n.  It works only where B is
@@ -25,6 +29,7 @@ sum and coefficient differencing in the stable recursion are both exact.
 """
 
 import functools
+import math
 
 import mpmath as mp
 import numpy as np
@@ -32,6 +37,7 @@ import numpy as np
 from .errors import DuplicateKnots, PrecisionLoss
 from .knots import KnotVector
 
+# digits and largest n of the extended-precision sums (the Corollary-3 routes)
 ORACLE_DPS = 140
 ORACLE_MAX_N = 24
 # points per Cox-de Boor chunk: the working set is (n - 1) * _CHUNK doubles
@@ -58,7 +64,8 @@ def knot_table(kv: KnotVector) -> tuple:
 
     W'(x_k) = prod_{j != k} (x_k - x_j).  Memoized per (knot values, binary
     precision): the Corollary-3 quadrature runs at 40 digits plus 20 guard
-    bits, so the quadrature and the oracle read different entries.
+    bits and the two Corollary-3 sums at ORACLE_DPS, so they read different
+    entries.
     """
     return _knot_table(tuple(kv.xs.tolist()), mp.mp.prec)
 
@@ -67,7 +74,9 @@ def partial_fraction_sum(kv: KnotVector, term):
     """(sum_k term(x_k) / W'(x_k), max_k |summand|) at the current precision.
 
     ``term`` maps an mpf knot to its numerator, or to None where the summand
-    vanishes.  B and the three Corollary-3 routes all take this form.
+    vanishes.  The three Corollary-3 routes take this form; B is the same
+    sum with numerator (x_k - t)_+^{n-2-r}, which ``bspline_naive`` forms
+    exactly in integers instead.
     """
     xs, wp = knot_table(kv)
     total = biggest = mp.mpf(0)
@@ -90,29 +99,100 @@ def certify(total, biggest):
     return total
 
 
-def bspline_naive(kv: KnotVector, t: float, r: int = 0) -> float:
-    """Extended-precision oracle for the explicit partial-fraction sum.
+@functools.lru_cache(maxsize=256)
+def _int_table(xs: tuple) -> tuple:
+    """(L, (X_0, ..., X_{n-1}), (W_0, ..., W_{n-1})) in Python integers.
 
-    Returns sum_k (x_k - t)_+^{n-2-r} / W'(x_k) rounded to double, exactly
-    0.0 left of the support.  Raises PrecisionLoss when n > 24 or when
-    ``certify`` rejects the sum.
+    X_k = x_k 2^L for the least L that makes every knot an integer, and
+    W_k = prod_{j != k} (X_k - X_j) = W'(x_k) 2^{L(n-1)}.  Memoized per knot
+    tuple, as ``_knot_table`` is.
+    """
+    ratios = [x.as_integer_ratio() for x in xs]
+    L = max(den.bit_length() for _, den in ratios) - 1
+    X = tuple(num << (L + 1 - den.bit_length()) for num, den in ratios)
+    W = tuple(_prod([xk - xj for j, xj in enumerate(X) if j != k]) for k, xk in enumerate(X))
+    return L, X, W
+
+
+def _prod(factors: list) -> int:
+    """Product of integers by pairwise halving, so large n multiplies balanced operands."""
+    while len(factors) > 1:
+        factors = [math.prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0] if factors else 1
+
+
+def _to_double(a: int, k: int):
+    """a * 2^k correctly rounded to double (CPython rounds int / int and
+    float(int) correctly), or None beyond the double range."""
+    try:
+        return a / (1 << -k) if k < 0 else float(a << k)
+    except OverflowError:
+        return None
+
+
+def _round_scaled_sum(terms: list, s: int) -> float:
+    """sum(num / w for num, w in terms) * 2^s, correctly rounded to double.
+
+    With p bits below the point, A = sum floor(num 2^p / w) satisfies
+    A <= 2^p sum < A + m for m terms, so the value lies in
+    [A 2^{s-p}, (A + m) 2^{s-p}).  Rounding is monotone, so once both ends
+    round to the same double the value does too.  Otherwise p grows: to
+    about 60 bits below the value's magnitude when A shows it, and else
+    straight to a bracket narrower than half the least subnormal, where a
+    zero resolves to +0.0 (so the sign of a zero never rests on a -0.0 end
+    comparing equal to a 0.0 one).  Only a value within that width of a
+    halfway point (a tie) can stay unresolved there; it is rounded from the
+    exact quotient over the common denominator instead.  An end beyond the
+    double range counts as unresolved; a value beyond it raises
+    OverflowError.
+    """
+    m = len(terms)
+    if not m:
+        return 0.0
+    q_zero = 1076 + m.bit_length()
+    q = 96 + m.bit_length()
+    while True:
+        p = max(q + s, 0)
+        a = sum((num << p) // w for num, w in terms)
+        lo, hi = _to_double(a, s - p), _to_double(a + m, s - p)
+        if lo is not None and lo == hi:
+            return lo + 0.0
+        if p - s >= q_zero:
+            break
+        mag = abs(a) - m
+        q = p - s + max(32, 60 + m.bit_length() - mag.bit_length()) if mag > m else q_zero
+    den = math.lcm(*(w for _, w in terms))
+    num = sum(c * (den // w) for c, w in terms)
+    return (num << s) / den + 0.0 if s >= 0 else num / (den << -s) + 0.0
+
+
+def bspline_naive(kv: KnotVector, t: float, r: int = 0) -> float:
+    """The explicit partial-fraction sum, exactly, correctly rounded to double.
+
+    Returns sum_k (x_k - t)_+^e / W'(x_k), e = n-2-r, at any n.  The knots
+    and t are doubles, so with a common 2^L they are integers X_k and T, and
+    the sum is exactly 2^{L(n-1) - eL} sum_{X_k > T} (X_k - T)^e / W_k over
+    the integer table of ``_int_table``; ``_round_scaled_sum`` rounds it
+    correctly.  No certificate is involved, interior zeros come out as 0.0,
+    and a value beyond the double range raises OverflowError.
     """
     n = kv.n
     if not 0 <= r <= n - 2:
         raise ValueError(f"need 0 <= r <= n-2, got r={r}, n={n}")
-    if n > ORACLE_MAX_N:
-        raise PrecisionLoss(f"oracle limited to n <= {ORACLE_MAX_N}, got n={n}")
     e = n - 2 - r
     # left of the support every summand is present (at x_0 the missing one
     # is 0 unless e = 0), so the sum is the divided difference over all n
-    # knots of a polynomial of degree e < n - 1: exactly 0, where certify
-    # would see only rounding noise
+    # knots of a polynomial of degree e < n - 1: exactly 0, which the
+    # bracket would resolve only below the least subnormal
     if t < kv.xs[0] or (t == kv.xs[0] and e > 0):
         return 0.0
-    with mp.workdps(ORACLE_DPS):
-        tm = mp.mpf(float(t))
-        total, biggest = partial_fraction_sum(kv, lambda x: (x - tm) ** e if x > tm else None)
-        return float(certify(total, biggest))
+    L, X, W = _int_table(tuple(kv.xs.tolist()))
+    num, den = float(t).as_integer_ratio()
+    lt = den.bit_length() - 1
+    # a t finer than every knot moves the common scale to 2^lt
+    shift, T = max(lt - L, 0), num << max(L - lt, 0)
+    terms = [(d**e, w) for x, w in zip(X, W) if (d := (x << shift) - T) > 0]
+    return _round_scaled_sum(terms, L * (n - 1) - e * max(L, lt))
 
 
 def _basis(xs: np.ndarray, ts: np.ndarray, order: int) -> np.ndarray:

@@ -185,8 +185,8 @@ def test_corollary3_argument_checks():
 
 
 def test_wprime_cache_order_independent():
-    # the quadrature integrand and the oracle read W' tables at different
-    # precisions; neither result may depend on which of them filled the cache
+    # the quadrature integrand reads the mpf W' table and the oracle the
+    # integer one; neither result may depend on which cache was filled first
     kv = knots.family("uniform_random", 8, seed=5)
     ts = (-0.2, 0.05, 0.3)
 
@@ -196,13 +196,17 @@ def test_wprime_cache_order_independent():
     def naive():
         return [splines.bspline_naive(kv, t, 0) for t in ts]
 
-    splines._knot_table.cache_clear()
+    def clear():
+        splines._knot_table.cache_clear()
+        splines._int_table.cache_clear()
+
+    clear()
     fresh_quad = quad()
-    splines._knot_table.cache_clear()
+    clear()
     fresh_naive = naive()
-    splines._knot_table.cache_clear()
+    clear()
     q1, n1 = quad(), naive()
-    splines._knot_table.cache_clear()
+    clear()
     n2, q2 = naive(), quad()
     assert q1 == q2 == fresh_quad
     assert n1 == n2 == fresh_naive

@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -174,8 +176,8 @@ def test_theorem1_rate_past_n128():
 @pytest.mark.parametrize("n", [32, 64])
 def test_stable_matches_fourier_slice_above_oracle_range(n):
     # pdf_Q_exact reads B(s1/n) through the kernel at q2 = 0; the trapezoid
-    # inversion of phi_Q gives the same slice without it, so this is an
-    # independent oracle for B where bspline_naive refuses (n > 24)
+    # inversion of phi_Q gives the same slice through neither the kernel nor
+    # the partial-fraction sum
     s1 = np.linspace(-9, 9, 181)
     for kind in knots.FAMILIES:
         kv = knots.family(kind, n, seed=1)
@@ -221,10 +223,120 @@ def test_normalization_all_families():
             assert (n - 1) * splines.integrate_bspline(kv) == pytest.approx(1.0, abs=1e-8)
 
 
-def test_oracle_refuses_large_n():
-    kv = knots.family("equispaced", 25)
-    with pytest.raises(PrecisionLoss):
-        splines.bspline_naive(kv, 0.0, 0)
+@pytest.mark.parametrize("n", [64, 256])
+def test_oracle_past_n24(n):
+    # the integer sum has no cap on n; the kernel it checks agrees to a few
+    # ulps wherever B is normal, and near the ends of the support, where B
+    # falls into the subnormal range, to an absolute floor there
+    for kind in knots.FAMILIES:
+        kv = knots.family(kind, n, seed=1)
+        lo, hi = float(kv.xs[0]), float(kv.xs[-1])
+        for frac in (0.02, 0.1, 0.3, 0.5, 0.77, 0.95):
+            t = lo + (hi - lo) * frac
+            assert splines.bspline_naive(kv, t, 0) == pytest.approx(
+                splines.bspline_stable(kv, t), rel=1e-13, abs=1e-300
+            )
+
+
+def test_oracle_at_n1024():
+    kv = knots.family("equispaced", 1024)
+    assert splines.bspline_naive(kv, 0.0, 0) == pytest.approx(
+        splines.bspline_stable(kv, 0.0), rel=1e-13
+    )
+
+
+@pytest.mark.parametrize("n", [13, 16])
+def test_oracle_interior_zero(n):
+    # B is even on symmetric knots, so S_1(0) = -B'(0) / (n-2) is exactly 0;
+    # the 140-digit sum could not certify it
+    kv = knots.family("equispaced", n)
+    assert np.array_equal(kv.xs, -kv.xs[::-1])
+    v = splines.bspline_naive(kv, 0.0, 1)
+    assert v == 0.0 and math.copysign(1.0, v) == 1.0
+    assert abs(splines.bspline_stable_deriv(kv, 0.0, 1) / (n - 2)) <= 1e-15
+
+
+def _mpmath_oracle(kv, t, r):
+    # the 140-digit route the integer sum replaced: partial_fraction_sum
+    # through certify, which raises PrecisionLoss where it cannot vouch
+    e = kv.n - 2 - r
+    with mp.workdps(splines.ORACLE_DPS):
+        tm = mp.mpf(t)
+        total, biggest = splines.partial_fraction_sum(
+            kv, lambda x: (x - tm) ** e if x > tm else None
+        )
+        return float(splines.certify(total, biggest))
+
+
+def _oracle_points(kv):
+    lo, hi = float(kv.xs[0]), float(kv.xs[-1])
+    return (lo + (hi - lo) * (np.arange(101) + 0.5) / 101).tolist()
+
+
+def test_oracle_bit_identical_to_mpmath_route():
+    compared = skipped = 0
+    for kind in knots.FAMILIES:
+        for n in (3, 8, 16, 24):
+            kv = knots.family(kind, n, seed=1)
+            for r in range(min(2, n - 2) + 1):
+                for t in _oracle_points(kv):
+                    try:
+                        ref = _mpmath_oracle(kv, t, r)
+                    except PrecisionLoss:
+                        skipped += 1
+                        continue
+                    v = splines.bspline_naive(kv, t, r)
+                    assert v == ref and math.copysign(1.0, v) == math.copysign(1.0, ref)
+                    compared += 1
+    assert compared == 4444 - skipped and skipped <= 8
+
+
+def _fraction_oracle(kv, t, r):
+    # the same sum in exact rationals; float(Fraction) rounds correctly
+    xs = [Fraction(x) for x in kv.xs.tolist()]
+    tf, e = Fraction(t), kv.n - 2 - r
+    total = sum(
+        (x - tf) ** e / math.prod(x - y for j, y in enumerate(xs) if j != k)
+        for k, x in enumerate(xs)
+        if x > tf
+    )
+    return float(total)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8, 12])
+def test_oracle_correctly_rounded(n):
+    for kind in knots.FAMILIES:
+        kv = knots.family(kind, n, seed=2)
+        ts = _oracle_points(kv)[::5] + kv.xs.tolist()
+        for r in range(min(2, n - 2) + 1):
+            for t in ts:
+                if t == kv.xs[0] and n - 2 - r > 0:
+                    continue  # the divided difference of a polynomial: 0 by shortcut
+                assert splines.bspline_naive(kv, t, r) == _fraction_oracle(kv, t, r)
+
+
+def test_bracket_end_past_double_range_is_unresolved():
+    # the value sits 2^-100 / 3 below the halfway point between the largest
+    # double and 2^1024, so the first brackets' upper ends round past the
+    # double range; the bracket must narrow instead of failing
+    half_way = 2**1024 - 2**970
+    terms = [(3 * (half_way << 100) - 1, 3 << 100)]
+    assert splines._round_scaled_sum(terms, 0) == sys.float_info.max
+    with pytest.raises(OverflowError):
+        splines._round_scaled_sum([(3 * half_way + 1, 3)], 0)
+
+
+def test_bracket_zero_and_tie():
+    # a zero sum whose bracket ends round to -0.0 and 0.0 comes out as +0.0
+    zero = splines._round_scaled_sum([(1, 3), (-1, 3)], 0)
+    assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+    # an exact tie between 1 and its successor never leaves the bracket's
+    # middle, and rounds half to even from the exact quotient
+    tie = 1 + 2**-53
+    terms = [((2**53 + 1) * 3, 3 << 53), (1, 3), (-1, 3)]
+    assert splines._round_scaled_sum(terms, 0) == 1.0 == float(Fraction(tie))
+    terms = [((2**53 + 3) * 3, 3 << 53), (1, 3), (-1, 3)]
+    assert splines._round_scaled_sum(terms, 0) == 1 + 2**-51
 
 
 def test_oracle_exact_zero_left_of_support():
