@@ -11,9 +11,9 @@ Two routes are provided for the same function
   is then the correctly rounded value, at any n.  The terms cancel
   catastrophically -- their magnitudes grow like the divided-difference
   condition number -- so each point costs n divisions of integers of
-  about 60n bits, and the route serves as the oracle.  ``partial_fraction_sum`` and
-  ``certify`` keep the extended-precision (mpmath) form of the sum for
-  the Corollary-3 routes in ``specfun``.
+  about 60n bits, and the route serves as the oracle.
+  ``partial_fraction_sum`` and ``certify`` keep the extended-precision
+  (mpmath) form of the sum for the Corollary-3 routes in ``specfun``.
 * ``bspline_stable`` evaluates the identical spline through the
   triangular Cox-de Boor recursion in plain doubles, which involves only
   convex combinations and is safe for large n.  It works only where B is
@@ -171,7 +171,7 @@ def bspline_naive(kv: KnotVector, t: float, r: int = 0) -> float:
 
     Returns sum_k (x_k - t)_+^e / W'(x_k), e = n-2-r, at any n.  The knots
     and t are doubles, so with a common 2^L they are integers X_k and T, and
-    the sum is exactly 2^{L(n-1) - eL} sum_{X_k > T} (X_k - T)^e / W_k over
+    the sum is exactly 2^{L(r+1)} sum_{X_k > T} (X_k - T)^e / W_k over
     the integer table of ``_int_table``; ``_round_scaled_sum`` rounds it
     correctly.  No certificate is involved, interior zeros come out as 0.0,
     and a value beyond the double range raises OverflowError.
