@@ -235,14 +235,30 @@ def _truncation_tail(kv: KnotVector, R: float) -> float:
 def _phi_blocks(kv: KnotVector, nodes):
     """Yield (rows, Phi[rows]) for Phi[j, k] = phi_Q(nodes[j], nodes[k]).
 
-    A block holds about _BLOCK_FLOATS values of t, so neither Phi nor the
-    (M x M x n) array of t is ever held whole.
+    The nodes are symmetric, nodes[M-1-j] = -nodes[j] exactly, and
+    phi_Q(-xi) = conj phi_Q(xi), so only the J+1 rows with xi1 >= 0 are
+    evaluated, into one held (J+1) x M array: row i < J is
+    conj(top[J-i, ::-1]).  The rows are evaluated, and yielded, in blocks
+    of about _BLOCK_FLOATS values of t, and a block's log-modulus and phase
+    share one work buffer, so neither Phi nor the (M x M x n) array of t is
+    ever held whole.
     """
+    J = nodes.size // 2
     step = max(1, _BLOCK_FLOATS // (nodes.size * kv.n))
-    for lo in range(0, nodes.size, step):
+    top = np.empty((J + 1, nodes.size), dtype=complex)
+    work = np.empty((min(step, J + 1), nodes.size, kv.n))
+    for lo in range(J, nodes.size, step):
         rows = slice(lo, lo + step)
         t = _tk(kv, nodes[rows, None], nodes[None, :])
-        yield rows, np.exp(_log_modulus(t) + 1j * _phase(t))
+        w = work[: len(t)]
+        # _log_modulus and _phase, ufunc for ufunc
+        log_modulus = -0.5 * np.log1p(np.multiply(t, t, out=w), out=w).sum(axis=-1)
+        phase = -np.subtract(t, np.arctan(t, out=w), out=w).sum(axis=-1)
+        top[lo - J : lo - J + len(t)] = np.exp(log_modulus + 1j * phase)
+    for lo in range(0, nodes.size, step):
+        i = np.arange(lo, min(lo + step, nodes.size))
+        below = J - i[i < J]
+        yield slice(lo, lo + step), np.concatenate([np.conj(top[below, ::-1]), top[i[i >= J] - J]])
 
 
 def pdf_Q_inversion_grid(kv: KnotVector, s1, s2):

@@ -13,7 +13,10 @@ Two routes are provided for the same function
   condition number -- so each point costs n divisions of integers of
   about 60n bits, and the route serves as the oracle.
   ``partial_fraction_sum`` and ``certify`` keep the extended-precision
-  (mpmath) form of the sum for the Corollary-3 routes in ``specfun``.
+  (mpmath) form of the sum for the two Corollary-3 sums in ``specfun``;
+  ``spline_panels`` turns the same integer table into one exact
+  polynomial per knot panel, which the Corollary-3 quadrature evaluates
+  exactly at its mpf nodes.
 * ``bspline_stable`` evaluates the identical spline through the
   triangular Cox-de Boor recursion in plain doubles, which involves only
   convex combinations and is safe for large n.  It works only where B is
@@ -63,9 +66,8 @@ def knot_table(kv: KnotVector) -> tuple:
     """(knots as mpf, (W'(x_0), ..., W'(x_{n-1}))) at the current precision.
 
     W'(x_k) = prod_{j != k} (x_k - x_j).  Memoized per (knot values, binary
-    precision): the Corollary-3 quadrature runs at 40 digits plus 20 guard
-    bits and the two Corollary-3 sums at ORACLE_DPS, so they read different
-    entries.
+    precision), so a caller at a precision other than the ORACLE_DPS of the
+    two Corollary-3 sums reads an entry of its own.
     """
     return _knot_table(tuple(kv.xs.tolist()), mp.mp.prec)
 
@@ -74,9 +76,10 @@ def partial_fraction_sum(kv: KnotVector, term):
     """(sum_k term(x_k) / W'(x_k), max_k |summand|) at the current precision.
 
     ``term`` maps an mpf knot to its numerator, or to None where the summand
-    vanishes.  The three Corollary-3 routes take this form; B is the same
-    sum with numerator (x_k - t)_+^{n-2-r}, which ``bspline_naive`` forms
-    exactly in integers instead.
+    vanishes.  The two Corollary-3 sums take this form; B is the same sum
+    with numerator (x_k - t)_+^{n-2-r}, which ``bspline_naive`` and
+    ``spline_panels`` (for the Corollary-3 quadrature) form exactly in
+    integers instead.
     """
     xs, wp = knot_table(kv)
     total = biggest = mp.mpf(0)
@@ -164,6 +167,60 @@ def _round_scaled_sum(terms: list, s: int) -> float:
     den = math.lcm(*(w for _, w in terms))
     num = sum(c * (den // w) for c, w in terms)
     return (num << s) / den + 0.0 if s >= 0 else num / (den << -s) + 0.0
+
+
+def _panel_value(L: int, mid: int, coeffs: tuple, den: int, s):
+    """One panel of ``spline_panels`` at the mpf s, rounded once."""
+    sign, man, exp, _ = s._mpf_
+    man = -man if sign else man
+    # D = s 2^{L+1} - mid = d / 2^g, exactly
+    g = -(exp + L + 1)
+    d = man - (mid << g) if g > 0 else (man << -g) - mid
+    g = max(g, 0)
+    p = len(coeffs) - 1
+    # acc = 2^{g p} sum_i N_i D^i
+    acc = coeffs[p]
+    for i in range(p - 1, -1, -1):
+        acc = acc * d + (coeffs[i] << g * (p - i))
+    raw = mp.libmp.from_rational(acc, den, mp.mp.prec, mp.libmp.round_nearest)
+    return mp.make_mpf(mp.libmp.mpf_shift(raw, L - p - g * p))
+
+
+def spline_panels(kv: KnotVector) -> list:
+    """B on each knot panel [x_k, x_{k+1}], as one exact polynomial per panel.
+
+    On panel k, B(s) = sum_{j>k} (x_j - s)^p / W'(x_j), p = n-2, is a single
+    polynomial.  With the integer table of ``_int_table`` taken at the scale
+    2^{L+1}, where the panel midpoint M = X_k + X_{k+1} is an integer, and
+    D = s 2^{L+1} - M, it is
+
+        B(s) = 2^{L-p} sum_i N_i D^i / den,
+        N_i = (-1)^i C(p, i) sum_{j>k} (2 X_j - M)^{p-i} den / W_j,
+
+    den being the least common multiple of the W_j, j > k.  Returns one
+    function per panel that maps an mpf s in the panel (a dyadic rational)
+    to B(s), formed exactly by integer Horner and rounded once at the
+    current precision.
+    """
+    L, X, W = _int_table(tuple(kv.xs.tolist()))
+    p = kv.n - 2
+    panels = []
+    for k in range(kv.n - 1):
+        mid = X[k] + X[k + 1]
+        den = math.lcm(*W[k + 1 :])
+        sums = [0] * (p + 1)
+        for xj, wj in zip(X[k + 1 :], W[k + 1 :]):
+            a, term = 2 * xj - mid, den // wj
+            for i in range(p, -1, -1):
+                sums[i] += term
+                term *= a
+        coeffs = [(-1) ** i * math.comb(p, i) * c for i, c in enumerate(sums)]
+        # the sum over j > k is minus the one over j <= k, so the fraction
+        # reduces to a far smaller denominator at the ends of the support
+        g = math.gcd(den, *coeffs)
+        coeffs = tuple(c // g for c in coeffs)
+        panels.append(functools.partial(_panel_value, L, mid, coeffs, den // g))
+    return panels
 
 
 def bspline_naive(kv: KnotVector, t: float, r: int = 0) -> float:

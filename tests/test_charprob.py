@@ -226,6 +226,34 @@ def test_inversion_rejects_imaginary_residue(monkeypatch):
 CELL_NODES = harness._cell_average_nodes(montecarlo.default_grid()[0])
 
 
+def _phi_every_row(kv, nodes):
+    """_phi_blocks' rows and blocks, each row evaluated on its own."""
+    step = max(1, charprob._BLOCK_FLOATS // (nodes.size * kv.n))
+    for lo in range(0, nodes.size, step):
+        t = charprob._tk(kv, nodes[lo : lo + step, None], nodes[None, :])
+        yield slice(lo, lo + step), np.exp(charprob._log_modulus(t) + 1j * charprob._phase(t))
+
+
+@pytest.mark.parametrize("kind, n", [("equispaced", 16), ("uniform_random", 16), ("clustered", 40)])
+def test_phi_from_conjugate_half_is_bit_identical(monkeypatch, kind, n):
+    kv = knots.family(kind, n, seed=1)
+    # at n = 40 the 401 rows take seven blocks, the fourth holding xi1 = 0
+    J = 200 if n == 40 else 40
+    nodes = 0.37 * np.arange(-J, J + 1)
+    full = list(_phi_every_row(kv, nodes))
+    phi = np.concatenate([block for _, block in full])
+    # libm's odd symmetry, on which the conjugate half rests
+    assert np.array_equal(phi[::-1, ::-1], np.conj(phi))
+    half = list(charprob._phi_blocks(kv, nodes))
+    assert [rows for rows, _ in half] == [rows for rows, _ in full]
+    assert np.array_equal(np.concatenate([block for _, block in half]), phi)
+    # and the inversion sum over the blocks keeps its bits
+    s = CELL_NODES[::4]
+    grid = charprob.pdf_Q_inversion_grid(kv, s, s)
+    monkeypatch.setattr(charprob, "_phi_blocks", _phi_every_row)
+    assert charprob.pdf_Q_inversion_grid(kv, s, s).tobytes() == grid.tobytes()
+
+
 @pytest.mark.parametrize(
     "kind, n, s1, s2",
     [

@@ -267,8 +267,8 @@ def test_cli_bad_precondition_exits_2(capsys):
      ["scaling", "--family", "uniform_random", "--n", "8", "--seed", "-1"],
      ["corollary4", "--family", "uniform_random", "--n", "8", "--N", "100000",
       "--seed", str(2**64 + 1)],
-     ["identity", "--n", "8,30"]],
-    ids=["grid_h", "grid_T", "negative_seed", "seed_past_64_bits", "identity_n"],
+     ["corollary3", "--n", "8,30"]],
+    ids=["grid_h", "grid_T", "negative_seed", "seed_past_64_bits", "corollary3_n"],
 )
 def test_cli_bad_config_exits_2_before_any_work(monkeypatch, capsys, argv):
     # no knot vector is built, so no experiment has started
@@ -278,6 +278,13 @@ def test_cli_bad_config_exits_2_before_any_work(monkeypatch, capsys, argv):
     monkeypatch.setattr(knots, "family", no_work)
     assert cli.main(argv) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_identity_runs_past_oracle_max_n(capsys):
+    # identity's oracle, kernel and 2F0 quantities need no extended-precision
+    # sum, so ORACLE_MAX_N = 24 does not cap it
+    assert cli.main(["identity", "--family", "equispaced", "--n", "32"]) == 0
+    assert "PASS" in capsys.readouterr().out
 
 
 def test_cli_scaling_end_to_end(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -107,7 +108,7 @@ def test_corollary3_routes_agree():
         for xi in (0.3, 1.1, 4.0):
             a = specfun.corollary3_sum(kv, r, xi)
             b = specfun.corollary3_sum_2f0(kv, r, xi)
-            c = specfun.corollary3_quadrature(kv, r, xi)
+            (c,) = specfun.corollary3_quadrature(kv, r, (xi,))
             scale = max(abs(a), 1e-12)
             assert abs(a - b) / scale < 1e-10
             assert abs(a - c) / scale < 1e-8
@@ -131,9 +132,9 @@ def test_corollary3_quadrature_matches_2f0(family, n):
     # the widest knot panels, where h * xi reaches the values at which the
     # Gauss-Legendre rule must split a panel to certify
     kv = knots.family(family, n, seed=1)
+    xis = (0.1, 2.0, 5.0)
     for r in (0, 6):
-        for xi in (0.1, 2.0, 5.0):
-            q = specfun.corollary3_quadrature(kv, r, xi)
+        for xi, q in zip(xis, specfun.corollary3_quadrature(kv, r, xis)):
             b = specfun.corollary3_sum_2f0(kv, r, xi)
             assert abs(q - b) <= 1e-12 * abs(b)
 
@@ -142,24 +143,64 @@ def test_corollary3_quadrature_refuses_uncertified(monkeypatch):
     kv = knots.family("clustered", 8, seed=1)
     # clustered n=8, r=6, xi=5 needs sub-panels to bring its truncation
     # bound below 1e-10 of the value; without them the route must raise
-    specfun.corollary3_quadrature(kv, 6, 5.0)
+    specfun.corollary3_quadrature(kv, 6, (5.0,))
     monkeypatch.setattr(specfun, "_QUAD_MAX_SPLITS", 1)
     with pytest.raises(QuadratureNotConverged):
-        specfun.corollary3_quadrature(kv, 6, 5.0)
+        specfun.corollary3_quadrature(kv, 6, (5.0,))
     # at xi = 0 there is no truncation term, so the rounding term alone must
     # refuse a tolerance far below it
     monkeypatch.undo()
     monkeypatch.setattr(specfun, "_QUAD_RTOL", 1e-60)
     with pytest.raises(QuadratureNotConverged):
-        specfun.corollary3_quadrature(kv, 0, 0.0)
+        specfun.corollary3_quadrature(kv, 0, (0.0,))
 
 
 def test_corollary3_quadrature_odd_moments_vanish_on_symmetric_knots():
     # at xi = 0 the route gives i^r times the r-th moment; equispaced knots
     # are exactly symmetric, so the odd moments are exactly 0
     kv = knots.family("equispaced", 9)
-    assert specfun.corollary3_quadrature(kv, 1, 0.0) == 0
-    assert specfun.corollary3_quadrature(kv, 3, 0.0) == 0
+    assert specfun.corollary3_quadrature(kv, 1, (0.0,)) == [0]
+    assert specfun.corollary3_quadrature(kv, 3, (0.0,)) == [0]
+
+
+def test_corollary3_quadrature_one_call_equals_per_xi_calls():
+    # every xi reads the same nodes and B values, and splits its panels on
+    # its own, so one call is the per-xi calls bit for bit
+    kv = knots.family("clustered", 10, seed=2)
+    xis = (0.0, 0.03, 0.7, 2.5, 5.0)
+    for r in (0, 3):
+        assert specfun.corollary3_quadrature(kv, r, xis) == [
+            specfun.corollary3_quadrature(kv, r, (xi,))[0] for xi in xis
+        ]
+
+
+@pytest.mark.parametrize("family,n", [("uniform_random", 8), ("clustered", 16), ("chebyshev", 24)])
+def test_spline_panels_exact_at_mpf_nodes(family, n):
+    # B at a dyadic node, from the panel polynomial, is the partial-fraction
+    # sum in exact fractions rounded once at the working precision
+    prec = 156
+    kv = knots.family(family, n, seed=4)
+    xs = [Fraction(x) for x in kv.xs.tolist()]
+    panels = splines.spline_panels(kv)
+    with mp.workprec(prec):
+        for k in (0, n // 2 - 1, n - 2):
+            a, b = mp.mpf(kv.xs[k]), mp.mpf(kv.xs[k + 1])
+            for u in (mp.mpf(-0.97), mp.mpf(1) / 3, mp.mpf(0.5)):
+                s = (a + b) / 2 + u * (b - a) / 2
+                man, exp = s.man_exp
+                sf = int(mp.sign(s)) * man * Fraction(2) ** exp
+                exact = sum(
+                    (xj - sf) ** (n - 2) / math.prod(xj - xi for xi in xs if xi != xj)
+                    for xj in xs[k + 1 :]
+                )
+                # round to nearest, ties to even, with prec bits
+                e = exact.numerator.bit_length() - exact.denominator.bit_length() - prec
+                while abs(exact) >= Fraction(2) ** (e + prec):
+                    e += 1
+                while abs(exact) < Fraction(2) ** (e + prec - 1):
+                    e -= 1
+                rounded = mp.ldexp(mp.mpf(round(exact / Fraction(2) ** e)), e)
+                assert panels[k](s) == rounded
 
 
 @pytest.mark.parametrize("family,n", [("chebyshev", 6), ("equispaced", 12), ("clustered", 16)])
@@ -185,13 +226,14 @@ def test_corollary3_argument_checks():
 
 
 def test_wprime_cache_order_independent():
-    # the quadrature integrand reads the mpf W' table and the oracle the
-    # integer one; neither result may depend on which cache was filled first
+    # the quadrature's panel polynomials and the oracle read the one integer
+    # table, and the Corollary-3 sums the mpf one; no result may depend on
+    # which cache was filled first
     kv = knots.family("uniform_random", 8, seed=5)
     ts = (-0.2, 0.05, 0.3)
 
     def quad():
-        return specfun.corollary3_quadrature(kv, 2, 0.8)
+        return specfun.corollary3_quadrature(kv, 2, (0.8,))
 
     def naive():
         return [splines.bspline_naive(kv, t, 0) for t in ts]
