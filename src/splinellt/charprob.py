@@ -37,10 +37,10 @@ _QUOTIENT_RTOL = 1e-10
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 
 
-def _tk(kv: KnotVector, xi1, xi2):
+def _tk(kv: KnotVector, xi1, xi2, out=None):
     """t_k = <xi, v_k> for scalar or array xi coordinates; k on the last axis."""
-    return np.multiply.outer(xi1, kv.xs) + np.multiply.outer(
-        xi2, np.full(kv.n, kv.n**-0.5)
+    return np.add(
+        np.multiply.outer(xi1, kv.xs), np.multiply.outer(xi2, np.full(kv.n, kv.n**-0.5)), out=out
     )
 
 
@@ -239,26 +239,29 @@ def _phi_blocks(kv: KnotVector, nodes):
     phi_Q(-xi) = conj phi_Q(xi), so only the J+1 rows with xi1 >= 0 are
     evaluated, into one held (J+1) x M array: row i < J is
     conj(top[J-i, ::-1]).  The rows are evaluated, and yielded, in blocks
-    of about _BLOCK_FLOATS values of t, and a block's log-modulus and phase
-    share one work buffer, so neither Phi nor the (M x M x n) array of t is
-    ever held whole.
+    of about _BLOCK_FLOATS values of t; t and the work array of a block's
+    log-modulus and phase are two buffers reused by every block, so neither
+    Phi nor the (M x M x n) array of t is ever held whole.
     """
     J = nodes.size // 2
     step = max(1, _BLOCK_FLOATS // (nodes.size * kv.n))
     top = np.empty((J + 1, nodes.size), dtype=complex)
-    work = np.empty((min(step, J + 1), nodes.size, kv.n))
+    t_buf, work = (np.empty((min(step, J + 1), nodes.size, kv.n)) for _ in range(2))
     for lo in range(J, nodes.size, step):
-        rows = slice(lo, lo + step)
-        t = _tk(kv, nodes[rows, None], nodes[None, :])
-        w = work[: len(t)]
+        hi = min(lo + step, nodes.size)
+        t = _tk(kv, nodes[lo:hi, None], nodes[None, :], out=t_buf[: hi - lo])
+        w = work[: hi - lo]
         # _log_modulus and _phase, ufunc for ufunc
         log_modulus = -0.5 * np.log1p(np.multiply(t, t, out=w), out=w).sum(axis=-1)
         phase = -np.subtract(t, np.arctan(t, out=w), out=w).sum(axis=-1)
-        top[lo - J : lo - J + len(t)] = np.exp(log_modulus + 1j * phase)
+        np.exp(log_modulus + 1j * phase, out=top[lo - J : hi - J])
     for lo in range(0, nodes.size, step):
-        i = np.arange(lo, min(lo + step, nodes.size))
-        below = J - i[i < J]
-        yield slice(lo, lo + step), np.concatenate([np.conj(top[below, ::-1]), top[i[i >= J] - J]])
+        hi = min(lo + step, nodes.size)
+        below = max(0, min(hi, J) - lo)  # rows lo .. lo + below - 1 have xi1 < 0
+        phi = np.empty((hi - lo, nodes.size), dtype=complex)
+        np.conj(top[J - lo : J - lo - below : -1, ::-1], out=phi[:below])
+        phi[below:] = top[lo + below - J : hi - J]
+        yield slice(lo, lo + step), phi
 
 
 def pdf_Q_inversion_grid(kv: KnotVector, s1, s2):

@@ -275,7 +275,7 @@ def corollary3_quadrature(kv: KnotVector, r: int, xis) -> list:
             _, _, h, coef = panels[k]
             return value, rounding, coef * (h * abs(xim) / splits) ** k1
 
-        def at(xim):
+        def value_at(xim):
             splits = [1] * len(panels)
             while max(splits) <= _QUAD_MAX_SPLITS:
                 parts = zip(*(panel(k, sk, xim) for k, sk in enumerate(splits)))
@@ -302,4 +302,4 @@ def corollary3_quadrature(kv: KnotVector, r: int, xis) -> list:
                 f"above {_QUAD_RTOL:g} of |value| {float(abs(value)):.2e}"
             )
 
-        return [at(mp.mpf(float(xi))) for xi in xis]
+        return [value_at(mp.mpf(float(xi))) for xi in xis]
