@@ -197,7 +197,8 @@ def spline_panels(kv: KnotVector) -> list:
         B(s) = 2^{L-p} sum_i N_i D^i / den,
         N_i = (-1)^i C(p, i) sum_{j>k} (2 X_j - M)^{p-i} den / W_j,
 
-    den being the least common multiple of the W_j, j > k.  Returns one
+    den being the least common multiple of the W_j, j > k, and the N_i and
+    den then divided by their greatest common divisor.  Returns one
     function per panel that maps an mpf s in the panel (a dyadic rational)
     to B(s), formed exactly by integer Horner and rounded once at the
     current precision.
@@ -215,8 +216,8 @@ def spline_panels(kv: KnotVector) -> list:
                 sums[i] += term
                 term *= a
         coeffs = [(-1) ** i * math.comb(p, i) * c for i, c in enumerate(sums)]
-        # the sum over j > k is minus the one over j <= k, so the fraction
-        # reduces to a far smaller denominator at the ends of the support
+        # the sum over j > k is minus the one over j <= k, so near the ends
+        # of the support the fraction reduces to a far smaller denominator
         g = math.gcd(den, *coeffs)
         coeffs = tuple(c // g for c in coeffs)
         panels.append(functools.partial(_panel_value, L, mid, coeffs, den // g))
