@@ -44,12 +44,14 @@ def _tk(kv: KnotVector, xi1, xi2, out=None):
     )
 
 
-def _log_modulus(t):
-    return -0.5 * np.log1p(t * t).sum(axis=-1)
+def _log_modulus(t, out=None):
+    """F from t; ``out``, an array of t's shape, is overwritten as work space."""
+    return -0.5 * np.log1p(np.multiply(t, t, out=out), out=out).sum(axis=-1)
 
 
-def _phase(t):
-    return -(t - np.arctan(t)).sum(axis=-1)
+def _phase(t, out=None):
+    """G from t; ``out``, an array of t's shape, is overwritten as work space."""
+    return -np.subtract(t, np.arctan(t, out=out), out=out).sum(axis=-1)
 
 
 def char_exponent(kv: KnotVector, xi) -> complex:
@@ -253,10 +255,7 @@ def _phi_blocks(kv: KnotVector, nodes):
         hi = min(lo + step, nodes.size)
         t = _tk(kv, nodes[lo:hi, None], nodes[None, :], out=t_buf[: hi - lo])
         w = work[: hi - lo]
-        # _log_modulus and _phase, ufunc for ufunc
-        log_modulus = -0.5 * np.log1p(np.multiply(t, t, out=w), out=w).sum(axis=-1)
-        phase = -np.subtract(t, np.arctan(t, out=w), out=w).sum(axis=-1)
-        np.exp(log_modulus + 1j * phase, out=top[lo - J : hi - J])
+        np.exp(_log_modulus(t, w) + 1j * _phase(t, w), out=top[lo - J : hi - J])
     for lo in range(0, nodes.size, step):
         hi = min(lo + step, nodes.size)
         below = max(0, min(hi, J) - lo)  # rows lo .. lo + below - 1 have xi1 < 0

@@ -480,7 +480,7 @@ def check_wprime_sums(seed):
             # divided differences of monomials: degree < n-1 kills the sum,
             # degree n-1 (leading coefficient 1) gives exactly 1; the double
             # sums cancel down from terms of size max|1/W'|
-            terms = [1.0 / specfun.wprime(kv, k) for k in range(n)]
+            terms = [1.0 / splines.wprime(kv, k) for k in range(n)]
             cond = max(abs(t) for t in terms)
             s0 = sum(terms)
             s1 = sum(kv.xs[k] ** (n - 1) * t for k, t in enumerate(terms))

@@ -21,7 +21,6 @@ from .splines import (
     ORACLE_DPS,
     ORACLE_MAX_N,
     certify,
-    knot_table,
     partial_fraction_sum,
     spline_panels,
 )
@@ -96,12 +95,6 @@ def hyp2f0(r: int, a, z):
     return total
 
 
-def wprime(kv: KnotVector, k: int) -> float:
-    """prod_{j != k} (x_k - x_j), computed in extended precision."""
-    with mp.workdps(ORACLE_DPS):
-        return float(knot_table(kv)[1][k])
-
-
 def _check_c3_args(kv, r):
     if r > 6:
         raise ValueError("r <= 6 required")
@@ -136,7 +129,7 @@ def corollary3_sum(kv: KnotVector, r: int, xi: float) -> complex:
         xim = mp.mpf(float(xi))
         w = mp.mpc(0, -1) * n * xim
         total = certify(*partial_fraction_sum(
-            kv, lambda x: mp.e ** (w * x) * laguerre(r, -n - r + 1, -w * x)
+            kv, lambda x: mp.exp(w * x) * laguerre(r, -n - r + 1, -w * x)
         ))
         return complex(_c3_prefactor(n, r) / xim ** (n + r - 1) * total)
 
@@ -162,15 +155,11 @@ def corollary3_sum_2f0(kv: KnotVector, r: int, xi: float) -> complex:
 
         def term(x):
             poly = sum((cj * x ** (r - j) for j, cj in enumerate(coeffs)), mp.mpf(0))
-            return mp.e ** (w * x) * poly
+            return mp.exp(w * x) * poly
 
         total = certify(*partial_fraction_sum(kv, term))
-        pref = (
-            (-1) ** r
-            * mp.factorial(n - 2)
-            * mp.mpc(0, 1) ** (n - 1)
-            / mp.mpf(n) ** (n - 2)
-        )
+        # C_{r,n} / r!: the r! of the Laguerre polynomial is inside the 2F0
+        pref = _c3_prefactor(n, r) / mp.factorial(r)
         val = pref * xim ** (-(n - 1)) * (mp.mpc(0, -1) * n) ** r * total
         return complex(val)
 

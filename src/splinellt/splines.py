@@ -11,12 +11,14 @@ Two routes are provided for the same function
   is then the correctly rounded value, at any n.  The terms cancel
   catastrophically -- their magnitudes grow like the divided-difference
   condition number -- so each point costs n divisions of integers of
-  about 60n bits, and the route serves as the oracle.
-  ``partial_fraction_sum`` and ``certify`` keep the extended-precision
-  (mpmath) form of the sum for the two Corollary-3 sums in ``specfun``;
-  ``spline_panels`` turns the same integer table into one exact
-  polynomial per knot panel, which the Corollary-3 quadrature evaluates
-  exactly at its mpf nodes.
+  about 60n bits, and the route serves as the oracle.  That integer
+  table, memoized per knot vector in ``_int_table``, is the only one of
+  the W'(x_k): ``wprime`` rounds its entries to double,
+  ``partial_fraction_sum`` divides the extended-precision (mpmath)
+  numerators of the two Corollary-3 sums in ``specfun`` by them exactly,
+  and ``spline_panels`` turns it into one exact polynomial per knot
+  panel, which the Corollary-3 quadrature evaluates exactly at its mpf
+  nodes.
 * ``bspline_stable`` evaluates the identical spline through the
   triangular Cox-de Boor recursion in plain doubles, which involves only
   convex combinations and is safe for large n.  It works only where B is
@@ -47,31 +49,6 @@ ORACLE_MAX_N = 24
 _CHUNK = 256
 
 
-def _wprime_mp(xs, k):
-    p = mp.mpf(1)
-    for j, xj in enumerate(xs):
-        if j != k:
-            p *= xs[k] - xj
-    return p
-
-
-@functools.lru_cache(maxsize=256)
-def _knot_table(xs: tuple, prec: int) -> tuple:
-    with mp.workprec(prec):
-        xm = tuple(mp.mpf(x) for x in xs)
-        return xm, tuple(_wprime_mp(xm, k) for k in range(len(xm)))
-
-
-def knot_table(kv: KnotVector) -> tuple:
-    """(knots as mpf, (W'(x_0), ..., W'(x_{n-1}))) at the current precision.
-
-    W'(x_k) = prod_{j != k} (x_k - x_j).  Memoized per (knot values, binary
-    precision), so a caller at a precision other than the ORACLE_DPS of the
-    two Corollary-3 sums reads an entry of its own.
-    """
-    return _knot_table(tuple(kv.xs.tolist()), mp.mp.prec)
-
-
 def partial_fraction_sum(kv: KnotVector, term):
     """(sum_k term(x_k) / W'(x_k), max_k |summand|) at the current precision.
 
@@ -79,14 +56,17 @@ def partial_fraction_sum(kv: KnotVector, term):
     vanishes.  The two Corollary-3 sums take this form; B is the same sum
     with numerator (x_k - t)_+^{n-2-r}, which ``bspline_naive`` and
     ``spline_panels`` (for the Corollary-3 quadrature) form exactly in
-    integers instead.
+    integers instead.  1/W'(x_k) = 2^{L(n-1)} / W_k over the exact integer
+    table of ``_int_table``, so each summand is rounded once, in the
+    division, and the W' enter ``certify`` without error.
     """
-    xs, wp = knot_table(kv)
+    L, _, W = _int_table(tuple(kv.xs.tolist()))
+    scale = mp.ldexp(mp.mpf(1), L * (kv.n - 1))
     total = biggest = mp.mpf(0)
-    for x, w in zip(xs, wp):
-        num = term(x)
+    for x, w in zip(kv.xs.tolist(), W):
+        num = term(mp.mpf(x))
         if num is not None:
-            summand = num / w
+            summand = num / w * scale
             total += summand
             biggest = max(biggest, abs(summand))
     return total, biggest
@@ -108,7 +88,7 @@ def _int_table(xs: tuple) -> tuple:
 
     X_k = x_k 2^L for the least L that makes every knot an integer, and
     W_k = prod_{j != k} (X_k - X_j) = W'(x_k) 2^{L(n-1)}.  Memoized per knot
-    tuple, as ``_knot_table`` is.
+    tuple: the one table of W' that every route reads.
     """
     ratios = [x.as_integer_ratio() for x in xs]
     L = max(den.bit_length() for _, den in ratios) - 1
@@ -131,6 +111,13 @@ def _to_double(a: int, k: int):
         return a / (1 << -k) if k < 0 else float(a << k)
     except OverflowError:
         return None
+
+
+def wprime(kv: KnotVector, k: int):
+    """W'(x_k) = prod_{j != k} (x_k - x_j), correctly rounded to double at
+    any n (None beyond the double range)."""
+    L, _, W = _int_table(tuple(kv.xs.tolist()))
+    return _to_double(W[k], -L * (kv.n - 1))
 
 
 def _round_scaled_sum(terms: list, s: int) -> float:

@@ -77,12 +77,6 @@ def test_2f0_laguerre_identity(r, n, w):
     assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
 
 
-def test_wprime_equispaced_n3():
-    kv = knots.family("equispaced", 3)
-    # middle knot: (0 + 1/sqrt2)(0 - 1/sqrt2) = -1/2
-    assert specfun.wprime(kv, 1) == pytest.approx(-0.5, rel=1e-14)
-
-
 def test_corollary3_sum_at_zero_matches_mass():
     # the transform at xi -> 0 is the integral of B(t/n): n/(n-1)
     for n in (4, 9):
@@ -226,32 +220,25 @@ def test_corollary3_argument_checks():
 
 
 def test_wprime_cache_order_independent():
-    # the quadrature's panel polynomials and the oracle read the one integer
-    # table, and the Corollary-3 sums the mpf one; no result may depend on
-    # which cache was filled first
+    # the quadrature's panel polynomials, the oracle and the Corollary-3
+    # sums read the one integer table; no result may depend on which of
+    # them filled it first
     kv = knots.family("uniform_random", 8, seed=5)
     ts = (-0.2, 0.05, 0.3)
-
-    def quad():
-        return specfun.corollary3_quadrature(kv, 2, (0.8,))
-
-    def naive():
-        return [splines.bspline_naive(kv, t, 0) for t in ts]
-
-    def clear():
-        splines._knot_table.cache_clear()
+    consumers = (
+        lambda: specfun.corollary3_quadrature(kv, 2, (0.8,)),
+        lambda: [splines.bspline_naive(kv, t, 0) for t in ts],
+        lambda: specfun.corollary3_sum(kv, 2, 0.8),
+    )
+    fresh = []
+    for consumer in consumers:
         splines._int_table.cache_clear()
-
-    clear()
-    fresh_quad = quad()
-    clear()
-    fresh_naive = naive()
-    clear()
-    q1, n1 = quad(), naive()
-    clear()
-    n2, q2 = naive(), quad()
-    assert q1 == q2 == fresh_quad
-    assert n1 == n2 == fresh_naive
+        fresh.append(consumer())
+    for first in range(len(consumers)):
+        splines._int_table.cache_clear()
+        order = consumers[first:] + consumers[:first]
+        results = [consumer() for consumer in order]
+        assert results == fresh[first:] + fresh[:first]
 
 
 def test_2f0_route_is_certified(monkeypatch):

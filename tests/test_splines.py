@@ -186,18 +186,33 @@ def test_stable_matches_fourier_slice_above_oracle_range(n):
         assert np.max(np.abs(grid - exact)) <= 1e-9
 
 
-def test_wprime_table_keyed_by_precision():
-    kv = knots.family("uniform_random", 9, seed=4)
-    tables = []
-    for dps in (40, splines.ORACLE_DPS):
-        with mp.workdps(dps):
-            xs = [mp.mpf(x) for x in kv.xs.tolist()]
-            table_xs, wp = splines.knot_table(kv)
-            assert list(table_xs) == xs
-            tables.append(wp)
-            assert tables[-1] == tuple(splines._wprime_mp(xs, k) for k in range(kv.n))
-    # the 140-digit products carry digits the 40-digit ones cannot hold
-    assert tables[0] != tables[1]
+def test_wprime_equispaced_n3():
+    kv = knots.family("equispaced", 3)
+    # middle knot: (0 + 1/sqrt2)(0 - 1/sqrt2) = -1/2
+    assert splines.wprime(kv, 1) == pytest.approx(-0.5, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [3, 8, 24, 64])
+def test_wprime_correctly_rounded(n):
+    for kind in knots.FAMILIES:
+        kv = knots.family(kind, n, seed=2)
+        xs = [Fraction(x) for x in kv.xs.tolist()]
+        for k, xk in enumerate(xs):
+            exact = math.prod(xk - xj for j, xj in enumerate(xs) if j != k)
+            assert splines.wprime(kv, k) == float(exact)
+
+
+def test_partial_fraction_sum_monomial_divided_differences():
+    # sum_k x_k^j / W'(x_k) is the divided difference of x^j over the n
+    # knots: 0 below degree n-1, 1 at it; each summand is rounded once
+    n = 24
+    with mp.workdps(splines.ORACLE_DPS):
+        for kind in knots.FAMILIES:
+            kv = knots.family(kind, n, seed=1)
+            for j in range(n):
+                total, biggest = splines.partial_fraction_sum(kv, lambda x: x**j)
+                expected = 1 if j == n - 1 else 0
+                assert abs(total - expected) <= n * mp.mpf(10) ** -splines.ORACLE_DPS * biggest
 
 
 def test_certify_threshold():
