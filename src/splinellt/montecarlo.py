@@ -63,11 +63,31 @@ def sample_exp_vector(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def estimate(vals: np.ndarray) -> McEstimate:
-    """Mean of the samples and its standard error std(ddof=1) / sqrt(N)."""
-    N = vals.size
+    """Mean of the samples and its standard error std(ddof=1) / sqrt(N).
+
+    Works on one copy of ``vals`` (left unchanged) through ``_estimate_in_place``,
+    with the bits of ``vals.sum() / N`` and ``vals.std(ddof=1) / sqrt(N)``.
+    """
+    return _estimate_in_place(np.array(vals, dtype=float))
+
+
+def _estimate_in_place(buf: np.ndarray) -> McEstimate:
+    """``estimate`` of the samples in ``buf``, which it overwrites.
+
+    Repeats numpy's own ``_var`` steps in place, so no N-length temporary is
+    made: sum, divide the mean in, subtract it, square, sum, divide by N - 1,
+    square root.  Each step is the same ufunc on the same values, so the
+    mean and the standard error are bit-identical to ``estimate``'s
+    definition.
+    """
+    N = buf.size
     if N < 2:
         raise ValueError("N >= 2 required")
-    return McEstimate(float(vals.sum()) / N, float(vals.std(ddof=1)) / math.sqrt(N))
+    mean = float(buf.sum()) / N
+    np.subtract(buf, mean, out=buf)
+    np.square(buf, out=buf)
+    std = math.sqrt(float(buf.sum()) / (N - 1))
+    return McEstimate(mean, std / math.sqrt(N))
 
 
 def _worker_count() -> int:
@@ -181,28 +201,60 @@ def simplex_projection_samples(kv: KnotVector, N: int, seed: int) -> np.ndarray:
 def char_estimates(kv: KnotVector, proj: np.ndarray, xis):
     """(cos, sin) McEstimates of n*xi*proj for each xi, over the projection samples.
 
-    Two N-length buffers serve every xi: one holds n*xi*proj and then its
-    sine (in place), the other its cosine.
+    One N-length buffer serves every xi: for the cosine and then the sine
+    it is filled with n*xi*proj, passed through the trig function in place
+    and reduced in place by ``_estimate_in_place``.  So the estimates hold
+    one buffer beside ``proj``, and their bits are those of ``estimate``.
     """
-    u, c = np.empty(proj.size), np.empty(proj.size)
+    buf = np.empty(proj.size)
     out = []
     for xi in xis:
-        np.multiply(kv.n * xi, proj, out=u)
-        out.append((estimate(np.cos(u, out=c)), estimate(np.sin(u, out=u))))
+        pair = []
+        for trig in (np.cos, np.sin):
+            np.multiply(kv.n * xi, proj, out=buf)
+            pair.append(_estimate_in_place(trig(buf, out=buf)))
+        out.append(tuple(pair))
     return out
 
 
 def mc_pdf_Q(kv: KnotVector, N: int, grid2d, seed: int) -> np.ndarray:
     """Counts of N draws of Q = (sum x_k(P_k-1), n^{-1/2} sum(P_k-1)) in the cells of grid2d.
 
-    ``histogram_deviation`` compares them against a density.
+    Both axes need equal-width edges, ``np.linspace(e[0], e[-1], e.size)``
+    (ValueError otherwise), as ``default_grid`` makes.  Each block is binned
+    by ``_equal_width_bins`` and counted with one ``bincount``, which gives
+    the counts of ``np.histogram2d``.  ``histogram_deviation`` compares them
+    against a density.
     """
     edges1, edges2 = (np.asarray(e, dtype=float) for e in grid2d)
-    counts = np.zeros((edges1.size - 1, edges2.size - 1))
+    for e in (edges1, edges2):
+        equal_width = e.size >= 2 and np.array_equal(e, np.linspace(e[0], e[-1], e.size))
+        if not (equal_width and e[-1] > e[0]):
+            raise ValueError("mc_pdf_Q needs equal-width edges np.linspace(e[0], e[-1], e.size)")
+    cells = (edges1.size - 1) * (edges2.size - 1)
+    counts = np.zeros(cells)
     for q1, q2 in q_blocks(kv, N, seed):
-        h, _, _ = np.histogram2d(q1, q2, bins=(edges1, edges2))
-        counts += h
-    return counts
+        # draws outside the edges (and NaN) fall in no cell
+        keep = (q1 >= edges1[0]) & (q1 <= edges1[-1]) & (q2 >= edges2[0]) & (q2 <= edges2[-1])
+        cell = _equal_width_bins(q1[keep], edges1) * (edges2.size - 1)
+        cell += _equal_width_bins(q2[keep], edges2)
+        counts += np.bincount(cell, minlength=cells)
+    return counts.reshape(edges1.size - 1, edges2.size - 1)
+
+
+def _equal_width_bins(q: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Bin of each q in [edges[0], edges[-1]] over linspace edges, as ``np.histogram`` bins it.
+
+    The bin is guessed as floor((q - e0) / (e_last - e0) * bins) and moved
+    by one where the actual edges disagree, so edges[i] <= q < edges[i + 1],
+    with q == e_last in the last bin.
+    """
+    bins = edges.size - 1
+    idx = ((q - edges[0]) / (edges[-1] - edges[0]) * bins).astype(np.intp)
+    idx[idx == bins] -= 1
+    idx[q < edges[idx]] -= 1
+    idx[(q >= edges[idx + 1]) & (idx != bins - 1)] += 1
+    return idx
 
 
 def default_grid():

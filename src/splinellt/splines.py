@@ -25,9 +25,11 @@ Two routes are provided for the same function
   nonzero: points outside [x_0, x_{n-1}) are exact zeros at no cost, and
   the rest are sorted and run in chunks of _CHUNK points, each level of
   the triangle one broadcast step over the band of rows the chunk's knot
-  spans reach.  The values are bit-identical to the full row-by-row
-  triangle, and memory is bounded by (n - 1) * _CHUNK doubles per
-  temporary, whatever the number of points.
+  spans reach.  Each chunk forms the table D[i] = t - x_i once and runs
+  every level as five ufunc calls into two preallocated level buffers.
+  The values are bit-identical to the full row-by-row triangle, and the
+  working set is at most (4n - 3) * _CHUNK doubles (D, the triangle and
+  the two buffers), whatever the number of points.
 
 Derivatives are never taken numerically: exponent reduction in the naive
 sum and coefficient differencing in the stable recursion are both exact.
@@ -45,7 +47,7 @@ from .knots import KnotVector
 # digits and largest n of the extended-precision sums (the Corollary-3 routes)
 ORACLE_DPS = 140
 ORACLE_MAX_N = 24
-# points per Cox-de Boor chunk: the working set is (n - 1) * _CHUNK doubles
+# points per Cox-de Boor chunk: the working set is (4n - 3) * _CHUNK doubles
 _CHUNK = 256
 
 
@@ -252,9 +254,16 @@ def _basis(xs: np.ndarray, ts: np.ndarray, order: int) -> np.ndarray:
     time; at level m a point in knot span j (x_j <= t < x_{j+1}) is nonzero
     only in rows j-m+1..j, so each level is one broadcast step over the
     chunk's band of rows and every row outside it stays an exact zero.
-    Inside the band each element is formed by the same expression in the
-    same order as the full recursion, so the values are bit-identical to
-    it, and each temporary holds at most (n - 1) * _CHUNK doubles.
+
+    Per chunk the table D[i] = t - x_i is formed once, and each level is
+    five ufunc calls into two preallocated level buffers: two divides, two
+    multiplies and one add.  The right-hand factor (x_{i+m} - t) /
+    (x_{i+m} - x_{i+1}) is taken as D[i+m] / (x_{i+1} - x_{i+m}): both
+    differences are the exact negations of the recursion's, and IEEE
+    division is sign-symmetric, so every element is formed with the bits of
+    the full recursion (the one signed zero this moves, at t = x_{i+m}, is
+    added to a +0 or a positive left term).  The working set is D, the
+    triangle and the two level buffers: at most (4n - 3) * _CHUNK doubles.
     """
     n = xs.size
     out = np.zeros((n - order, ts.size))
@@ -265,22 +274,22 @@ def _basis(xs: np.ndarray, ts: np.ndarray, order: int) -> np.ndarray:
         t = ts[cols]
         span = np.searchsorted(xs, t, side="right") - 1
         j_min, j_max = int(span[0]), int(span[-1])
+        D = t - xs[:, None]
         # rows past the current band are exact zeros, as in the full triangle
         B = np.zeros((n - 1, t.size))
         B[span, np.arange(t.size)] = 1.0
+        left, right = np.empty((2, n - 1, t.size))
         for m in range(2, order + 1):
             lo, hi = max(0, j_min - m + 1), min(j_max, n - m - 1) + 1
             x_lo, x_lo1 = xs[lo:hi, None], xs[lo + 1 : hi + 1, None]
             x_m1, x_m = xs[lo + m - 1 : hi + m - 1, None], xs[lo + m : hi + m, None]
             # (t - x_i) / (x_{i+m-1} - x_i) * B_i
-            #   + (x_{i+m} - t) / (x_{i+m} - x_{i+1}) * B_{i+1}, op for op
-            left = t - x_lo
-            left /= x_m1 - x_lo
-            left *= B[lo:hi]
-            right = x_m - t
-            right /= x_m - x_lo1
-            right *= B[lo + 1 : hi + 1]
-            np.add(left, right, out=B[lo:hi])
+            #   + (t - x_{i+m}) / (x_{i+1} - x_{i+m}) * B_{i+1}
+            a = np.divide(D[lo:hi], x_m1 - x_lo, out=left[: hi - lo])
+            a *= B[lo:hi]
+            b = np.divide(D[lo + m : hi + m], x_lo1 - x_m, out=right[: hi - lo])
+            b *= B[lo + 1 : hi + 1]
+            np.add(a, b, out=B[lo:hi])
         out[:, cols] = B[: n - order]
     return out
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -169,17 +170,40 @@ def test_estimate_needs_two_samples():
 
 
 def test_char_estimates_match_one_xi_at_a_time():
-    # the two buffers reused across xi carry nothing from one xi to the next
+    # the buffer reused across xi carries nothing from one xi to the next,
+    # and the in-place body has the bits of numpy's mean and std(ddof=1)
+    # at the pairwise-summation boundaries
     kv = knots.family("uniform_random", 8, seed=3)
-    N = 10**4
-    proj = montecarlo.simplex_projection_samples(kv, N, seed=2)
     xis = (0.0, 0.7, 2.5)
-    together = montecarlo.char_estimates(kv, proj, xis)
-    assert together == [montecarlo.char_estimates(kv, proj, (xi,))[0] for xi in xis]
-    c = np.cos(kv.n * xis[1] * proj)
-    assert together[1][0] == montecarlo.McEstimate(
-        float(c.sum()) / N, float(c.std(ddof=1)) / math.sqrt(N)
-    )
+    for N in (2, 8, 9, 127, 128, 129, 8192, 8193, 10**6 + 3):
+        proj = montecarlo.simplex_projection_samples(kv, N, seed=2)
+        together = montecarlo.char_estimates(kv, proj, xis)
+        assert together == [montecarlo.char_estimates(kv, proj, (xi,))[0] for xi in xis]
+        for xi, pair in zip(xis, together):
+            for trig, est in zip((np.cos, np.sin), pair):
+                vals = trig(kv.n * xi * proj)
+                kept = vals.copy()
+                expected = montecarlo.McEstimate(
+                    float(vals.sum()) / N, float(vals.std(ddof=1)) / math.sqrt(N)
+                )
+                assert est == expected
+                assert montecarlo.estimate(vals) == expected
+                np.testing.assert_array_equal(vals, kept)
+
+
+def test_char_estimates_hold_one_buffer():
+    # one N-length buffer beside the projections; two buffers and the
+    # temporary of std peaked at about 3 * 8N bytes
+    kv = knots.family("equispaced", 8)
+    N = 10**6
+    proj = montecarlo.simplex_projection_samples(kv, N, seed=1)
+    tracemalloc.start()
+    try:
+        montecarlo.char_estimates(kv, proj, (0.3, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * N
 
 
 def test_mc_char_gaussian_limit():
@@ -202,6 +226,28 @@ def test_histogram_counts_and_density():
     density = counts / (10**5 * area)
     mass = float((density * area).sum())
     assert 0.97 < mass <= 1.0 + 1e-12
+
+
+def test_mc_pdf_Q_counts_match_histogram2d(monkeypatch):
+    # values exactly at every edge, one ulp either side of it, at the last
+    # edge and outside the range land in the cells np.histogram2d gives them
+    edges1, edges2 = montecarlo.default_grid()
+    rng = np.random.default_rng(5)
+    e = np.concatenate([edges1, np.nextafter(edges1, -np.inf), np.nextafter(edges1, np.inf)])
+    q1 = np.concatenate(
+        [e, [edges1[-1]] * 5, [-7.0, 5.5, np.inf, -np.inf], rng.uniform(-6, 6, 400)]
+    )
+    q2 = rng.permutation(np.concatenate([e, rng.uniform(-6, 6, q1.size - e.size)]))
+    blocks = [(q1[:200], q2[:200]), (q1[200:], q2[200:]), (q2, q1)]
+    monkeypatch.setattr(montecarlo, "q_blocks", lambda kv, N, seed: iter(blocks))
+    counts = montecarlo.mc_pdf_Q(None, 0, (edges1, edges2), seed=0)
+    expected = sum(np.histogram2d(a, b, bins=(edges1, edges2))[0] for a, b in blocks)
+    np.testing.assert_array_equal(counts, expected)
+    assert counts.dtype == expected.dtype
+    kv = knots.family("equispaced", 6)
+    for bad in (edges1 ** 3 / 25, np.array([-1.0, 0.0, 2.0]), np.array([1.0, 1.0])):
+        with pytest.raises(ValueError):
+            montecarlo.mc_pdf_Q(kv, 10, (edges1, bad), seed=0)
 
 
 def test_density_histogram_matches_spline():

@@ -113,14 +113,16 @@ def test_vectorized_matches_scalar_bitwise_at_q0():
             np.testing.assert_array_equal(vec, scal)
 
 
-def _row_loop_basis(xs, ts, order):
+def _row_loop_levels(xs, ts, orders):
     # the full Cox-de Boor triangle, one row at a time over every point: the
-    # reference the trimmed, chunked kernel must reproduce bit for bit
+    # reference the trimmed, chunked kernel must reproduce bit for bit.  The
+    # levels named in orders are kept, so one triangle serves every q
     n = xs.size
     B = np.zeros((n - 1, ts.size))
     for i in range(n - 1):
         B[i] = (xs[i] <= ts) & (ts < xs[i + 1])
-    for m in range(2, order + 1):
+    levels = {1: B} if 1 in orders else {}
+    for m in range(2, max(orders) + 1):
         nb = n - m
         new = np.empty((nb, ts.size))
         for i in range(nb):
@@ -128,18 +130,23 @@ def _row_loop_basis(xs, ts, order):
                 xs[i + m] - ts
             ) / (xs[i + m] - xs[i + 1]) * B[i + 1]
         B = new
-    return B
+        if m in orders:
+            levels[m] = B
+    return levels
 
 
-def _row_loop_deriv(kv, ts, q):
+def _row_loop_deriv(kv, levels, q, cols=slice(None)):
+    # cols picks points of the reference triangle; a contiguous copy keeps
+    # the product's layout that of a triangle over those points alone
     coeffs, order = splines._deriv_coeffs(kv.xs, q)
-    vals = coeffs @ _row_loop_basis(kv.xs, ts, order)[: coeffs.size]
+    vals = coeffs @ np.ascontiguousarray(levels[order][: coeffs.size, cols])
     return vals / (kv.xs[-1] - kv.xs[0])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 24, 64, 256])
 def test_kernel_bit_identical_to_row_loop(n):
     rng = np.random.default_rng(n)
+    qs = range(min(3, n - 2) + 1)
     for kind in knots.FAMILIES:
         kv = knots.family(kind, n, seed=1)
         lo, hi = float(kv.xs[0]), float(kv.xs[-1])
@@ -148,18 +155,24 @@ def test_kernel_bit_identical_to_row_loop(n):
             [rng.uniform(lo - 0.2, hi + 0.2, 700), kv.xs, [lo - 1.0, hi + 1.0]]
         )
         rng.shuffle(ts)
+        inputs = [ts]
+        if n <= 64:
+            # the sorted scaling grid of Theorem 1: many points per knot span
+            inputs.append(seminorm.default_grid(n).points_avoiding(kv) / n)
         outside = np.array([lo - 0.5, hi, hi + 0.5])
-        for q in range(min(3, n - 2) + 1):
-            np.testing.assert_array_equal(
-                splines.bspline_stable_deriv(kv, ts, q), _row_loop_deriv(kv, ts, q)
-            )
+        for i, pts in enumerate(inputs):
+            levels = _row_loop_levels(kv.xs, pts, [n - 1 - q for q in qs])
+            for q in qs:
+                np.testing.assert_array_equal(
+                    splines.bspline_stable_deriv(kv, pts, q), _row_loop_deriv(kv, levels, q)
+                )
+                if i == 0:
+                    ref = _row_loop_deriv(kv, levels, q, slice(0, 1))[0]
+                    assert splines.bspline_stable_deriv(kv, float(ts[0]), q) == ref
+        for q in qs:
             np.testing.assert_array_equal(
                 splines.bspline_stable_deriv(kv, outside, q), np.zeros(3)
             )
-            if n <= 64:  # the row loop costs about 0.5 s per call at n = 256
-                t = float(ts[0])
-                ref = _row_loop_deriv(kv, np.array([t]), q)[0]
-                assert splines.bspline_stable_deriv(kv, t, q) == ref
 
 
 def test_theorem1_rate_past_n128():
