@@ -1,7 +1,7 @@
 """Special functions: probabilists' Hermite, generalized Laguerre with
-arbitrary (typically negative integer) parameter, terminating 2F0, and the
+arbitrary (typically negative integer) parameter, terminating 2F0, the
 oscillatory Laguerre sum that the Fourier transform of the rescaled spline
-collapses to.
+collapses to, and that transform as an exact power series.
 
 Laguerre coefficients are built from running products only; the parameter
 alpha = -n-r+1 sits exactly on the gamma-function poles, so no gamma calls
@@ -15,22 +15,13 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .errors import PrecisionLoss, QuadratureNotConverged
+from .errors import PrecisionLoss
 from .knots import KnotVector
-from .splines import (
-    ORACLE_DPS,
-    ORACLE_MAX_N,
-    certify,
-    partial_fraction_sum,
-    spline_panels,
-)
+from .splines import ORACLE_DPS, ORACLE_MAX_N, certify, complete_homogeneous, partial_fraction_sum
 
 XI_MIN = 0.05
-# corollary3_quadrature refuses above this relative error bound, as certify
-# does, and caps its sub-panels per knot panel so that a large |xi| raises
-# instead of running for minutes
-_QUAD_RTOL = 1e-10
-_QUAD_MAX_SPLITS = 64
+# corollary3_quadrature refuses a value whose fixed-point sum needs more bits
+_SERIES_MAX_BITS = 1 << 13
 
 
 def hermite(r: int, t):
@@ -117,9 +108,12 @@ def corollary3_sum(kv: KnotVector, r: int, xi: float) -> complex:
 
     C_{r,n} / xi^{n+r-1} * sum_k e^{-i n xi x_k} L_r^{(-n-r+1)}(i n xi x_k) / W'(x_k)
     with C_{r,n} = (-1)^r (n-2)! r! i^{n-1} / n^{n-2}, which equals the
-    Fourier transform of t -> (it)^r B(t/n).  Below |xi| = XI_MIN the
-    removable singularity is handled by the equivalent oscillatory-moment
-    quadrature (see corollary3_quadrature).
+    Fourier transform of t -> (it)^r B(t/n).  The sum is certified at
+    ORACLE_DPS digits and capped at n <= ORACLE_MAX_N.  Below |xi| = XI_MIN,
+    where its xi^{-(n+r-1)} prefactor cancels the sum's removable
+    singularity, it hands over to corollary3_quadrature, the same transform
+    as an exact power series in xi (entire, so finite at xi = 0) that is
+    correctly rounded and has no cap on n.
     """
     _check_c3_args(kv, r)
     if abs(xi) < XI_MIN:
@@ -164,131 +158,81 @@ def corollary3_sum_2f0(kv: KnotVector, r: int, xi: float) -> complex:
         return complex(val)
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(m: int, prec: int) -> tuple:
-    """The m-point Gauss-Legendre rule on [-1, 1] as pairs (u, w), u >= 0,
-    each standing for the nodes +u and -u of weight w.
+def _tail(xi: float, y: Fraction, n: int, r: int, P: int) -> tuple:
+    """(K, T): the least K >= z - 1, z = y |xi|, whose float estimate puts
+    the terms past j = r + K below 2^-P, and T >= 2^P n/(n-1) y^r sum_{k>K}
+    z^k/k! by z^{K+1}/(K+1)! / (1 - z/(K+2)).  PrecisionLoss when P bits
+    and log2 e^z (the largest term) pass _SERIES_MAX_BITS."""
+    z = y * abs(Fraction(xi))
+    if P + z * math.log2(math.e) > _SERIES_MAX_BITS:
+        raise PrecisionLoss(f"Corollary-3 series needs over {_SERIES_MAX_BITS} bits at P={P}")
+    c = math.log(n / (n - 1)) + r * math.log(y) + P * math.log(2)
+    K = max(0, math.ceil(z) - 1)
+    while c + (K + 1) * math.log(z) - math.lgamma(K + 2) - math.log(1 - z / (K + 2)) > 0:
+        K += 1
+    tail = Fraction(n, n - 1) * y**r * z ** (K + 1) / math.factorial(K + 1) / (1 - z / (K + 2))
+    return K, -((-tail.numerator << P) // tail.denominator)
 
-    mpmath's nodes and weights are symmetric to rounding; each mirrored
-    pair is averaged, so the rule is exactly symmetric, and an odd m's
-    middle node 0 enters with half its weight, counted once at +0 and once
-    at -0.
-    """
-    with mp.workprec(prec):
-        us, ws = mp.gauss_quadrature(m, "legendre")
-        pairs = [((us[m - 1 - i] - us[i]) / 2, (ws[i] + ws[m - 1 - i]) / 2) for i in range(m // 2)]
-        if m % 2:
-            pairs.append((mp.mpf(0), ws[m // 2] / 2))
-        return tuple(pairs)
+
+def _series_sums(L: int, H: tuple, n: int, r: int, xi: float, J: int, P: int) -> tuple:
+    """Per part (0 real, 1 imaginary), the sum of floor(2^P term_j) over
+    j = r..J of its parity and the number of terms, where term_j is
+    n^{r+1} (n-2)! j! / ((j+n-1)! (j-r)!) h_j (n xi)^{j-r} i^{2r-j}, h_j =
+    H_j / 2^{Lj}, and i^{2r-j} = (-1)^{r - ceil(j/2)}, real for even j."""
+    m, d = xi.as_integer_ratio()
+    e, w = d.bit_length() - 1, n * m
+    num = n ** (r + 1) * math.factorial(n - 2) * math.factorial(r)
+    den, power, sums, counts = math.factorial(r + n - 1), 1, [0, 0], [0, 0]
+    for j in range(r, J + 1):
+        t = num * H[j] * power * (-1) ** (r + (j + 1) // 2)
+        shift = P - L * j - e * (j - r)
+        sums[j % 2] += (t << shift) // den if shift >= 0 else t // (den << -shift)
+        counts[j % 2] += 1
+        num, den, power = num * (j + 1), den * (j + n) * (j - r + 1), power * w
+    return sums, counts
 
 
 def corollary3_quadrature(kv: KnotVector, r: int, xis) -> list:
-    """Oracle route: integral of (i t)^r B(t/n) e^{-i t xi} dt, certified,
-    one complex value per xi in ``xis``.
+    """Oracle route: the integral of (i t)^r B(t/n) e^{-i t xi} dt as an
+    exact power series, one complex value per xi in ``xis``, its real and
+    imaginary parts each correctly rounded, at any n >= 2 and r >= 0.
 
-    Equals corollary3_sum identically (Fourier transform of the r-th
-    moment-weighted rescaled spline); finite at xi = 0.  On each knot panel
-    [n x_k, n x_{k+1}] the factor (i t)^r B(t/n) is a polynomial of degree
-    d = n-2+r, so an m-point Gauss-Legendre rule, m = floor(d/2) + 17, is
-    exact on it and only e^{-i t xi} is approximated.  The sum runs at 40
-    digits plus 20 guard bits.  B at a node comes exactly from the panel's
-    integer polynomial (``splines.spline_panels``), rounded once; it and
-    the weight w h t^r are formed once per panel and split level and serve
-    every xi.  The rule is symmetric about each sub-panel's centre c, so
-    the nodes c +- h u share one e^{-i h u xi}, and e^{-i c xi} is taken
-    once per sub-panel.
-
-    Error bound: on a panel of half-width h, the Taylor remainder of
-    e^{-i u h xi} beyond the degree 2m-1-d that the rule keeps exact, times
-    |t|^r <= max|n x|^r and B <= 1/(x_{n-1} - x_0); a panel is split into
-    equal sub-panels only when that term needs it, for each xi on its own.
-    Rounding adds sum |w h t^r B| eps times the panel's node count, eps
-    being the working epsilon with two digits of slack.  Raises
-    QuadratureNotConverged when the bound exceeds 1e-10 of the value, or
-    when a panel would need more than _QUAD_MAX_SPLITS sub-panels.  At
-    xi = 0 the value is i^r times a moment of B, and symmetric knots make
-    the odd ones exactly 0: there a value within its bound of zero is
-    returned as exactly 0.
+    Since [x_0..x_{n-1}] t^{j+n-1} = h_j(x), the complete homogeneous sum,
+    M = (n-1) B has the entire transform sum_j (n-1)!/(j+n-1)! h_j (-i w)^j,
+    and the integral is n/(n-1) (-d/dxi)^r of it at w = n xi, taken term by
+    term (``_series_sums``) from one table of H_j = 2^{Lj} h_j
+    (``splines.complete_homogeneous``), rebuilt longer only when a xi needs
+    more terms.  Each part is summed in fixed point at P bits, each term
+    floor-divided, plus a bound on the terms left out (``_tail``: term j is
+    at most n/(n-1) y^r z^{j-r}/(j-r)!, y = n max|x|, z = y |xi|).  P doubles
+    until both ends of the bracket round to the same double, or past
+    _SERIES_MAX_BITS the route raises PrecisionLoss.  At xi = 0 the one term
+    j = r is rounded exactly; on exactly symmetric knots every odd h_j is 0,
+    so the imaginary part is +0.0, unbracketed.
     """
-    _check_c3_args(kv, r)
-    n, d = kv.n, kv.n - 2 + r
-    m = d // 2 + 17
-    k1 = 2 * m - d  # the rule is exact on e^{-i t xi}'s Taylor terms below this degree
-    spline = spline_panels(kv)
-    with mp.workdps(40), mp.workprec(mp.mp.prec + 20):
-        xs = [mp.mpf(x) for x in kv.xs.tolist()]
-        rule_pairs = _gauss_legendre(m, mp.mp.prec)
-        eps = 100 * mp.eps
-        # per panel: its ends, half-width, and 4 h max|t|^r max B / k1!,
-        # which times (h |xi| / splits)^k1 bounds the truncation error
-        panels = []
-        for a, b in zip(xs[:-1], xs[1:]):
-            a, b, h = n * a, n * b, n * (b - a) / 2
-            coef = 4 * h * max(-a, b) ** r / (xs[-1] - xs[0]) / mp.factorial(k1)
-            panels.append((a, b, h, coef))
-        rules = {}
-
-        def rule(k, splits):
-            """Panel k cut into equal sub-panels, as (sub-panels, rounding
-            bound): per sub-panel its centre c and, per node pair, (h u,
-            f+ + f-, f+ - f-) with f+- = w h t^r B(t/n) at t = c +- h u.
-            Formed once per call."""
-            if (k, splits) not in rules:
-                a, b, _, _ = panels[k]
-                h = (b - a) / (2 * splits)
-                subpanels, sizes = [], []
-                for j in range(splits):
-                    c = a + (2 * j + 1) * h
-                    pairs = []
-                    for u, w in rule_pairs:
-                        hu = h * u
-                        fp, fm = (w * h * t**r * spline[k](t / n) for t in (c + hu, c - hu))
-                        pairs.append((hu, fp + fm, fp - fm))
-                        sizes += [abs(fp), abs(fm)]
-                    subpanels.append((c, pairs))
-                rules[k, splits] = subpanels, mp.fsum(sizes) * len(sizes) * eps
-            return rules[k, splits]
-
-        def panel(k, splits, xim):
-            """(sum, rounding bound, truncation bound) on panel k at xi."""
-            subpanels, rounding = rule(k, splits)
-            value = mp.mpc(0)
-            for c, pairs in subpanels:
-                # e^{-i c xi} sum f+ e^{-i h u xi} + f- e^{i h u xi}
-                re = im = mp.mpf(0)
-                for hu, plus, minus in pairs:
-                    cos, sin = mp.cos_sin(hu * xim)
-                    re += plus * cos
-                    im -= minus * sin
-                value += mp.mpc(re, im) * mp.expj(-c * xim)
-            _, _, h, coef = panels[k]
-            return value, rounding, coef * (h * abs(xim) / splits) ** k1
-
-        def value_at(xim):
-            splits = [1] * len(panels)
-            while max(splits) <= _QUAD_MAX_SPLITS:
-                parts = zip(*(panel(k, sk, xim) for k, sk in enumerate(splits)))
-                value, rounding, truncation = (mp.fsum(col) for col in parts)
-                limit = _QUAD_RTOL * abs(value)
-                if rounding + truncation <= limit:
-                    return complex(mp.mpc(0, 1) ** r * value)
-                # give each panel an equal share of what rounding leaves
-                target = (limit - rounding) / len(panels)
-                if target <= 0:
-                    break
-                grown = [
-                    max(sk, int(mp.ceil(h * abs(xim) * (coef / target) ** (mp.mpf(1) / k1))))
-                    for (_, _, h, coef), sk in zip(panels, splits)
-                ]
-                if grown == splits:
-                    break
-                splits = grown
-            bound = rounding + truncation
-            if xim == 0 and abs(value) <= bound:
-                return 0j
-            raise QuadratureNotConverged(
-                f"Corollary-3 quadrature error bound {float(bound):.2e} "
-                f"above {_QUAD_RTOL:g} of |value| {float(abs(value)):.2e}"
-            )
-
-        return [value_at(mp.mpf(float(xi))) for xi in xis]
+    if r < 0:
+        raise ValueError("r >= 0 required")
+    n, xs, xis = kv.n, kv.xs.tolist(), [float(xi) for xi in xis]
+    y = n * Fraction(max(map(abs, xs)))
+    K = max((_tail(xi, y, n, r, 128)[0] for xi in xis if xi), default=0)
+    L, H = complete_homogeneous(kv, r + K)
+    out = []
+    for xi in xis:
+        parts, P = [None, 0.0 if xs == [-x for x in reversed(xs)] else None], 128
+        if xi == 0:
+            # the one term j = r: n^{r+1} (n-2)! r! / (r+n-1)! h_r i^r
+            t = n ** (r + 1) * math.factorial(n - 2) * math.factorial(r) * H[r] * (-1) ** (r // 2)
+            parts = [0.0, 0.0]
+            parts[r % 2] = t / (math.factorial(r + n - 1) << L * r) + 0.0
+        while None in parts:
+            K, tail = _tail(xi, y, n, r, P)
+            if r + K >= len(H):
+                L, H = complete_homogeneous(kv, r + K)
+            sums, counts = _series_sums(L, H, n, r, xi, r + K, P)
+            for i in (0, 1):
+                lo, hi = (sums[i] - tail) / (1 << P), (sums[i] + counts[i] + tail) / (1 << P)
+                if parts[i] is None and lo == hi and math.copysign(1, lo) == math.copysign(1, hi):
+                    parts[i] = lo
+            P *= 2
+        out.append(complex(*parts))
+    return out

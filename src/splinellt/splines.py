@@ -16,9 +16,8 @@ Two routes are provided for the same function
   the W'(x_k): ``wprime`` rounds its entries to double,
   ``partial_fraction_sum`` divides the extended-precision (mpmath)
   numerators of the two Corollary-3 sums in ``specfun`` by them exactly,
-  and ``spline_panels`` turns it into one exact polynomial per knot
-  panel, which the Corollary-3 quadrature evaluates exactly at its mpf
-  nodes.
+  and ``complete_homogeneous`` forms from its integer knots the sums
+  h_j(x) from which the Corollary-3 oracle sums the transform of B exactly.
 * ``bspline_stable`` evaluates the identical spline through the
   triangular Cox-de Boor recursion in plain doubles, which involves only
   convex combinations and is safe for large n.  It works only where B is
@@ -44,7 +43,7 @@ import numpy as np
 from .errors import DuplicateKnots, PrecisionLoss
 from .knots import KnotVector
 
-# digits and largest n of the extended-precision sums (the Corollary-3 routes)
+# digits and largest n of the extended-precision sums (the two Corollary-3 sums)
 ORACLE_DPS = 140
 ORACLE_MAX_N = 24
 # points per Cox-de Boor chunk: the working set is (4n - 3) * _CHUNK doubles
@@ -56,11 +55,10 @@ def partial_fraction_sum(kv: KnotVector, term):
 
     ``term`` maps an mpf knot to its numerator, or to None where the summand
     vanishes.  The two Corollary-3 sums take this form; B is the same sum
-    with numerator (x_k - t)_+^{n-2-r}, which ``bspline_naive`` and
-    ``spline_panels`` (for the Corollary-3 quadrature) form exactly in
-    integers instead.  1/W'(x_k) = 2^{L(n-1)} / W_k over the exact integer
-    table of ``_int_table``, so each summand is rounded once, in the
-    division, and the W' enter ``certify`` without error.
+    with numerator (x_k - t)_+^{n-2-r}, which ``bspline_naive`` forms
+    exactly in integers instead.  1/W'(x_k) = 2^{L(n-1)} / W_k over the
+    exact integer table of ``_int_table``, so each summand is rounded once,
+    in the division, and the W' enter ``certify`` without error.
     """
     L, _, W = _int_table(tuple(kv.xs.tolist()))
     scale = mp.ldexp(mp.mpf(1), L * (kv.n - 1))
@@ -158,59 +156,17 @@ def _round_scaled_sum(terms: list, s: int) -> float:
     return (num << s) / den + 0.0 if s >= 0 else num / (den << -s) + 0.0
 
 
-def _panel_value(L: int, mid: int, coeffs: tuple, den: int, s):
-    """One panel of ``spline_panels`` at the mpf s, rounded once."""
-    sign, man, exp, _ = s._mpf_
-    man = -man if sign else man
-    # D = s 2^{L+1} - mid = d / 2^g, exactly
-    g = -(exp + L + 1)
-    d = man - (mid << g) if g > 0 else (man << -g) - mid
-    g = max(g, 0)
-    p = len(coeffs) - 1
-    # acc = 2^{g p} sum_i N_i D^i
-    acc = coeffs[p]
-    for i in range(p - 1, -1, -1):
-        acc = acc * d + (coeffs[i] << g * (p - i))
-    raw = mp.libmp.from_rational(acc, den, mp.mp.prec, mp.libmp.round_nearest)
-    return mp.make_mpf(mp.libmp.mpf_shift(raw, L - p - g * p))
-
-
-def spline_panels(kv: KnotVector) -> list:
-    """B on each knot panel [x_k, x_{k+1}], as one exact polynomial per panel.
-
-    On panel k, B(s) = sum_{j>k} (x_j - s)^p / W'(x_j), p = n-2, is a single
-    polynomial.  With the integer table of ``_int_table`` taken at the scale
-    2^{L+1}, where the panel midpoint M = X_k + X_{k+1} is an integer, and
-    D = s 2^{L+1} - M, it is
-
-        B(s) = 2^{L-p} sum_i N_i D^i / den,
-        N_i = (-1)^i C(p, i) sum_{j>k} (2 X_j - M)^{p-i} den / W_j,
-
-    den being the least common multiple of the W_j, j > k, and the N_i and
-    den then divided by their greatest common divisor.  Returns one
-    function per panel that maps an mpf s in the panel (a dyadic rational)
-    to B(s), formed exactly by integer Horner and rounded once at the
-    current precision.
-    """
-    L, X, W = _int_table(tuple(kv.xs.tolist()))
-    p = kv.n - 2
-    panels = []
-    for k in range(kv.n - 1):
-        mid = X[k] + X[k + 1]
-        den = math.lcm(*W[k + 1 :])
-        sums = [0] * (p + 1)
-        for xj, wj in zip(X[k + 1 :], W[k + 1 :]):
-            a, term = 2 * xj - mid, den // wj
-            for i in range(p, -1, -1):
-                sums[i] += term
-                term *= a
-        coeffs = [(-1) ** i * math.comb(p, i) * c for i, c in enumerate(sums)]
-        # the sum over j > k is minus the one over j <= k, so near the ends
-        # of the support the fraction reduces to a far smaller denominator
-        g = math.gcd(den, *coeffs)
-        coeffs = tuple(c // g for c in coeffs)
-        panels.append(functools.partial(_panel_value, L, mid, coeffs, den // g))
-    return panels
+def complete_homogeneous(kv: KnotVector, J: int) -> tuple:
+    """(L, (H_0, ..., H_J)), H_j = 2^{Lj} h_j(x) in integers, h_j being the
+    complete homogeneous sum of degree j, [x_0..x_{n-1}] t^{j+n-1}.  Over
+    X_k = x_k 2^L of ``_int_table``, h_j(x_0..x_k) = h_j(x_0..x_{k-1}) +
+    x_k h_{j-1}(x_0..x_k) gives them in n J integer multiply-adds."""
+    L, X, _ = _int_table(tuple(kv.xs.tolist()))
+    H = [1] + [0] * J
+    for xk in X:
+        for j in range(1, J + 1):
+            H[j] += xk * H[j - 1]
+    return L, tuple(H)
 
 
 def bspline_naive(kv: KnotVector, t: float, r: int = 0) -> float:

@@ -4,6 +4,7 @@ from pathlib import Path
 import splinellt
 
 SRC = Path(splinellt.__file__).resolve().parent
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def _private(name):
@@ -46,4 +47,22 @@ def test_no_module_uses_another_modules_private_names(tmp_path):
     ]
     paths = sorted(SRC.glob("*.py"))
     assert len(paths) >= 10
+    assert [line for path in paths for line in _cross_module_private_uses(path)] == []
+
+
+def test_demos_use_only_public_names(tmp_path):
+    # a demo is user-facing: it reaches the library through public names only
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from splinellt import knots, specfun\n"
+        "from splinellt.splines import _int_table, bspline_stable\n"
+        "specfun._SERIES_MAX_BITS\n"
+        "knots.family\n"
+    )
+    assert _cross_module_private_uses(probe) == [
+        "probe.py:2 imports _int_table",
+        "probe.py:3 reads specfun._SERIES_MAX_BITS",
+    ]
+    paths = sorted(DEMOS.glob("*.py"))
+    assert len(paths) >= 3
     assert [line for path in paths for line in _cross_module_private_uses(path)] == []

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splinellt import knots, specfun, splines
-from splinellt.errors import PrecisionLoss, QuadratureNotConverged
+from splinellt.errors import PrecisionLoss
 
 # frozen from a 50-digit evaluation of the closed-form Fourier transform
 EQ6_FT_AT_07 = 0.97095882945561702
@@ -123,8 +123,8 @@ def test_corollary3_routes_agree_at_high_order():
 @pytest.mark.parametrize("family", ["uniform_random", "clustered"])
 @pytest.mark.parametrize("n", [16, 24])
 def test_corollary3_quadrature_matches_2f0(family, n):
-    # the widest knot panels, where h * xi reaches the values at which the
-    # Gauss-Legendre rule must split a panel to certify
+    # the widest knot gaps and the largest xi, where the series needs the
+    # most terms and its bracket the most bits
     kv = knots.family(family, n, seed=1)
     xis = (0.1, 2.0, 5.0)
     for r in (0, 6):
@@ -133,33 +133,79 @@ def test_corollary3_quadrature_matches_2f0(family, n):
             assert abs(q - b) <= 1e-12 * abs(b)
 
 
-def test_corollary3_quadrature_refuses_uncertified(monkeypatch):
-    kv = knots.family("clustered", 8, seed=1)
-    # clustered n=8, r=6, xi=5 needs sub-panels to bring its truncation
-    # bound below 1e-10 of the value; without them the route must raise
-    specfun.corollary3_quadrature(kv, 6, (5.0,))
-    monkeypatch.setattr(specfun, "_QUAD_MAX_SPLITS", 1)
-    with pytest.raises(QuadratureNotConverged):
-        specfun.corollary3_quadrature(kv, 6, (5.0,))
-    # at xi = 0 there is no truncation term, so the rounding term alone must
-    # refuse a tolerance far below it
+def test_corollary3_quadrature_refuses_past_precision_cap(monkeypatch):
+    # chebyshev knots are symmetric only to rounding, so at n = 16, xi = 8 the
+    # imaginary part is of order 1e-23 and its bracket must grow past the
+    # first pass, 128 bits below the point and about 65 above it (the
+    # largest term); with the cap between that pass and the next the route
+    # must raise rather than return an unresolved value
+    kv = knots.family("chebyshev", 16)
+    (c,) = specfun.corollary3_quadrature(kv, 2, (8.0,))
+    assert 0 < abs(c.imag) < 1e-20
+    monkeypatch.setattr(specfun, "_SERIES_MAX_BITS", 220)
+    with pytest.raises(PrecisionLoss):
+        specfun.corollary3_quadrature(kv, 2, (8.0,))
+    # a xi whose terms alone pass the cap is refused before any work
     monkeypatch.undo()
-    monkeypatch.setattr(specfun, "_QUAD_RTOL", 1e-60)
-    with pytest.raises(QuadratureNotConverged):
-        specfun.corollary3_quadrature(kv, 0, (0.0,))
+    with pytest.raises(PrecisionLoss):
+        specfun.corollary3_quadrature(kv, 0, (1e4,))
 
 
 def test_corollary3_quadrature_odd_moments_vanish_on_symmetric_knots():
     # at xi = 0 the route gives i^r times the r-th moment; equispaced knots
-    # are exactly symmetric, so the odd moments are exactly 0
+    # are exactly symmetric, so the odd moments are exactly 0, and so is
+    # the imaginary part at every xi: +0.0, not a bracketed tiny value
     kv = knots.family("equispaced", 9)
     assert specfun.corollary3_quadrature(kv, 1, (0.0,)) == [0]
     assert specfun.corollary3_quadrature(kv, 3, (0.0,)) == [0]
+    for r in (0, 1, 2):
+        for c in specfun.corollary3_quadrature(kv, r, (0.5, 2.0)):
+            assert c.imag == 0.0 and math.copysign(1.0, c.imag) == 1.0
+
+
+@pytest.mark.parametrize("family", ["equispaced", "chebyshev", "uniform_random", "clustered"])
+@pytest.mark.parametrize("n", [5, 9, 16])
+def test_corollary3_quadrature_exact_moments(family, n):
+    # at xi = 0 the value is n/(n-1) i^r E T^r, T = n S and S of density
+    # (n-1) B, with E S^r = r! (n-1)! / (r+n-1)! [x_0..x_{n-1}] t^{n-1+r};
+    # the divided difference is summed in exact fractions, sum_k x_k^{n-1+r}
+    # / W'(x_k), and the route must return that value correctly rounded
+    kv = knots.family(family, n, seed=2)
+    xs = [Fraction(x) for x in kv.xs.tolist()]
+    for r in range(5):
+        dd = sum(xk ** (n - 1 + r) / math.prod(xk - xj for xj in xs if xj != xk) for xk in xs)
+        moment = Fraction(n, n - 1) * n**r * math.factorial(r) * math.factorial(n - 1)
+        moment *= dd / math.factorial(r + n - 1)
+        part = float(-moment if r // 2 % 2 else moment)
+        (c,) = specfun.corollary3_quadrature(kv, r, (0.0,))
+        assert (c.real, c.imag) == ((part, 0.0) if r % 2 == 0 else (0.0, part))
+        assert math.copysign(1.0, c.imag if r % 2 == 0 else c.real) == 1.0
+
+
+@pytest.mark.parametrize("family", ["uniform_random", "clustered"])
+@pytest.mark.parametrize("n", [64, 256])
+def test_corollary3_quadrature_past_sum_cap_matches_float_integral(family, n):
+    # past ORACLE_MAX_N the series still runs; compare it with the integral
+    # of (it)^r B(t/n) e^{-it xi} by a float Gauss-Legendre rule on each knot
+    # image [n x_k, n x_{k+1}], B from the Cox-de Boor kernel (no integer
+    # table); the rule is exact on the polynomial factor and has 12 nodes
+    # to spare for the exponential
+    kv = knots.family(family, n, seed=1)
+    u, w = np.polynomial.legendre.leggauss(n // 2 + 12)
+    a, b = n * kv.xs[:-1, None], n * kv.xs[1:, None]
+    t = ((a + b) / 2 + (b - a) / 2 * u).ravel()
+    weights = ((b - a) / 2 * w).ravel()
+    spline = splines.bspline_stable(kv, t / n)
+    xis = (0.5, 2.0)
+    for r in (0, 2):
+        for xi, c in zip(xis, specfun.corollary3_quadrature(kv, r, xis)):
+            ref = np.sum(weights * (1j * t) ** r * spline * np.exp(-1j * t * xi))
+            assert abs(c - ref) <= 1e-10 * abs(ref)
 
 
 def test_corollary3_quadrature_one_call_equals_per_xi_calls():
-    # every xi reads the same nodes and B values, and splits its panels on
-    # its own, so one call is the per-xi calls bit for bit
+    # every xi is correctly rounded on its own, whatever length of H table
+    # the call built, so one call is the per-xi calls bit for bit
     kv = knots.family("clustered", 10, seed=2)
     xis = (0.0, 0.03, 0.7, 2.5, 5.0)
     for r in (0, 3):
@@ -168,38 +214,9 @@ def test_corollary3_quadrature_one_call_equals_per_xi_calls():
         ]
 
 
-@pytest.mark.parametrize("family,n", [("uniform_random", 8), ("clustered", 16), ("chebyshev", 24)])
-def test_spline_panels_exact_at_mpf_nodes(family, n):
-    # B at a dyadic node, from the panel polynomial, is the partial-fraction
-    # sum in exact fractions rounded once at the working precision
-    prec = 156
-    kv = knots.family(family, n, seed=4)
-    xs = [Fraction(x) for x in kv.xs.tolist()]
-    panels = splines.spline_panels(kv)
-    with mp.workprec(prec):
-        for k in (0, n // 2 - 1, n - 2):
-            a, b = mp.mpf(kv.xs[k]), mp.mpf(kv.xs[k + 1])
-            for u in (mp.mpf(-0.97), mp.mpf(1) / 3, mp.mpf(0.5)):
-                s = (a + b) / 2 + u * (b - a) / 2
-                man, exp = s.man_exp
-                sf = int(mp.sign(s)) * man * Fraction(2) ** exp
-                exact = sum(
-                    (xj - sf) ** (n - 2) / math.prod(xj - xi for xi in xs if xi != xj)
-                    for xj in xs[k + 1 :]
-                )
-                # round to nearest, ties to even, with prec bits
-                e = exact.numerator.bit_length() - exact.denominator.bit_length() - prec
-                while abs(exact) >= Fraction(2) ** (e + prec):
-                    e += 1
-                while abs(exact) < Fraction(2) ** (e + prec - 1):
-                    e -= 1
-                rounded = mp.ldexp(mp.mpf(round(exact / Fraction(2) ** e)), e)
-                assert panels[k](s) == rounded
-
-
 @pytest.mark.parametrize("family,n", [("chebyshev", 6), ("equispaced", 12), ("clustered", 16)])
 def test_corollary3_sum_below_xi_min_matches_2f0(family, n):
-    # below XI_MIN the sum hands over to the quadrature route
+    # below XI_MIN the sum hands over to the exact series route
     kv = knots.family(family, n, seed=1)
     for r in (0, 1, 2):
         for xi in (0.01, 0.049):
@@ -220,9 +237,8 @@ def test_corollary3_argument_checks():
 
 
 def test_wprime_cache_order_independent():
-    # the quadrature's panel polynomials, the oracle and the Corollary-3
-    # sums read the one integer table; no result may depend on which of
-    # them filled it first
+    # the series' H table, the oracle and the Corollary-3 sums read the one
+    # integer table; no result may depend on which of them filled it first
     kv = knots.family("uniform_random", 8, seed=5)
     ts = (-0.2, 0.05, 0.3)
     consumers = (
