@@ -133,7 +133,7 @@ def test_corollary3_quadrature_matches_2f0(family, n):
             assert abs(q - b) <= 1e-12 * abs(b)
 
 
-def test_corollary3_quadrature_refuses_past_precision_cap(monkeypatch):
+def test_corollary3_quadrature_refuses_uncertified(monkeypatch):
     # chebyshev knots are symmetric only to rounding, so at n = 16, xi = 8 the
     # imaginary part is of order 1e-23 and its bracket must grow past the
     # first pass, 128 bits below the point and about 65 above it (the
