@@ -11,7 +11,10 @@ closeness integral, the density of Q in closed form and by a certified 2-D
 Fourier inversion, and quotient densities (including the Gaussian-ratio
 benchmark).  Both one-dimensional integrals, the radial part of the
 closeness integral and the quotient lemma, use the same 12-point
-Gauss-Legendre rule on equal panels, refined by doubling.
+Gauss-Legendre rule on equal panels, refined by doubling.  Both 2-D sums,
+the closeness integral and the inversion, evaluate t in blocks of about
+_CACHE_FLOATS values through reused buffers, so that scratch does not grow
+with n or with the grid.
 """
 
 import math
@@ -29,8 +32,11 @@ _INVERSION_TOL = 1e-9
 _ALIAS_TOL = 1e-12
 _DELTA_MIN = 0.01
 _TAIL_ANGLES = 2048
-# The inversion adds E1 Phi E2^T block by block, so its block size fixes the
-# grid's last bits: 2^15 is faster there too but would move every inversion output.
+# _CACHE_FLOATS sizes every evaluation scratch buffer (t and its work array,
+# here and in char_diff_integral).  _BLOCK_FLOATS only sets the rows of the
+# Phi blocks that the inversion adds as E1 Phi E2^T: that order of the sum
+# fixes the grid's last bits, so changing it would move every inversion
+# output, while the evaluation blocking moves none.
 _BLOCK_FLOATS = 1 << 20
 _CACHE_FLOATS = 1 << 15
 _QUOTIENT_RTOL = 1e-10
@@ -234,34 +240,49 @@ def _truncation_tail(kv: KnotVector, R: float) -> float:
     return float(radial.mean() / (2 * np.pi))
 
 
+def _phi_top(kv: KnotVector, nodes):
+    """The rows of Phi with xi1 >= 0, Phi[J + i] for i = 0 .. J (J = M // 2).
+
+    They are evaluated in blocks of about _CACHE_FLOATS values of t (at
+    least one row), through a t buffer and a work array that every block
+    reuses, so the scratch does not grow with the grid.  Each entry's
+    log-modulus and phase are sums over its own n values of t, so the
+    blocking does not move a bit.
+    """
+    M, J = nodes.size, nodes.size // 2
+    rows = max(1, _CACHE_FLOATS // (M * kv.n))
+    t_buf, work = (np.empty((min(rows, J + 1), M, kv.n)) for _ in range(2))
+    top = np.empty((J + 1, M), dtype=complex)
+    for lo in range(0, J + 1, rows):
+        hi = min(lo + rows, J + 1)
+        t = _tk(kv, nodes[J + lo : J + hi, None], nodes[None, :], out=t_buf[: hi - lo])
+        w = work[: hi - lo]
+        np.exp(_log_modulus(t, w) + 1j * _phase(t, w), out=top[lo:hi])
+    return top
+
+
 def _phi_blocks(kv: KnotVector, nodes):
     """Yield (rows, Phi[rows]) for Phi[j, k] = phi_Q(nodes[j], nodes[k]).
 
     The nodes are symmetric, nodes[M-1-j] = -nodes[j] exactly, and
     phi_Q(-xi) = conj phi_Q(xi), so only the J+1 rows with xi1 >= 0 are
-    evaluated, into one held (J+1) x M array: row i < J is
-    conj(top[J-i, ::-1]).  The rows are evaluated, and yielded, in blocks
-    of about _BLOCK_FLOATS values of t; t and the work array of a block's
-    log-modulus and phase are two buffers reused by every block, so neither
-    Phi nor the (M x M x n) array of t is ever held whole.
+    evaluated, by ``_phi_top``, and row i < J is conj(top[J-i, ::-1]).  The
+    blocks hold _BLOCK_FLOATS // (M n) rows each, since their order of
+    summation fixes the inversion's last bits.  A block whose rows all have
+    xi1 >= 0 is a view into ``top``; each of the others is a new array.
     """
-    J = nodes.size // 2
-    step = max(1, _BLOCK_FLOATS // (nodes.size * kv.n))
-    # the block buffers go before the held half: in the other order the
-    # heap layout raised the peak RSS of a later Monte Carlo run by 0.5 MB
-    t_buf, work = (np.empty((min(step, J + 1), nodes.size, kv.n)) for _ in range(2))
-    top = np.empty((J + 1, nodes.size), dtype=complex)
-    for lo in range(J, nodes.size, step):
-        hi = min(lo + step, nodes.size)
-        t = _tk(kv, nodes[lo:hi, None], nodes[None, :], out=t_buf[: hi - lo])
-        w = work[: hi - lo]
-        np.exp(_log_modulus(t, w) + 1j * _phase(t, w), out=top[lo - J : hi - J])
-    for lo in range(0, nodes.size, step):
-        hi = min(lo + step, nodes.size)
+    M, J = nodes.size, nodes.size // 2
+    top = _phi_top(kv, nodes)
+    step = max(1, _BLOCK_FLOATS // (M * kv.n))
+    for lo in range(0, M, step):
+        hi = min(lo + step, M)
         below = max(0, min(hi, J) - lo)  # rows lo .. lo + below - 1 have xi1 < 0
-        phi = np.empty((hi - lo, nodes.size), dtype=complex)
-        np.conj(top[J - lo : J - lo - below : -1, ::-1], out=phi[:below])
-        phi[below:] = top[lo + below - J : hi - J]
+        if below:
+            phi = np.empty((hi - lo, M), dtype=complex)
+            np.conj(top[J - lo : J - lo - below : -1, ::-1], out=phi[:below])
+            phi[below:] = top[lo + below - J : hi - J]
+        else:
+            phi = top[lo - J : hi - J]
         yield slice(lo, lo + step), phi
 
 
@@ -270,13 +291,15 @@ def pdf_Q_inversion_grid(kv: KnotVector, s1, s2):
 
     Returns the pdf array of shape (len(s1), len(s2)).  The inversion
     integral is the trapezoid sum over xi in delta {-J..J}^2, J = ceil(R /
-    delta), evaluated separably as E1 Phi E2^T delta^2 / 4 pi^2 over row
-    blocks of Phi.  By Poisson summation its error is the aliasing sum
-    sum_{k != 0} f_Q(s + 2 pi k / delta) plus the truncation beyond R:
-    delta is the largest step of 0.9^j whose aliasing bound is below 1e-12,
-    and QuadratureNotConverged is raised when the two bounds together
-    exceed 1e-9, or when the sum keeps an imaginary part above 1e-8.
-    Non-finite grid points raise ValueError.
+    delta), evaluated separably as E1 Phi E2^T delta^2 / 4 pi^2 over the
+    row blocks of ``_phi_blocks``.  Beside the output it holds E1, E2, the
+    half of Phi with xi1 >= 0 and one block of Phi, and t only in blocks of
+    about _CACHE_FLOATS values.  By Poisson summation its error is the
+    aliasing sum sum_{k != 0} f_Q(s + 2 pi k / delta) plus the truncation
+    beyond R: delta is the largest step of 0.9^j whose aliasing bound is
+    below 1e-12, and QuadratureNotConverged is raised when the two bounds
+    together exceed 1e-9, or when the sum keeps an imaginary part above
+    1e-8.  Non-finite grid points raise ValueError.
     """
     if kv.n > 64:
         raise PrecisionLoss("inversion quadrature limited to n <= 64")

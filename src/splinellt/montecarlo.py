@@ -3,7 +3,9 @@
 All sampling goes through one counter-based Philox stream per master
 seed, ``rng_stream(seed)``; a sampler block is positioned in it by its
 offset, not drawn from a stream of its own.  Estimates are accumulated in a
-fixed block order, making every run bit-reproducible for a given (seed, N).
+fixed block order, making every run bit-reproducible for a given (seed, N):
+the Monte Carlo means are formed per block and merged in order, so they
+depend on the block partition ``_block_rows(n)``, which n alone fixes.
 
 The block sampler ``_exp_blocks`` fills its stream on every CPU the process
 may run on.  Philox is counter-based (Salmon et al., "Parallel random
@@ -12,9 +14,9 @@ step, so advancing the counter by k // 4 and discarding k % 4 doubles
 positions a fresh generator exactly k doubles into the stream, and each
 block is filled from its own positioned generator with the bits of the
 serial stream.  The block boundaries do not depend on the worker count, and
-every consumer of a block (the BLAS ``e @ x``, the histogram adds) runs on
-the calling thread in block order, so no output depends on the worker
-count.  BLAS is not pinned here: a threaded gemv splits each block between
+every consumer of a block (the BLAS ``e @ x``, the histogram adds, the
+per-block moments) runs on the calling thread in block order, so no output
+depends on the worker count.  BLAS is not pinned here: a threaded gemv splits each block between
 its threads, so the BLAS thread count can still move the sums in the last
 bits (see ``test_projection_samples_chunk_invariant``).
 """
@@ -65,29 +67,43 @@ def sample_exp_vector(n: int, rng: np.random.Generator) -> np.ndarray:
 def estimate(vals: np.ndarray) -> McEstimate:
     """Mean of the samples and its standard error std(ddof=1) / sqrt(N).
 
-    Works on one copy of ``vals`` (left unchanged) through ``_estimate_in_place``,
-    with the bits of ``vals.sum() / N`` and ``vals.std(ddof=1) / sqrt(N)``.
+    The one-block case of the streamed estimates: ``_block_moments`` of one
+    copy of ``vals`` (left unchanged), with the bits of ``vals.sum() / N``
+    and ``vals.std(ddof=1) / sqrt(N)``.
     """
-    return _estimate_in_place(np.array(vals, dtype=float))
-
-
-def _estimate_in_place(buf: np.ndarray) -> McEstimate:
-    """``estimate`` of the samples in ``buf``, which it overwrites.
-
-    Repeats numpy's own ``_var`` steps in place, so no N-length temporary is
-    made: sum, divide the mean in, subtract it, square, sum, divide by N - 1,
-    square root.  Each step is the same ufunc on the same values, so the
-    mean and the standard error are bit-identical to ``estimate``'s
-    definition.
-    """
-    N = buf.size
-    if N < 2:
+    buf = np.array(vals, dtype=float)
+    if buf.size < 2:
         raise ValueError("N >= 2 required")
-    mean = float(buf.sum()) / N
+    return _mc_estimate(_block_moments(buf))
+
+
+def _block_moments(buf: np.ndarray):
+    """(count, mean, M2) of the samples in ``buf``, which it overwrites.
+
+    Repeats numpy's own ``_var`` steps in place, so no temporary of the
+    block's length is made: sum, divide the mean in, subtract it, square,
+    sum.  Each step is the same ufunc on the same values, so M2 / (N - 1)
+    has the bits of ``var(ddof=1)``.
+    """
+    count = buf.size
+    mean = float(buf.sum()) / count
     np.subtract(buf, mean, out=buf)
     np.square(buf, out=buf)
-    std = math.sqrt(float(buf.sum()) / (N - 1))
-    return McEstimate(mean, std / math.sqrt(N))
+    return count, mean, float(buf.sum())
+
+
+def _merge_moments(a, b):
+    """(count, mean, M2) of two sample sets from theirs (Chan, Golub and LeVeque 1983)."""
+    na, mean_a, m2_a = a
+    nb, mean_b, m2_b = b
+    count = na + nb
+    delta = mean_b - mean_a
+    return count, mean_a + delta * nb / count, m2_a + m2_b + delta * delta * na * nb / count
+
+
+def _mc_estimate(moments) -> McEstimate:
+    count, mean, m2 = moments
+    return McEstimate(mean, math.sqrt(m2 / (count - 1)) / math.sqrt(count))
 
 
 def _worker_count() -> int:
@@ -175,46 +191,62 @@ def q_blocks(kv: KnotVector, N: int, seed: int):
         yield p @ kv.xs, p.sum(axis=1) / math.sqrt(kv.n)
 
 
-def simplex_projections(kvs, N: int, seed: int) -> list[np.ndarray]:
-    """N draws of <x, S> for each knot vector, all of one n, from one pass.
+def _projection_blocks(kvs, N: int, seed: int):
+    """Yield (pos, projs) per sampler block, projs[i] = <x_i, S> on the block's rows.
 
-    Every knot vector sees the same simplex points S.  Per block the row
-    sums are formed once and each knot vector takes one gemv, into
-    preallocated arrays, with the bits of ``(e @ x) / e.sum(axis=1)``.
+    Every knot vector, all of one n, sees the same simplex points S.  Per
+    block the row sums are formed once and each knot vector takes one gemv,
+    with the bits of ``(e @ x) / e.sum(axis=1)``.  ``projs`` is a view into
+    one buffer that every block reuses: it is valid until the next block.
     """
     n = kvs[0].n
-    outs = [np.empty(N) for _ in kvs]
-    sums = np.empty(min(N, _block_rows(n) + 1))
+    rows = min(N, _block_rows(n) + 1)
+    sums, bufs = np.empty(rows), np.empty((len(kvs), rows))
     for pos, e in _exp_blocks(n, N, seed):
         s = np.sum(e, axis=1, out=sums[: len(e)])
-        for kv, out in zip(kvs, outs):
-            proj = np.matmul(e, kv.xs, out=out[pos : pos + len(e)])
+        projs = bufs[:, : len(e)]
+        for kv, proj in zip(kvs, projs):
+            np.matmul(e, kv.xs, out=proj)
             np.divide(proj, s, out=proj)
-    return outs
+        yield pos, projs
 
 
 def simplex_projection_samples(kv: KnotVector, N: int, seed: int) -> np.ndarray:
     """N draws of <x, S> for S uniform on the simplex, in block order."""
-    return simplex_projections([kv], N, seed)[0]
-
-
-def char_estimates(kv: KnotVector, proj: np.ndarray, xis):
-    """(cos, sin) McEstimates of n*xi*proj for each xi, over the projection samples.
-
-    One N-length buffer serves every xi: for the cosine and then the sine
-    it is filled with n*xi*proj, passed through the trig function in place
-    and reduced in place by ``_estimate_in_place``.  So the estimates hold
-    one buffer beside ``proj``, and their bits are those of ``estimate``.
-    """
-    buf = np.empty(proj.size)
-    out = []
-    for xi in xis:
-        pair = []
-        for trig in (np.cos, np.sin):
-            np.multiply(kv.n * xi, proj, out=buf)
-            pair.append(_estimate_in_place(trig(buf, out=buf)))
-        out.append(tuple(pair))
+    out = np.empty(N)
+    for pos, (proj,) in _projection_blocks([kv], N, seed):
+        out[pos : pos + proj.size] = proj
     return out
+
+
+def char_estimates(kvs, N: int, seed: int, xis):
+    """(cos, sin) McEstimates of n*xi*<x, S> per xi, per knot vector, from one pass.
+
+    The knot vectors, all of one n, share N simplex points S of the seed's
+    stream.  Per sampler block each projection fills one block buffer,
+    which is multiplied by n*xi, passed through the trig function in place
+    and reduced in place by ``_block_moments`` to (count, mean, M2); the
+    blocks are merged in block order by ``_merge_moments``.  So the scratch
+    is a few block-length buffers whatever N, and the estimates depend on
+    the block partition ``_block_rows(n)`` but not on the worker count.
+    With one block they are the bits of ``estimate``; with more they differ
+    from it by rounding, a few units in the last place at N = 1e6.
+
+    Returns one list per knot vector of one (cos, sin) pair per xi.
+    """
+    if N < 2:
+        raise ValueError("N >= 2 required")
+    buf = np.empty(min(N, _block_rows(kvs[0].n) + 1))
+    moments = [[[None, None] for _ in xis] for _ in kvs]
+    for _, projs in _projection_blocks(kvs, N, seed):
+        work = buf[: projs.shape[1]]
+        for kv, proj, per_xi in zip(kvs, projs, moments):
+            for xi, acc in zip(xis, per_xi):
+                for i, trig in enumerate((np.cos, np.sin)):
+                    np.multiply(kv.n * xi, proj, out=work)
+                    block = _block_moments(trig(work, out=work))
+                    acc[i] = block if acc[i] is None else _merge_moments(acc[i], block)
+    return [[tuple(map(_mc_estimate, acc)) for acc in per_xi] for per_xi in moments]
 
 
 def mc_pdf_Q(kv: KnotVector, N: int, grid2d, seed: int) -> np.ndarray:
@@ -283,10 +315,15 @@ def density_histogram_check(kv: KnotVector, N: int, seed: int):
     """Compare (n-1) B at the cell midpoints against a histogram of simplex projections.
 
     Returns ``histogram_deviation`` over 40 equal cells spanning the knots.
+    Each sampler block is binned by ``_equal_width_bins`` and counted with
+    one ``bincount``, which gives the counts of ``np.histogram``.
     """
-    proj = simplex_projection_samples(kv, N, seed)
     edges = np.linspace(float(kv.xs[0]), float(kv.xs[-1]), _HIST_BINS + 1)
-    counts, _ = np.histogram(proj, bins=edges)
+    counts = np.zeros(_HIST_BINS, dtype=np.intp)
+    for _, (proj,) in _projection_blocks([kv], N, seed):
+        # a projection rounded past the end knots falls in no cell
+        keep = (proj >= edges[0]) & (proj <= edges[-1])
+        counts += np.bincount(_equal_width_bins(proj[keep], edges), minlength=_HIST_BINS)
     centers = 0.5 * (edges[:-1] + edges[1:])
     model = (kv.n - 1) * bspline_stable(kv, centers)
     return histogram_deviation(model, counts, N, np.diff(edges))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import OrderTooHigh
 from .knots import KnotVector
-from .montecarlo import char_estimates, simplex_projection_samples
+from .montecarlo import char_estimates
 from .specfun import corollary3_sum, hermite, hermite_function
 from .splines import bspline_stable_deriv
 
@@ -163,24 +163,35 @@ def corollary4_error(
 
     Only q = 0 is supported (differentiating MC means is out of scope).
     Returns (cos SeminormResult, sin SeminormResult); each carries the MC
-    noise floor max_xi 4 * SE * |xi|^p.
+    noise floor max_xi 4 * SE * |xi|^p.  The means are streamed by
+    ``montecarlo.char_estimates``, so the draws are never held.
     """
     if q != 0:
         raise ValueError("q = 0 required")
     if N < 10**5:
         raise ValueError("N >= 1e5 required")
-    return corollary4_from_samples(kv, p, xi_grid, simplex_projection_samples(kv, N, seed))
+    return corollary4_errors([kv], p, xi_grid, N, seed)[0]
 
 
-def corollary4_from_samples(kv: KnotVector, p: int, xi_grid, proj: np.ndarray):
-    """``corollary4_error`` at q = 0 on given samples of <x, S>."""
+def corollary4_errors(kvs, p: int, xi_grid, N: int, seed: int):
+    """``corollary4_error`` at q = 0 for knot vectors of one n, from one pass.
+
+    The knot vectors share the N simplex points, and each gets the bits of
+    its own ``corollary4_error`` call.  Returns one (cos, sin) pair per
+    knot vector.
+    """
     xis = np.asarray(xi_grid, dtype=float)
     w = np.abs(xis) ** p if p > 0 else np.ones_like(xis)
-    ests = char_estimates(kv, proj, xis)
-    cos_diffs = np.array([c.mean - math.exp(-xi * xi / 2) for xi, (c, _) in zip(xis, ests)])
-    sin_diffs = np.array([s.mean for _, s in ests])
-    floor_c = max(4 * c.std_error * wi for wi, (c, _) in zip(w, ests))
-    floor_s = max(4 * s.std_error * wi for wi, (_, s) in zip(w, ests))
-    cos_res = _weighted_sup(xis, cos_diffs, p, float(floor_c))
-    sin_res = _weighted_sup(xis, sin_diffs, p, float(floor_s))
-    return cos_res, sin_res
+    out = []
+    for ests in char_estimates(kvs, N, seed, xis):
+        cos_diffs = np.array([c.mean - math.exp(-xi * xi / 2) for xi, (c, _) in zip(xis, ests)])
+        sin_diffs = np.array([s.mean for _, s in ests])
+        floor_c = max(4 * c.std_error * wi for wi, (c, _) in zip(w, ests))
+        floor_s = max(4 * s.std_error * wi for wi, (_, s) in zip(w, ests))
+        out.append(
+            (
+                _weighted_sup(xis, cos_diffs, p, float(floor_c)),
+                _weighted_sup(xis, sin_diffs, p, float(floor_s)),
+            )
+        )
+    return out

@@ -254,6 +254,47 @@ def test_phi_from_conjugate_half_is_bit_identical(monkeypatch, kind, n):
     assert charprob.pdf_Q_inversion_grid(kv, s, s).tobytes() == grid.tobytes()
 
 
+# validate's symmetry grid (charprob.inversion_symmetry), on the capped radius R = 200
+CHECK_S1, CHECK_S2 = np.array([0.3, -0.3, 1.1, -1.1]), np.array([0.7, -0.4])
+
+
+@pytest.mark.parametrize(
+    "kind, n, s1, s2",
+    [
+        ("equispaced", 8, CHECK_S1, CHECK_S2),
+        ("uniform_random", 16, CELL_NODES[::4], CELL_NODES[::4]),
+        ("clustered", 48, CELL_NODES[::4], CELL_NODES[::4]),
+    ],
+)
+def test_phi_evaluation_blocking_keeps_bits(monkeypatch, kind, n, s1, s2):
+    # the held half is evaluated in blocks of _CACHE_FLOATS values of t;
+    # one-row blocks and blocks of 2^20 give the grid the same bits
+    kv = knots.family(kind, n, seed=1)
+    grid = charprob.pdf_Q_inversion_grid(kv, s1, s2).tobytes()
+    for cache_floats in (1, 1 << 20):
+        monkeypatch.setattr(charprob, "_CACHE_FLOATS", cache_floats)
+        assert charprob.pdf_Q_inversion_grid(kv, s1, s2).tobytes() == grid
+
+
+@pytest.mark.parametrize(
+    "n, s1, s2, bound",
+    [(8, CHECK_S1, CHECK_S2, 14e6), (16, CELL_NODES, CELL_NODES, 8e6)],
+    ids=["check-n8", "grid80-n16"],
+)
+def test_inversion_memory_bounded(n, s1, s2, bound):
+    # the scratch of the evaluation does not grow with the grid: with t and
+    # its work array in blocks of 2^20 values the n = 8 check peaked at
+    # 26.7 MB and the 80 x 80 grid at 20.1 MB
+    kv = knots.family("equispaced", n)
+    tracemalloc.start()
+    try:
+        charprob.pdf_Q_inversion_grid(kv, s1, s2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
 @pytest.mark.parametrize(
     "kind, n, s1, s2",
     [
@@ -261,8 +302,7 @@ def test_phi_from_conjugate_half_is_bit_identical(monkeypatch, kind, n):
         ("equispaced", 48, CELL_NODES, CELL_NODES),
         ("clustered", 20, CELL_NODES, CELL_NODES),
         ("uniform_random", 16, CELL_NODES, CELL_NODES),
-        # validate's symmetry grid, on the capped radius R = 200
-        ("equispaced", 8, np.array([0.3, -0.3, 1.1, -1.1]), np.array([0.7, -0.4])),
+        ("equispaced", 8, CHECK_S1, CHECK_S2),
     ],
 )
 def test_inversion_matches_exact_density(kind, n, s1, s2):

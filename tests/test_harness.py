@@ -129,9 +129,12 @@ def test_corollary4_draws_once_per_n(monkeypatch):
     assert summary["checks"] == checks
 
 
-def test_corollary4_memory_peak():
-    # two families at n = 32 on 1e6 draws: the two projections, two buffers
-    # and one temporary of N doubles each, about 38 MiB
+def test_corollary4_memory_peak(monkeypatch):
+    # two families at n = 32 on 1e6 draws, streamed: the sampler's ring of
+    # 3W - 2 blocks (two workers pinned here) and block buffers, about 2.8 MB.
+    # Holding the two projections and one estimate buffer of N doubles
+    # peaked at 22.9 MB
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
     config = harness.ExperimentConfig(
         experiment="corollary4", families=["equispaced", "uniform_random"], n_list=[32], N_mc=10**6
     )
@@ -142,7 +145,20 @@ def test_corollary4_memory_peak():
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak / 2**20 <= 42.0
+    assert peak <= 4e6
+
+
+def test_mc_moments_check_holds_one_copy_of_the_draws():
+    # the 1e6 draws (8 MB) and nothing of their size beside them: var(ddof=1)
+    # made an 8 MB temporary, for a peak of 16 MB
+    tracemalloc.start()
+    try:
+        ok, detail = harness.check_mc_moments(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok, detail
+    assert peak <= 9e6
 
 
 def test_validate_experiment_passes(tmp_path):

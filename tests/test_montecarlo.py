@@ -151,13 +151,15 @@ def test_projection_samples_chunk_invariant():
 
 
 def test_mc_char_at_zero():
-    kv = knots.family("equispaced", 6)
-    proj = montecarlo.simplex_projection_samples(kv, 1000, seed=1)
-    [(c, s)] = montecarlo.char_estimates(kv, proj, (0.0,))
-    assert c.mean == 1.0 and c.std_error == 0.0
-    assert s.mean == 0.0
+    # cos 0 = 1 in every block, so each block's mean is 1.0 and its M2 is 0,
+    # and merging them keeps both exact; sin 0 = 0 likewise
+    for kind, N in [("equispaced", 1000), ("uniform_random", 10**5 + 1)]:
+        kv = knots.family(kind, 6, seed=2)
+        [[(c, s)]] = montecarlo.char_estimates([kv], N, 1, (0.0,))
+        assert c.mean == 1.0 and c.std_error == 0.0
+        assert s.mean == 0.0 and s.std_error == 0.0
     with pytest.raises(ValueError):
-        montecarlo.char_estimates(kv, proj[:1], (0.0,))
+        montecarlo.char_estimates([kv], 1, 1, (0.0,))
 
 
 def test_estimate_needs_two_samples():
@@ -170,15 +172,17 @@ def test_estimate_needs_two_samples():
 
 
 def test_char_estimates_match_one_xi_at_a_time():
-    # the buffer reused across xi carries nothing from one xi to the next,
-    # and the in-place body has the bits of numpy's mean and std(ddof=1)
-    # at the pairwise-summation boundaries
+    # the block buffer reused across xi carries nothing from one xi to the
+    # next; within one sampler block (8192 rows at n = 8, 8193 with a lone
+    # last row) the in-place body has the bits of numpy's mean and
+    # std(ddof=1) at the pairwise-summation boundaries, and the blocks merged
+    # by Chan's rule agree with them to rounding
     kv = knots.family("uniform_random", 8, seed=3)
     xis = (0.0, 0.7, 2.5)
     for N in (2, 8, 9, 127, 128, 129, 8192, 8193, 10**6 + 3):
+        [together] = montecarlo.char_estimates([kv], N, 2, xis)
+        assert together == [montecarlo.char_estimates([kv], N, 2, (xi,))[0][0] for xi in xis]
         proj = montecarlo.simplex_projection_samples(kv, N, seed=2)
-        together = montecarlo.char_estimates(kv, proj, xis)
-        assert together == [montecarlo.char_estimates(kv, proj, (xi,))[0] for xi in xis]
         for xi, pair in zip(xis, together):
             for trig, est in zip((np.cos, np.sin), pair):
                 vals = trig(kv.n * xi * proj)
@@ -186,31 +190,48 @@ def test_char_estimates_match_one_xi_at_a_time():
                 expected = montecarlo.McEstimate(
                     float(vals.sum()) / N, float(vals.std(ddof=1)) / math.sqrt(N)
                 )
-                assert est == expected
                 assert montecarlo.estimate(vals) == expected
                 np.testing.assert_array_equal(vals, kept)
+                if N <= 8193:
+                    assert est == expected
+                else:
+                    assert est.mean == pytest.approx(expected.mean, rel=1e-14, abs=0)
+                    assert est.std_error == pytest.approx(expected.std_error, rel=1e-14, abs=0)
 
 
-def test_char_estimates_hold_one_buffer():
-    # one N-length buffer beside the projections; two buffers and the
-    # temporary of std peaked at about 3 * 8N bytes
+def test_char_estimates_shared_pass_and_worker_count(monkeypatch):
+    # each knot vector gets the bits of its own pass, and the blocks merge
+    # in block order whatever the number of threads that fill them
+    kvs = [knots.family(kind, 8, seed=4) for kind in ("equispaced", "uniform_random", "chebyshev")]
+    xis = (0.5, 2.0)
+    N = 5 * 8192 + 3
+    shared = montecarlo.char_estimates(kvs, N, 7, xis)
+    assert shared == [montecarlo.char_estimates([kv], N, 7, xis)[0] for kv in kvs]
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+        assert montecarlo.char_estimates(kvs, N, 7, xis) == shared
+
+
+def test_char_estimates_hold_one_buffer(monkeypatch):
+    # block-length buffers only, whatever N: the sampler's ring of 3W - 2
+    # blocks (two workers pinned here) and one block buffer per knot vector;
+    # the N-length projections and estimate buffer peaked at about 3 * 8N bytes
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
     kv = knots.family("equispaced", 8)
     N = 10**6
-    proj = montecarlo.simplex_projection_samples(kv, N, seed=1)
     tracemalloc.start()
     try:
-        montecarlo.char_estimates(kv, proj, (0.3, 1.0))
+        montecarlo.char_estimates([kv], N, 1, (0.3, 1.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 8 * N
+    assert peak <= 4e6
 
 
 def test_mc_char_gaussian_limit():
     kv = knots.family("equispaced", 64)
     xi = 1.0
-    proj = montecarlo.simplex_projection_samples(kv, 2 * 10**5, seed=11)
-    [(c, s)] = montecarlo.char_estimates(kv, proj, (xi,))
+    [[(c, s)]] = montecarlo.char_estimates([kv], 2 * 10**5, 11, (xi,))
     # bias is O(m^3); at n=64 that is ~0.1, noise ~1e-3
     assert abs(c.mean - math.exp(-xi * xi / 2)) < 0.05
     assert abs(s.mean) < 0.02
@@ -254,6 +275,26 @@ def test_density_histogram_matches_spline():
     dev, kept = montecarlo.density_histogram_check(kv, 5 * 10**5, seed=1)
     assert kept > 10
     assert dev <= 4.0
+
+
+def test_density_histogram_counts_match_np_histogram(monkeypatch):
+    # the per-block bincounts give the counts of np.histogram over all the
+    # projections; several blocks at every n here
+    seen = []
+
+    def captured(model, counts, N, cell):
+        seen.append(counts)
+        return 0.0, 0
+
+    monkeypatch.setattr(montecarlo, "histogram_deviation", captured)
+    N = 3 * 10**4 + 1
+    for n in (5, 8, 16):
+        for seed in (1, 2, 3, 4, 5, 6, 7, 8, 4507):
+            kv = knots.family("uniform_random", n, seed=seed)
+            montecarlo.density_histogram_check(kv, N, seed)
+            edges = np.linspace(float(kv.xs[0]), float(kv.xs[-1]), 41)
+            expected, _ = np.histogram(montecarlo.simplex_projection_samples(kv, N, seed), edges)
+            np.testing.assert_array_equal(seen.pop(), expected)
 
 
 def test_density_histogram_needs_a_cell_with_20_draws():

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from splinellt import knots, seminorm
+from splinellt import knots, montecarlo, seminorm
 from splinellt.errors import OrderTooHigh
 
 
@@ -155,3 +157,18 @@ def test_corollary4_noise_floor_and_validation():
         seminorm.corollary4_error(kv, 0, 1, (1.0,), 10**5, seed=3)
     with pytest.raises(ValueError):
         seminorm.corollary4_error(kv, 0, 0, (1.0,), 10, seed=3)
+
+
+def test_corollary4_error_memory_bounded(monkeypatch):
+    # the draws are streamed through block buffers (two sampler workers
+    # pinned here); holding the N projections and an N-length estimate
+    # buffer peaked at 15.3 MB at N = 1e6
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
+    kv = knots.family("uniform_random", 32, seed=1)
+    tracemalloc.start()
+    try:
+        seminorm.corollary4_error(kv, 0, 0, (0.5, 1.0, 2.0), 10**6, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
