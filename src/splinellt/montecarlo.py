@@ -74,26 +74,31 @@ def estimate(vals: np.ndarray) -> McEstimate:
     buf = np.array(vals, dtype=float)
     if buf.size < 2:
         raise ValueError("N >= 2 required")
-    return _mc_estimate(_block_moments(buf))
+    return _mc_estimate(*_block_moments(buf))
 
 
 def _block_moments(buf: np.ndarray):
-    """(count, mean, M2) of the samples in ``buf``, which it overwrites.
+    """(count, mean, M2) along the last axis of ``buf``, which it overwrites.
 
     Repeats numpy's own ``_var`` steps in place, so no temporary of the
-    block's length is made: sum, divide the mean in, subtract it, square,
+    block's size is made: sum, divide the mean in, subtract it, square,
     sum.  Each step is the same ufunc on the same values, so M2 / (N - 1)
-    has the bits of ``var(ddof=1)``.
+    has the bits of ``var(ddof=1)``.  A ``buf`` of more axes gives one mean
+    and M2 per row along the last axis, each with the bits of that row
+    reduced on its own: numpy sums every such row pairwise by itself.
     """
-    count = buf.size
-    mean = float(buf.sum()) / count
-    np.subtract(buf, mean, out=buf)
+    count = buf.shape[-1]
+    mean = buf.sum(axis=-1) / count
+    np.subtract(buf, mean[..., None], out=buf)
     np.square(buf, out=buf)
-    return count, mean, float(buf.sum())
+    return count, mean, buf.sum(axis=-1)
 
 
 def _merge_moments(a, b):
-    """(count, mean, M2) of two sample sets from theirs (Chan, Golub and LeVeque 1983)."""
+    """(count, mean, M2) of two sample sets from theirs (Chan, Golub and LeVeque 1983).
+
+    Works elementwise on arrays of means and M2 with a common count.
+    """
     na, mean_a, m2_a = a
     nb, mean_b, m2_b = b
     count = na + nb
@@ -101,9 +106,8 @@ def _merge_moments(a, b):
     return count, mean_a + delta * nb / count, m2_a + m2_b + delta * delta * na * nb / count
 
 
-def _mc_estimate(moments) -> McEstimate:
-    count, mean, m2 = moments
-    return McEstimate(mean, math.sqrt(m2 / (count - 1)) / math.sqrt(count))
+def _mc_estimate(count: int, mean, m2) -> McEstimate:
+    return McEstimate(float(mean), math.sqrt(float(m2) / (count - 1)) / math.sqrt(count))
 
 
 def _worker_count() -> int:
@@ -223,30 +227,34 @@ def char_estimates(kvs, N: int, seed: int, xis):
     """(cos, sin) McEstimates of n*xi*<x, S> per xi, per knot vector, from one pass.
 
     The knot vectors, all of one n, share N simplex points S of the seed's
-    stream.  Per sampler block each projection fills one block buffer,
-    which is multiplied by n*xi, passed through the trig function in place
-    and reduced in place by ``_block_moments`` to (count, mean, M2); the
-    blocks are merged in block order by ``_merge_moments``.  So the scratch
-    is a few block-length buffers whatever N, and the estimates depend on
-    the block partition ``_block_rows(n)`` but not on the worker count.
-    With one block they are the bits of ``estimate``; with more they differ
-    from it by rounding, a few units in the last place at N = 1e6.
+    stream.  Per sampler block one buffer takes n*xi*<x, S> for every knot
+    vector and xi, and its cosines and sines; ``_block_moments`` reduces
+    each of their rows in place to (count, mean, M2), and the blocks are
+    merged in block order by ``_merge_moments``.  So the scratch is a few
+    block-sized buffers whatever N, and the estimates depend on the block
+    partition ``_block_rows(n)`` but not on the worker count.  With one
+    block they are the bits of ``estimate``; with more they differ from it
+    by rounding, a few units in the last place at N = 1e6.
 
     Returns one list per knot vector of one (cos, sin) pair per xi.
     """
     if N < 2:
         raise ValueError("N >= 2 required")
-    buf = np.empty(min(N, _block_rows(kvs[0].n) + 1))
-    moments = [[[None, None] for _ in xis] for _ in kvs]
+    scales = kvs[0].n * np.asarray(xis, dtype=float)
+    work = np.empty((2, len(kvs), scales.size, min(N, _block_rows(kvs[0].n) + 1)))
+    moments = None
     for _, projs in _projection_blocks(kvs, N, seed):
-        work = buf[: projs.shape[1]]
-        for kv, proj, per_xi in zip(kvs, projs, moments):
-            for xi, acc in zip(xis, per_xi):
-                for i, trig in enumerate((np.cos, np.sin)):
-                    np.multiply(kv.n * xi, proj, out=work)
-                    block = _block_moments(trig(work, out=work))
-                    acc[i] = block if acc[i] is None else _merge_moments(acc[i], block)
-    return [[tuple(map(_mc_estimate, acc)) for acc in per_xi] for per_xi in moments]
+        w = work[..., : projs.shape[1]]
+        np.multiply(scales[:, None], projs[:, None, :], out=w[0])
+        np.sin(w[0], out=w[1])
+        np.cos(w[0], out=w[0])
+        block = _block_moments(w)
+        moments = block if moments is None else _merge_moments(moments, block)
+    count, means, m2s = moments
+    return [
+        [tuple(_mc_estimate(count, means[t, i, j], m2s[t, i, j]) for t in (0, 1)) for j in range(scales.size)]
+        for i in range(len(kvs))
+    ]
 
 
 def mc_pdf_Q(kv: KnotVector, N: int, grid2d, seed: int) -> np.ndarray:
