@@ -188,10 +188,7 @@ def corollary4_errors(kvs, p: int, xi_grid, N: int, seed: int):
         sin_diffs = np.array([s.mean for _, s in ests])
         floor_c = max(4 * c.std_error * wi for wi, (c, _) in zip(w, ests))
         floor_s = max(4 * s.std_error * wi for wi, (_, s) in zip(w, ests))
-        out.append(
-            (
-                _weighted_sup(xis, cos_diffs, p, float(floor_c)),
-                _weighted_sup(xis, sin_diffs, p, float(floor_s)),
-            )
-        )
+        cos_res = _weighted_sup(xis, cos_diffs, p, float(floor_c))
+        sin_res = _weighted_sup(xis, sin_diffs, p, float(floor_s))
+        out.append((cos_res, sin_res))
     return out
