@@ -328,7 +328,9 @@ def run_corollary4(config):
     for n in config.n_list:
         t0 = time.perf_counter()
         kvs = [knots.family(fam, n, config.seed) for fam in config.families]
-        results = seminorm.corollary4_errors(kvs, config.p, (0.5, 1.0, 2.0), config.N_mc, config.seed)
+        results = seminorm.corollary4_errors(
+            kvs, config.p, (0.5, 1.0, 2.0), config.N_mc, config.seed
+        )
         for fam, kv, (cos_res, sin_res) in zip(config.families, kvs, results):
             floor = 5 * knots.m3(kv)
             for r, (name, res) in enumerate((("cos", cos_res), ("sin", sin_res))):

@@ -251,10 +251,13 @@ def char_estimates(kvs, N: int, seed: int, xis):
         block = _block_moments(w)
         moments = block if moments is None else _merge_moments(moments, block)
     count, means, m2s = moments
-    return [
-        [tuple(_mc_estimate(count, means[t, i, j], m2s[t, i, j]) for t in (0, 1)) for j in range(scales.size)]
-        for i in range(len(kvs))
-    ]
+    out = []
+    for i in range(len(kvs)):
+        cos, sin = (
+            [_mc_estimate(count, m, v) for m, v in zip(means[t, i], m2s[t, i])] for t in (0, 1)
+        )
+        out.append(list(zip(cos, sin)))
+    return out
 
 
 def mc_pdf_Q(kv: KnotVector, N: int, grid2d, seed: int) -> np.ndarray:

@@ -213,9 +213,10 @@ def test_char_estimates_shared_pass_and_worker_count(monkeypatch):
 
 
 def test_char_estimates_hold_one_buffer(monkeypatch):
-    # block-length buffers only, whatever N: the sampler's ring of 3W - 2
-    # blocks (two workers pinned here) and one block buffer per knot vector;
-    # the N-length projections and estimate buffer peaked at about 3 * 8N bytes
+    # block-sized buffers only, whatever N: the sampler's ring of 3W - 2
+    # blocks (two workers pinned here) and one block's projections and trig
+    # values; the N-length projections and estimate buffer peaked at about
+    # 3 * 8N bytes
     monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
     kv = knots.family("equispaced", 8)
     N = 10**6
