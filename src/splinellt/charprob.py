@@ -11,10 +11,12 @@ closeness integral, the density of Q in closed form and by a certified 2-D
 Fourier inversion, and quotient densities (including the Gaussian-ratio
 benchmark).  Both one-dimensional integrals, the radial part of the
 closeness integral and the quotient lemma, use the same 12-point
-Gauss-Legendre rule on equal panels, refined by doubling.  Both 2-D sums,
-the closeness integral and the inversion, evaluate t in blocks of about
-_CACHE_FLOATS values through reused buffers, so that scratch does not grow
-with n or with the grid.
+Gauss-Legendre rule on equal panels, refined by doubling.  Both 2-D sums
+use the symmetry of phi_Q under xi -> -xi to evaluate only half of the
+plane: the closeness integral half of the angles, the inversion the rows
+with xi1 >= 0.  Both evaluate t in blocks of about _CACHE_FLOATS values
+through reused buffers, so that scratch does not grow with n or with the
+grid; _CACHE_FLOATS is the module's one block size.
 """
 
 import math
@@ -23,6 +25,7 @@ import numpy as np
 
 from .errors import PrecisionLoss, QuadratureNotConverged
 from .knots import KnotVector
+from .splines import bspline_stable
 
 _TAIL_THRESHOLD = 1e-12
 _INVERSION_TAIL_THRESHOLD = 1e-14
@@ -32,12 +35,6 @@ _INVERSION_TOL = 1e-9
 _ALIAS_TOL = 1e-12
 _DELTA_MIN = 0.01
 _TAIL_ANGLES = 2048
-# _CACHE_FLOATS sizes every evaluation scratch buffer (t and its work array,
-# here and in char_diff_integral).  _BLOCK_FLOATS only sets the rows of the
-# Phi blocks that the inversion adds as E1 Phi E2^T: that order of the sum
-# fixes the grid's last bits, so changing it would move every inversion
-# output, while the evaluation blocking moves none.
-_BLOCK_FLOATS = 1 << 20
 _CACHE_FLOATS = 1 << 15
 _QUOTIENT_RTOL = 1e-10
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
@@ -173,10 +170,6 @@ def pdf_Q_exact(kv: KnotVector, q1, q2):
 
         f_Q(q1, q2) = sqrt(n) gamma_n(s) (n-1) B(q1/s) / s  for s > 0, else 0.
     """
-    # imported here: importing splines (hence mpmath) while charprob loads
-    # raised the resident memory of every process by about 2 MB
-    from .splines import bspline_stable
-
     n = kv.n
     q1, q2 = np.broadcast_arrays(np.asarray(q1, dtype=float), np.asarray(q2, dtype=float))
     s = n + math.sqrt(n) * q2
@@ -240,50 +233,24 @@ def _truncation_tail(kv: KnotVector, R: float) -> float:
     return float(radial.mean() / (2 * np.pi))
 
 
-def _phi_top(kv: KnotVector, nodes):
-    """The rows of Phi with xi1 >= 0, Phi[J + i] for i = 0 .. J (J = M // 2).
+def _phi_rows(kv: KnotVector, xi1, nodes, out):
+    """Write Phi[j, k] = phi_Q(xi1[j], nodes[k]) into ``out`` and return it.
 
-    They are evaluated in blocks of about _CACHE_FLOATS values of t (at
-    least one row), through a t buffer and a work array that every block
-    reuses, so the scratch does not grow with the grid.  Each entry's
-    log-modulus and phase are sums over its own n values of t, so the
-    blocking does not move a bit.
+    t is evaluated in blocks of about _CACHE_FLOATS values (at least one
+    row), through a t buffer and a work array that every block reuses, so
+    the scratch does not grow with the grid.  Each entry's log-modulus and
+    phase are sums over its own n values of t, so the blocking does not
+    move a bit.
     """
-    M, J = nodes.size, nodes.size // 2
+    M = nodes.size
     rows = max(1, _CACHE_FLOATS // (M * kv.n))
-    t_buf, work = (np.empty((min(rows, J + 1), M, kv.n)) for _ in range(2))
-    top = np.empty((J + 1, M), dtype=complex)
-    for lo in range(0, J + 1, rows):
-        hi = min(lo + rows, J + 1)
-        t = _tk(kv, nodes[J + lo : J + hi, None], nodes[None, :], out=t_buf[: hi - lo])
+    t_buf, work = (np.empty((min(rows, xi1.size), M, kv.n)) for _ in range(2))
+    for lo in range(0, xi1.size, rows):
+        hi = min(lo + rows, xi1.size)
+        t = _tk(kv, xi1[lo:hi, None], nodes[None, :], out=t_buf[: hi - lo])
         w = work[: hi - lo]
-        np.exp(_log_modulus(t, w) + 1j * _phase(t, w), out=top[lo:hi])
-    return top
-
-
-def _phi_blocks(kv: KnotVector, nodes):
-    """Yield (rows, Phi[rows]) for Phi[j, k] = phi_Q(nodes[j], nodes[k]).
-
-    The nodes are symmetric, nodes[M-1-j] = -nodes[j] exactly, and
-    phi_Q(-xi) = conj phi_Q(xi), so only the J+1 rows with xi1 >= 0 are
-    evaluated, by ``_phi_top``, and row i < J is conj(top[J-i, ::-1]).  The
-    blocks hold _BLOCK_FLOATS // (M n) rows each, since their order of
-    summation fixes the inversion's last bits.  A block whose rows all have
-    xi1 >= 0 is a view into ``top``; each of the others is a new array.
-    """
-    M, J = nodes.size, nodes.size // 2
-    top = _phi_top(kv, nodes)
-    step = max(1, _BLOCK_FLOATS // (M * kv.n))
-    for lo in range(0, M, step):
-        hi = min(lo + step, M)
-        below = max(0, min(hi, J) - lo)  # rows lo .. lo + below - 1 have xi1 < 0
-        if below:
-            phi = np.empty((hi - lo, M), dtype=complex)
-            np.conj(top[J - lo : J - lo - below : -1, ::-1], out=phi[:below])
-            phi[below:] = top[lo + below - J : hi - J]
-        else:
-            phi = top[lo - J : hi - J]
-        yield slice(lo, lo + step), phi
+        np.exp(_log_modulus(t, w) + 1j * _phase(t, w), out=out[lo:hi])
+    return out
 
 
 def pdf_Q_inversion_grid(kv: KnotVector, s1, s2):
@@ -291,15 +258,20 @@ def pdf_Q_inversion_grid(kv: KnotVector, s1, s2):
 
     Returns the pdf array of shape (len(s1), len(s2)).  The inversion
     integral is the trapezoid sum over xi in delta {-J..J}^2, J = ceil(R /
-    delta), evaluated separably as E1 Phi E2^T delta^2 / 4 pi^2 over the
-    row blocks of ``_phi_blocks``.  Beside the output it holds E1, E2, the
-    half of Phi with xi1 >= 0 and one block of Phi, and t only in blocks of
-    about _CACHE_FLOATS values.  By Poisson summation its error is the
-    aliasing sum sum_{k != 0} f_Q(s + 2 pi k / delta) plus the truncation
-    beyond R: delta is the largest step of 0.9^j whose aliasing bound is
-    below 1e-12, and QuadratureNotConverged is raised when the two bounds
-    together exceed 1e-9, or when the sum keeps an imaginary part above
-    1e-8.  Non-finite grid points raise ValueError.
+    delta), of phi_Q(xi) e^{-i <s, xi>} delta^2 / 4 pi^2.  Q is real, so
+    phi_Q(-xi) = conj phi_Q(xi), and the nodes are exactly symmetric: the
+    row at -xi1 adds the conjugate of the row at xi1.  Only the J + 1 rows
+    with xi1 >= 0 are summed, as acc = E1 Phi E2^T in blocks of about
+    _CACHE_FLOATS values of Phi, and the sum is 2 Re acc - Re C, C being
+    the term of the row xi1 = 0.  Beside the output it holds E1, E2, one
+    block of Phi and its product with E2^T, and t only in blocks of about
+    _CACHE_FLOATS values.  By Poisson summation its error is the aliasing
+    sum sum_{k != 0} f_Q(s + 2 pi k / delta) plus the truncation beyond R:
+    delta is the largest step of 0.9^j whose aliasing bound is below 1e-12,
+    and QuadratureNotConverged is raised when the two bounds together
+    exceed 1e-9, or when C, the one term the symmetry does not pair and
+    real in exact arithmetic, keeps an imaginary part above 1e-8.
+    Non-finite grid points raise ValueError.
     """
     if kv.n > 64:
         raise PrecisionLoss("inversion quadrature limited to n <= 64")
@@ -321,17 +293,25 @@ def pdf_Q_inversion_grid(kv: KnotVector, s1, s2):
             f"inversion error bound {alias + tail:.2e} above {_INVERSION_TOL:g} "
             f"(aliasing {alias:.1e} at step {delta:.3g}, truncation {tail:.1e} beyond R={R:g})"
         )
-    nodes = delta * np.arange(-math.ceil(R / delta), math.ceil(R / delta) + 1)
-    E1 = np.exp(-1j * np.multiply.outer(s1, nodes))
+    J = math.ceil(R / delta)
+    nodes = delta * np.arange(-J, J + 1)
+    E1 = np.exp(-1j * np.multiply.outer(s1, nodes[J:]))
     E2T = np.exp(-1j * np.multiply.outer(nodes, s2))
-    vals = np.zeros((s1.size, s2.size), dtype=complex)
-    for rows, phi in _phi_blocks(kv, nodes):
-        vals += E1[:, rows] @ (phi @ E2T)
-    vals *= delta**2 / (4 * np.pi**2)
-    max_imag = float(np.max(np.abs(vals.imag)))
+    step = max(1, _CACHE_FLOATS // nodes.size)
+    phi = np.empty((min(step, J + 1), nodes.size), dtype=complex)
+    acc = np.zeros((s1.size, s2.size), dtype=complex)
+    for lo in range(0, J + 1, step):
+        hi = min(lo + step, J + 1)
+        part = _phi_rows(kv, nodes[J + lo : J + hi], nodes, phi[: hi - lo]) @ E2T
+        if lo == 0:
+            # E1 is 1 on the column xi1 = 0, so C does not depend on s1
+            C = part[0]
+        acc += E1[:, lo:hi] @ part
+    scale = delta**2 / (4 * np.pi**2)
+    max_imag = float(np.max(np.abs(C.imag))) * scale
     if max_imag > 1e-8:
         raise QuadratureNotConverged(f"imaginary residue {max_imag:.2e} too large")
-    return vals.real
+    return (2 * acc.real - C.real) * scale
 
 
 def quotient_pdf(joint, s: float, y_range) -> float:

@@ -606,10 +606,9 @@ def check_mc_density_histogram(seed):
 def check_mc_cos_sin_bound(seed):
     kv = knots.family("equispaced", 16, seed)
     xis = (0.0, 0.5, 1.0, 2.0, 4.0)
-    [ests] = montecarlo.char_estimates([kv], 10**5, seed, xis)
-    for xi, (c, s) in zip(xis, ests):
-        se = math.hypot(c.std_error, s.std_error)
-        if c.mean**2 + s.mean**2 > 1 + 4 * se:
+    means, ses = montecarlo.char_estimates([kv], 10**5, seed, xis)
+    for xi, (c, s), (c_se, s_se) in zip(xis, means[:, 0].T, ses[:, 0].T):
+        if c**2 + s**2 > 1 + 4 * math.hypot(c_se, s_se):
             return False, f"cos^2 + sin^2 > 1 + 4 SE at xi={xi}"
     return True, "cos^2 + sin^2 <= 1 + 4 SE"
 

@@ -74,7 +74,8 @@ def estimate(vals: np.ndarray) -> McEstimate:
     buf = np.array(vals, dtype=float)
     if buf.size < 2:
         raise ValueError("N >= 2 required")
-    return _mc_estimate(*_block_moments(buf))
+    count, mean, m2 = _block_moments(buf)
+    return McEstimate(float(mean), math.sqrt(float(m2) / (count - 1)) / math.sqrt(count))
 
 
 def _block_moments(buf: np.ndarray):
@@ -104,10 +105,6 @@ def _merge_moments(a, b):
     count = na + nb
     delta = mean_b - mean_a
     return count, mean_a + delta * nb / count, m2_a + m2_b + delta * delta * na * nb / count
-
-
-def _mc_estimate(count: int, mean, m2) -> McEstimate:
-    return McEstimate(float(mean), math.sqrt(float(m2) / (count - 1)) / math.sqrt(count))
 
 
 def _worker_count() -> int:
@@ -224,7 +221,7 @@ def simplex_projection_samples(kv: KnotVector, N: int, seed: int) -> np.ndarray:
 
 
 def char_estimates(kvs, N: int, seed: int, xis):
-    """(cos, sin) McEstimates of n*xi*<x, S> per xi, per knot vector, from one pass.
+    """Means and standard errors of cos and sin of n*xi*<x, S>, from one pass.
 
     The knot vectors, all of one n, share N simplex points S of the seed's
     stream.  Per sampler block one buffer takes n*xi*<x, S> for every knot
@@ -236,7 +233,8 @@ def char_estimates(kvs, N: int, seed: int, xis):
     block they are the bits of ``estimate``; with more they differ from it
     by rounding, a few units in the last place at N = 1e6.
 
-    Returns one list per knot vector of one (cos, sin) pair per xi.
+    Returns (means, std_errors), each of shape (2, len(kvs), len(xis)):
+    index 0 of the first axis is the cosine, 1 the sine.
     """
     if N < 2:
         raise ValueError("N >= 2 required")
@@ -251,13 +249,7 @@ def char_estimates(kvs, N: int, seed: int, xis):
         block = _block_moments(w)
         moments = block if moments is None else _merge_moments(moments, block)
     count, means, m2s = moments
-    out = []
-    for i in range(len(kvs)):
-        cos, sin = (
-            [_mc_estimate(count, m, v) for m, v in zip(means[t, i], m2s[t, i])] for t in (0, 1)
-        )
-        out.append(list(zip(cos, sin)))
-    return out
+    return means, np.sqrt(m2s / (count - 1)) / math.sqrt(count)
 
 
 def mc_pdf_Q(kv: KnotVector, N: int, grid2d, seed: int) -> np.ndarray:

@@ -182,13 +182,13 @@ def corollary4_errors(kvs, p: int, xi_grid, N: int, seed: int):
     """
     xis = np.asarray(xi_grid, dtype=float)
     w = np.abs(xis) ** p if p > 0 else np.ones_like(xis)
-    out = []
-    for ests in char_estimates(kvs, N, seed, xis):
-        cos_diffs = np.array([c.mean - math.exp(-xi * xi / 2) for xi, (c, _) in zip(xis, ests)])
-        sin_diffs = np.array([s.mean for _, s in ests])
-        floor_c = max(4 * c.std_error * wi for wi, (c, _) in zip(w, ests))
-        floor_s = max(4 * s.std_error * wi for wi, (_, s) in zip(w, ests))
-        cos_res = _weighted_sup(xis, cos_diffs, p, float(floor_c))
-        sin_res = _weighted_sup(xis, sin_diffs, p, float(floor_s))
-        out.append((cos_res, sin_res))
-    return out
+    gauss = np.array([math.exp(-xi * xi / 2) for xi in xis])
+    means, ses = char_estimates(kvs, N, seed, xis)
+    floors = np.max(4 * ses * w, axis=-1)
+    return [
+        (
+            _weighted_sup(xis, means[0, i] - gauss, p, float(floors[0, i])),
+            _weighted_sup(xis, means[1, i], p, float(floors[1, i])),
+        )
+        for i in range(len(kvs))
+    ]

@@ -211,13 +211,16 @@ def test_inversion_rejects_non_finite_grid():
 
 
 def test_inversion_rejects_imaginary_residue(monkeypatch):
-    # the row of Phi at xi1 = 0 replaced by an imaginary constant: the sum
-    # keeps an imaginary part far above 1e-8 and the guard must fire
-    def imaginary_blocks(kv, nodes):
-        mid = nodes.size // 2
-        yield slice(mid, mid + 1), np.full((1, nodes.size), 1e-3j)
+    # the row of Phi at xi1 = 0 replaced by an imaginary constant: C keeps an
+    # imaginary part far above 1e-8 and the guard must fire
+    rows = charprob._phi_rows
 
-    monkeypatch.setattr(charprob, "_phi_blocks", imaginary_blocks)
+    def imaginary_centre(kv, xi1, nodes, out):
+        rows(kv, xi1, nodes, out)
+        out[xi1 == 0] = 1e-3j
+        return out
+
+    monkeypatch.setattr(charprob, "_phi_rows", imaginary_centre)
     with pytest.raises(QuadratureNotConverged, match="imaginary residue"):
         charprob.pdf_Q_inversion_grid(knots.family("equispaced", 8), [0.0], [0.0])
 
@@ -226,32 +229,39 @@ def test_inversion_rejects_imaginary_residue(monkeypatch):
 CELL_NODES = harness._cell_average_nodes(montecarlo.default_grid()[0])
 
 
-def _phi_every_row(kv, nodes):
-    """_phi_blocks' rows and blocks, each row evaluated on its own."""
-    step = max(1, charprob._BLOCK_FLOATS // (nodes.size * kv.n))
-    for lo in range(0, nodes.size, step):
-        t = charprob._tk(kv, nodes[lo : lo + step, None], nodes[None, :])
-        yield slice(lo, lo + step), np.exp(charprob._log_modulus(t) + 1j * charprob._phase(t))
+def _rows_one_at_a_time(kv, xi1, nodes, out):
+    """_phi_rows with each row of Phi evaluated on its own."""
+    for j, x in enumerate(xi1):
+        t = charprob._tk(kv, x, nodes)
+        out[j] = np.exp(charprob._log_modulus(t) + 1j * charprob._phase(t))
+    return out
 
 
 @pytest.mark.parametrize("kind, n", [("equispaced", 16), ("uniform_random", 16), ("clustered", 40)])
-def test_phi_from_conjugate_half_is_bit_identical(monkeypatch, kind, n):
+def test_half_plane_sum_matches_full_grid(monkeypatch, kind, n):
+    # the inversion sums the J + 1 rows with xi1 >= 0 (here 184, 255 and 144
+    # rows, in 3, 4 and 2 blocks); the sum over all M = 2J + 1 rows, each row
+    # evaluated on its own and the whole of Phi held, agrees to rounding
     kv = knots.family(kind, n, seed=1)
-    # at n = 40 the 401 rows take seven blocks, the fourth holding xi1 = 0
-    J = 200 if n == 40 else 40
-    nodes = 0.37 * np.arange(-J, J + 1)
-    full = list(_phi_every_row(kv, nodes))
-    phi = np.concatenate([block for _, block in full])
-    # libm's odd symmetry, on which the conjugate half rests
-    assert np.array_equal(phi[::-1, ::-1], np.conj(phi))
-    half = list(charprob._phi_blocks(kv, nodes))
-    assert [rows for rows, _ in half] == [rows for rows, _ in full]
-    assert np.array_equal(np.concatenate([block for _, block in half]), phi)
-    # and the inversion sum over the blocks keeps its bits
     s = CELL_NODES[::4]
+    seen = []
+    rows = charprob._phi_rows
+
+    def spy(kv, xi1, nodes, out):
+        seen.append(nodes)
+        return rows(kv, xi1, nodes, out)
+
+    monkeypatch.setattr(charprob, "_phi_rows", spy)
     grid = charprob.pdf_Q_inversion_grid(kv, s, s)
-    monkeypatch.setattr(charprob, "_phi_blocks", _phi_every_row)
-    assert charprob.pdf_Q_inversion_grid(kv, s, s).tobytes() == grid.tobytes()
+    nodes = seen[0]
+    M = nodes.size
+    # the nodes are exactly symmetric, which the conjugate pairing rests on
+    assert np.array_equal(nodes[::-1], -nodes)
+    phi = _rows_one_at_a_time(kv, nodes, nodes, np.empty((M, M), dtype=complex))
+    E1 = np.exp(-1j * np.multiply.outer(s, nodes))
+    E2T = np.exp(-1j * np.multiply.outer(nodes, s))
+    full = (E1 @ (phi @ E2T)).real * nodes[M // 2 + 1] ** 2 / (4 * np.pi**2)
+    assert np.max(np.abs(grid - full)) <= 1e-15
 
 
 # validate's symmetry grid (charprob.inversion_symmetry), on the capped radius R = 200
@@ -267,24 +277,32 @@ CHECK_S1, CHECK_S2 = np.array([0.3, -0.3, 1.1, -1.1]), np.array([0.7, -0.4])
     ],
 )
 def test_phi_evaluation_blocking_keeps_bits(monkeypatch, kind, n, s1, s2):
-    # the held half is evaluated in blocks of _CACHE_FLOATS values of t;
-    # one-row blocks and blocks of 2^20 give the grid the same bits
+    # _phi_rows evaluates t in blocks of _CACHE_FLOATS values: one-row blocks
+    # and blocks of 2^20 give Phi the same bits, and evaluating one row at a
+    # time gives the grid the same bits
     kv = knots.family(kind, n, seed=1)
+    nodes = 0.37 * np.arange(-200, 201)
+    phi = charprob._phi_rows(kv, nodes[200:], nodes, np.empty((201, 401), dtype=complex))
+    with monkeypatch.context() as m:
+        for cache_floats in (1, 1 << 20):
+            m.setattr(charprob, "_CACHE_FLOATS", cache_floats)
+            again = charprob._phi_rows(kv, nodes[200:], nodes, np.empty_like(phi))
+            assert again.tobytes() == phi.tobytes()
     grid = charprob.pdf_Q_inversion_grid(kv, s1, s2).tobytes()
-    for cache_floats in (1, 1 << 20):
-        monkeypatch.setattr(charprob, "_CACHE_FLOATS", cache_floats)
-        assert charprob.pdf_Q_inversion_grid(kv, s1, s2).tobytes() == grid
+    monkeypatch.setattr(charprob, "_phi_rows", _rows_one_at_a_time)
+    assert charprob.pdf_Q_inversion_grid(kv, s1, s2).tobytes() == grid
 
 
 @pytest.mark.parametrize(
-    "n, s1, s2, bound",
-    [(8, CHECK_S1, CHECK_S2, 14e6), (16, CELL_NODES, CELL_NODES, 8e6)],
+    "n, s1, s2",
+    [(8, CHECK_S1, CHECK_S2), (16, CELL_NODES, CELL_NODES)],
     ids=["check-n8", "grid80-n16"],
 )
-def test_inversion_memory_bounded(n, s1, s2, bound):
-    # the scratch of the evaluation does not grow with the grid: with t and
-    # its work array in blocks of 2^20 values the n = 8 check peaked at
-    # 26.7 MB and the 80 x 80 grid at 20.1 MB
+def test_inversion_memory_bounded(n, s1, s2):
+    # the scratch does not grow with the grid: beside E1, E2 and the output
+    # it is one block of Phi and t in blocks of about _CACHE_FLOATS values
+    # (peaks of 1.3 and 2.2 MB); the xi1 >= 0 half of Phi alone is 6.9 MB
+    # for the n = 8 check
     kv = knots.family("equispaced", n)
     tracemalloc.start()
     try:
@@ -292,7 +310,7 @@ def test_inversion_memory_bounded(n, s1, s2, bound):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= bound
+    assert peak <= 3e6
 
 
 @pytest.mark.parametrize(

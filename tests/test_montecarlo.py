@@ -155,9 +155,9 @@ def test_mc_char_at_zero():
     # and merging them keeps both exact; sin 0 = 0 likewise
     for kind, N in [("equispaced", 1000), ("uniform_random", 10**5 + 1)]:
         kv = knots.family(kind, 6, seed=2)
-        [[(c, s)]] = montecarlo.char_estimates([kv], N, 1, (0.0,))
-        assert c.mean == 1.0 and c.std_error == 0.0
-        assert s.mean == 0.0 and s.std_error == 0.0
+        means, ses = montecarlo.char_estimates([kv], N, 1, (0.0,))
+        assert means.shape == ses.shape == (2, 1, 1)
+        assert means.ravel().tolist() == [1.0, 0.0] and ses.ravel().tolist() == [0.0, 0.0]
     with pytest.raises(ValueError):
         montecarlo.char_estimates([kv], 1, 1, (0.0,))
 
@@ -180,11 +180,14 @@ def test_char_estimates_match_one_xi_at_a_time():
     kv = knots.family("uniform_random", 8, seed=3)
     xis = (0.0, 0.7, 2.5)
     for N in (2, 8, 9, 127, 128, 129, 8192, 8193, 10**6 + 3):
-        [together] = montecarlo.char_estimates([kv], N, 2, xis)
-        assert together == [montecarlo.char_estimates([kv], N, 2, (xi,))[0][0] for xi in xis]
+        together = montecarlo.char_estimates([kv], N, 2, xis)
+        alone = [montecarlo.char_estimates([kv], N, 2, (xi,)) for xi in xis]
+        for arr, parts in zip(together, zip(*alone)):
+            assert arr.tobytes() == np.concatenate(parts, axis=-1).tobytes()
         proj = montecarlo.simplex_projection_samples(kv, N, seed=2)
-        for xi, pair in zip(xis, together):
-            for trig, est in zip((np.cos, np.sin), pair):
+        for x, xi in enumerate(xis):
+            for t, trig in enumerate((np.cos, np.sin)):
+                est = montecarlo.McEstimate(*(float(arr[t, 0, x]) for arr in together))
                 vals = trig(kv.n * xi * proj)
                 kept = vals.copy()
                 expected = montecarlo.McEstimate(
@@ -205,11 +208,12 @@ def test_char_estimates_shared_pass_and_worker_count(monkeypatch):
     kvs = [knots.family(kind, 8, seed=4) for kind in ("equispaced", "uniform_random", "chebyshev")]
     xis = (0.5, 2.0)
     N = 5 * 8192 + 3
-    shared = montecarlo.char_estimates(kvs, N, 7, xis)
-    assert shared == [montecarlo.char_estimates([kv], N, 7, xis)[0] for kv in kvs]
+    shared = [arr.tobytes() for arr in montecarlo.char_estimates(kvs, N, 7, xis)]
+    own = [montecarlo.char_estimates([kv], N, 7, xis) for kv in kvs]
+    assert shared == [np.concatenate(parts, axis=1).tobytes() for parts in zip(*own)]
     for workers in (1, 2, 3):
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
-        assert montecarlo.char_estimates(kvs, N, 7, xis) == shared
+        assert [arr.tobytes() for arr in montecarlo.char_estimates(kvs, N, 7, xis)] == shared
 
 
 def test_char_estimates_hold_one_buffer(monkeypatch):
@@ -232,10 +236,11 @@ def test_char_estimates_hold_one_buffer(monkeypatch):
 def test_mc_char_gaussian_limit():
     kv = knots.family("equispaced", 64)
     xi = 1.0
-    [[(c, s)]] = montecarlo.char_estimates([kv], 2 * 10**5, 11, (xi,))
+    means, _ = montecarlo.char_estimates([kv], 2 * 10**5, 11, (xi,))
+    c, s = means.ravel()
     # bias is O(m^3); at n=64 that is ~0.1, noise ~1e-3
-    assert abs(c.mean - math.exp(-xi * xi / 2)) < 0.05
-    assert abs(s.mean) < 0.02
+    assert abs(c - math.exp(-xi * xi / 2)) < 0.05
+    assert abs(s) < 0.02
 
 
 def test_histogram_counts_and_density():
