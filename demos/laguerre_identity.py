@@ -11,11 +11,11 @@ h_j(x), so the transform of (n-1) B is sum_j (n-1)!/(j+n-1)! h_j (-i w)^j,
 entire in w; its r-th derivative is summed in exact fixed point with a
 rigorous tail bound and correctly rounded, at any n.
 
-All three agree to ~1e-10 for r up to 4, which is the package's strongest
-internal cross-check: the routes share only the knot vector; the two sums
-run the one extended-precision partial-fraction loop over the integer W'
-table (and stop at n = 24), the series the complete homogeneous sums of
-the knots, with no cap on n.
+Each route is an exact integer bracket, correctly rounded, so the three
+agree bit for bit at any n, which is the package's strongest internal
+cross-check: the routes share only the knot vector; the two sums run the
+one partial-fraction bracket over the integer W' table, the series the
+complete homogeneous sums of the knots.
 """
 
 from splinellt import knots, specfun
@@ -46,9 +46,12 @@ def main():
     g = specfun.corollary3_sum(big, 0, 1.0)
     print(f"n=24, xi=1: {g.real:.6f}  vs gaussian {math.exp(-0.5):.6f}")
 
-    # past the sums' n <= 24 the series still gives Corollary 3 exactly
-    (s,) = specfun.corollary3_quadrature(knots.family("equispaced", 64), 0, (1.0,))
-    print(f"n=64, xi=1: {s.real:.6f}  vs gaussian {math.exp(-0.5):.6f}  (series)")
+    # at n = 64 the Laguerre sum and the series still agree to the last bit
+    kv64 = knots.family("equispaced", 64)
+    a = specfun.corollary3_sum(kv64, 0, 1.0)
+    (s,) = specfun.corollary3_quadrature(kv64, 0, (1.0,))
+    print(f"n=64, xi=1: {a.real:.6f} (sum) {s.real:.6f} (series), equal: {a == s};"
+          f" gaussian {math.exp(-0.5):.6f}")
 
 
 if __name__ == "__main__":

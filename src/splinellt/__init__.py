@@ -3,8 +3,8 @@
 Library layout:
 
 - :mod:`splinellt.knots` — normalized knot families and moment functionals
-- :mod:`splinellt.splines` — stable spline evaluation plus an
-  extended-precision oracle
+- :mod:`splinellt.splines` — stable spline evaluation plus exact integer
+  oracles
 - :mod:`splinellt.specfun` — Hermite / Laguerre / 2F0 special functions and
   the oscillatory Laguerre sum
 - :mod:`splinellt.charprob` — characteristic functions, Fourier inversion,

@@ -2,10 +2,11 @@
 
 The seminorm ||f||_{p,q} = sup_t |t|^p |d^q f(t)| is approximated on a
 finite grid [-T, T] with step h.  Derivatives on the spline side come from
-exact exponent reduction (never finite differences in t).  The Laguerre sum
-S_r(xi) is the Fourier transform of (it)^r B(t/n), so differentiating under
-the integral gives d^q/dxi^q S_r(xi) = (-1)^q S_{q+r}(xi): its
-xi-derivatives are taken exactly, as the sum of order q+r.
+exact exponent reduction (never finite differences in t).  The Corollary-3
+side S_r(xi) is the Fourier transform of (it)^r B(t/n), so differentiating
+under the integral gives d^q/dxi^q S_r(xi) = (-1)^q S_{q+r}(xi): its
+xi-derivatives are taken exactly, as the transform of order q+r, read from
+the exact power series ``specfun.corollary3_quadrature``.
 """
 
 import math
@@ -16,7 +17,7 @@ import numpy as np
 from .errors import OrderTooHigh
 from .knots import KnotVector
 from .montecarlo import char_estimates
-from .specfun import corollary3_sum, hermite, hermite_function
+from .specfun import corollary3_quadrature, hermite, hermite_function
 from .splines import bspline_stable_deriv
 
 
@@ -137,11 +138,13 @@ def corollary2_error(
 def corollary3_error(
     kv: KnotVector, p: int, q: int, r: int, xi_grid
 ) -> SeminormResult:
-    """d^q in xi of the Laguerre sum S_r vs He_r(xi) e^{-xi^2/2}.
+    """d^q in xi of the transform S_r of (it)^r B(t/n) vs He_r(xi) e^{-xi^2/2}.
 
     Both sides are differentiated exactly: d^q S_r = (-1)^q S_{q+r} and
     d^q [He_r(xi) e^{-xi^2/2}] = (-1)^q He_{q+r}(xi) e^{-xi^2/2}, so the
     error is that of order q+r at q = 0 (the common sign drops under |.|).
+    S_{q+r} comes correctly rounded from one series call for the whole
+    grid; the Laguerre sums it equals serve as independent checks only.
     """
     if r > 4:
         raise ValueError("r <= 4 required")
@@ -149,11 +152,11 @@ def corollary3_error(
         raise ValueError("q <= 2 required")
     m = q + r
     xis = np.asarray(xi_grid, dtype=float)
-    diffs = np.empty(xis.size, dtype=complex)
-    for i, xi in enumerate(xis):
-        xi = float(xi)
-        diffs[i] = corollary3_sum(kv, m, xi) - hermite(m, xi) * math.exp(-xi * xi / 2)
-    return _weighted_sup(xis, diffs, p)
+    diffs = [
+        s - hermite(m, xi) * math.exp(-xi * xi / 2)
+        for xi, s in zip(xis.tolist(), corollary3_quadrature(kv, m, xis.tolist()))
+    ]
+    return _weighted_sup(xis, np.array(diffs), p)
 
 
 def corollary4_error(

@@ -8,16 +8,14 @@ alpha = -n-r+1 sits exactly on the gamma-function poles, so no gamma calls
 appear anywhere here.
 """
 
-import functools
 import math
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from .errors import PrecisionLoss
 from .knots import KnotVector
-from .splines import ORACLE_DPS, ORACLE_MAX_N, certify, complete_homogeneous, partial_fraction_sum
+from .splines import complete_homogeneous, oscillatory_sum
 
 XI_MIN = 0.05
 # corollary3_quadrature refuses a value whose fixed-point sum needs more bits
@@ -44,33 +42,18 @@ def hermite_function(r: int, t):
     return hermite(r, t) * np.exp(-np.square(t) / 2) / math.sqrt(2 * math.pi)
 
 
-@functools.lru_cache(maxsize=None)
-def _laguerre_coeff(r: int, alpha, j: int) -> Fraction:
-    """The coefficient of x^j in L_r^{(alpha)}(x), exactly."""
-    return Fraction((-1) ** j, math.factorial(j) * math.factorial(r - j)) * math.prod(
-        (Fraction(alpha) + i for i in range(j + 1, r + 1)), start=Fraction(1)
-    )
-
-
 def laguerre(r: int, alpha, x):
     """Generalized Laguerre L_r^{(alpha)}(x) by its terminating series.
 
-    Valid for every real alpha, including alpha < -1.  For an mpmath x each
-    coefficient is formed exactly as a fraction and rounded once, at the
-    working precision; for a Python number it is formed in floating point.
+    Valid for every real alpha, including alpha < -1; the coefficients are
+    formed in floating point.
     """
     if r < 0:
         raise ValueError("degree must be >= 0")
-    to_mp = isinstance(x, (mp.mpf, mp.mpc))
     total = 0
     for j in range(r + 1):
-        if to_mp:
-            c = _laguerre_coeff(r, alpha, j)
-            c = mp.mpf(c.numerator) / c.denominator
-        else:
-            binom = math.prod(alpha + i for i in range(j + 1, r + 1)) / math.factorial(r - j)
-            c = (-1) ** j / math.factorial(j) * binom
-        total += c * x**j
+        binom = math.prod(alpha + i for i in range(j + 1, r + 1)) / math.factorial(r - j)
+        total += (-1) ** j / math.factorial(j) * binom * x**j
     return total
 
 
@@ -86,21 +69,17 @@ def hyp2f0(r: int, a, z):
     return total
 
 
-def _check_c3_args(kv, r):
-    if r > 6:
-        raise ValueError("r <= 6 required")
-    if kv.n > ORACLE_MAX_N:
-        raise PrecisionLoss(f"extended-precision sum limited to n <= {ORACLE_MAX_N}")
+def _i_pow(k: int, v: int) -> tuple:
+    """i^k v as a (real, imaginary) pair of integers."""
+    return ((v, 0), (0, v), (-v, 0), (0, -v))[k % 4]
 
 
-def _c3_prefactor(n, r):
-    return (
-        mp.factorial(n - 2)
-        * mp.factorial(r)
-        * (-1) ** r
-        * mp.mpc(0, 1) ** (n - 1)
-        / mp.mpf(n) ** (n - 2)
-    )
+def _c3_bracket(kv, r, xi, coeffs) -> complex:
+    """(n-2)! / (n^{n-2} xi^{n+r-1}) sum_k e^{-i theta_k} N(theta_k) / W'(x_k),
+    theta_k = n xi x_k, N(theta) = sum_j coeffs[j] theta^j."""
+    n = kv.n
+    pref = Fraction(math.factorial(n - 2), n ** (n - 2)) / Fraction(xi) ** (n + r - 1)
+    return oscillatory_sum(kv, n * Fraction(xi), coeffs, pref)
 
 
 def corollary3_sum(kv: KnotVector, r: int, xi: float) -> complex:
@@ -108,54 +87,44 @@ def corollary3_sum(kv: KnotVector, r: int, xi: float) -> complex:
 
     C_{r,n} / xi^{n+r-1} * sum_k e^{-i n xi x_k} L_r^{(-n-r+1)}(i n xi x_k) / W'(x_k)
     with C_{r,n} = (-1)^r (n-2)! r! i^{n-1} / n^{n-2}, which equals the
-    Fourier transform of t -> (it)^r B(t/n).  The sum is certified at
-    ORACLE_DPS digits and capped at n <= ORACLE_MAX_N.  Below |xi| = XI_MIN,
-    where its xi^{-(n+r-1)} prefactor cancels the sum's removable
-    singularity, it hands over to corollary3_quadrature, the same transform
-    as an exact power series in xi (entire, so finite at xi = 0) that is
-    correctly rounded and has no cap on n.
+    Fourier transform of t -> (it)^r B(t/n).  r! L_r^{(a)}(z) = sum_j (-1)^j
+    C(r, j) (a+j+1)...(a+r) z^j has integer coefficients, so
+    ``splines.oscillatory_sum`` rounds each part correctly, at any n.  Below
+    |xi| = XI_MIN, where its xi^{-(n+r-1)} prefactor cancels the sum's
+    removable singularity, it hands over to corollary3_quadrature, the same
+    transform as an exact power series in xi (entire, so finite at xi = 0).
     """
-    _check_c3_args(kv, r)
+    if r > 6:
+        raise ValueError("r <= 6 required")
     if abs(xi) < XI_MIN:
         return corollary3_quadrature(kv, r, (xi,))[0]
-    n = kv.n
-    with mp.workdps(ORACLE_DPS):
-        xim = mp.mpf(float(xi))
-        w = mp.mpc(0, -1) * n * xim
-        total = certify(*partial_fraction_sum(
-            kv, lambda x: mp.exp(w * x) * laguerre(r, -n - r + 1, -w * x)
-        ))
-        return complex(_c3_prefactor(n, r) / xim ** (n + r - 1) * total)
+    n, alpha = kv.n, -kv.n - r + 1
+    # (-1)^r i^{n-1} r! L_r(i theta)
+    return _c3_bracket(kv, r, xi, [
+        _i_pow(n - 1 + j + 2 * (r + j), math.comb(r, j) * math.prod(range(alpha + j + 1, alpha + r + 1)))
+        for j in range(r + 1)
+    ])
 
 
 def corollary3_sum_2f0(kv: KnotVector, r: int, xi: float) -> complex:
     """Same quantity through the derivative route and the terminating 2F0.
 
     The 2F0 argument 1/(n xi x_k) is rearranged into a polynomial in x_k so
-    that knots at (or near) zero cost nothing.
+    that knots at (or near) zero cost nothing: with theta = n xi x, the term
+    (-r)_j (n-1)_j / j! (-i n xi)^{-j} x^{r-j} is (-1)^j C(r, j) (n-1)_j i^j
+    theta^{r-j} / (n xi)^r, which leaves i^{r+n-1} (n-2)! / (n^{n-2}
+    xi^{n+r-1}) in front of the sum.
     """
-    _check_c3_args(kv, r)
+    if r > 6:
+        raise ValueError("r <= 6 required")
     if xi == 0:
         raise ValueError("the 2F0 route needs xi != 0")
     n = kv.n
-    with mp.workdps(ORACLE_DPS):
-        xim = mp.mpf(float(xi))
-        w = mp.mpc(0, -1) * n * xim
-        # (-r)_j (n-1)_j / j! = (-1)^j C(r, j) (n-1)_j, an exact integer
-        coeffs = [
-            (-1) ** j * math.comb(r, j) * math.prod(n - 1 + i for i in range(j)) * w ** (-j)
-            for j in range(r + 1)
-        ]
-
-        def term(x):
-            poly = sum((cj * x ** (r - j) for j, cj in enumerate(coeffs)), mp.mpf(0))
-            return mp.exp(w * x) * poly
-
-        total = certify(*partial_fraction_sum(kv, term))
-        # C_{r,n} / r!: the r! of the Laguerre polynomial is inside the 2F0
-        pref = _c3_prefactor(n, r) / mp.factorial(r)
-        val = pref * xim ** (-(n - 1)) * (mp.mpc(0, -1) * n) ** r * total
-        return complex(val)
+    # i^{r+n-1} (-i)^j C(r, j) (n-1)_j, the coefficient of theta^{r-j}
+    return _c3_bracket(kv, r, xi, [
+        _i_pow(r + n - 1 + 3 * j, math.comb(r, j) * math.prod(range(n - 1, n - 1 + j)))
+        for j in range(r, -1, -1)
+    ])
 
 
 def _tail(xi: float, y: Fraction, n: int, r: int, P: int) -> tuple:

@@ -14,9 +14,9 @@ Two routes are provided for the same function
   about 60n bits, and the route serves as the oracle.  That integer
   table, memoized per knot vector in ``_int_table``, is the only one of
   the W'(x_k): ``wprime`` rounds its entries to double,
-  ``partial_fraction_sum`` divides the extended-precision (mpmath)
-  numerators of the two Corollary-3 sums in ``specfun`` by them exactly,
-  and ``complete_homogeneous`` forms from its integer knots the sums
+  ``oscillatory_sum`` brackets over them the two Corollary-3 sums of
+  ``specfun``, with e^{-i theta_k} taken to Q bits in integers, and
+  ``complete_homogeneous`` forms from its integer knots the sums
   h_j(x) from which the Corollary-3 oracle sums the transform of B exactly.
 * ``bspline_stable`` evaluates the identical spline through the
   triangular Cox-de Boor recursion in plain doubles, which involves only
@@ -37,49 +37,13 @@ sum and coefficient differencing in the stable recursion are both exact.
 import functools
 import math
 
-import mpmath as mp
 import numpy as np
 
-from .errors import DuplicateKnots, PrecisionLoss
+from .errors import DuplicateKnots
 from .knots import KnotVector
 
-# digits and largest n of the extended-precision sums (the two Corollary-3 sums)
-ORACLE_DPS = 140
-ORACLE_MAX_N = 24
 # points per Cox-de Boor chunk: the working set is (4n - 3) * _CHUNK doubles
 _CHUNK = 256
-
-
-def partial_fraction_sum(kv: KnotVector, term):
-    """(sum_k term(x_k) / W'(x_k), max_k |summand|) at the current precision.
-
-    ``term`` maps an mpf knot to its numerator, or to None where the summand
-    vanishes.  The two Corollary-3 sums take this form; B is the same sum
-    with numerator (x_k - t)_+^{n-2-r}, which ``bspline_naive`` forms
-    exactly in integers instead.  1/W'(x_k) = 2^{L(n-1)} / W_k over the
-    exact integer table of ``_int_table``, so each summand is rounded once,
-    in the division, and the W' enter ``certify`` without error.
-    """
-    L, _, W = _int_table(tuple(kv.xs.tolist()))
-    scale = mp.ldexp(mp.mpf(1), L * (kv.n - 1))
-    total = biggest = mp.mpf(0)
-    for x, w in zip(kv.xs.tolist(), W):
-        num = term(mp.mpf(x))
-        if num is not None:
-            summand = num / w * scale
-            total += summand
-            biggest = max(biggest, abs(summand))
-    return total, biggest
-
-
-def certify(total, biggest):
-    """``total``, or PrecisionLoss when the rounding error estimate (largest
-    summand times the ORACLE_DPS epsilon, two digits of slack) exceeds 1e-10
-    of it."""
-    err = biggest * mp.mpf(10) ** (2 - ORACLE_DPS)
-    if abs(total) > 0 and err > mp.mpf("1e-10") * abs(total):
-        raise PrecisionLoss(f"cancellation too severe: est rel err {float(err / abs(total)):.2e}")
-    return total
 
 
 @functools.lru_cache(maxsize=256)
@@ -104,11 +68,11 @@ def _prod(factors: list) -> int:
     return factors[0] if factors else 1
 
 
-def _to_double(a: int, k: int):
-    """a * 2^k correctly rounded to double (CPython rounds int / int and
-    float(int) correctly), or None beyond the double range."""
+def _to_double(a: int, b: int, k: int):
+    """a / b * 2^k correctly rounded to double (CPython rounds int / int
+    correctly), or None beyond the double range."""
     try:
-        return a / (1 << -k) if k < 0 else float(a << k)
+        return a / (b << -k) if k < 0 else (a << k) / b
     except OverflowError:
         return None
 
@@ -117,7 +81,7 @@ def wprime(kv: KnotVector, k: int):
     """W'(x_k) = prod_{j != k} (x_k - x_j), correctly rounded to double at
     any n (None beyond the double range)."""
     L, _, W = _int_table(tuple(kv.xs.tolist()))
-    return _to_double(W[k], -L * (kv.n - 1))
+    return _to_double(W[k], 1, -L * (kv.n - 1))
 
 
 def _round_scaled_sum(terms: list, s: int) -> float:
@@ -144,7 +108,7 @@ def _round_scaled_sum(terms: list, s: int) -> float:
     while True:
         p = max(q + s, 0)
         a = sum((num << p) // w for num, w in terms)
-        lo, hi = _to_double(a, s - p), _to_double(a + m, s - p)
+        lo, hi = _to_double(a, 1, s - p), _to_double(a + m, 1, s - p)
         if lo is not None and lo == hi:
             return lo + 0.0
         if p - s >= q_zero:
@@ -154,6 +118,73 @@ def _round_scaled_sum(terms: list, s: int) -> float:
     den = math.lcm(*(w for _, w in terms))
     num = sum(c * (den // w) for c, w in terms)
     return (num << s) / den + 0.0 if s >= 0 else num / (den << -s) + 0.0
+
+
+def _exp_i(a: int, E: int, Q: int) -> tuple:
+    """(C, S, d): C and S are within d of 2^Q cos and 2^Q sin of a / 2^E.
+
+    A Taylor series on phi = a / 2^{E+s}, |phi| <= 2^-7, each term
+    floor-divided from the one before until one is at most a unit: each term
+    is then off by under 1.01 and the rest sum to under 0.02, so d = 2J + 4
+    after J terms.  Each of the s squarings maps d to 3d + 2 (2 sqrt(2) d,
+    plus 2 d^2 / 2^Q and the floor) while d < 2^(Q-4); d only grows, and a
+    larger final d leaves a bracket too wide to round.
+    """
+    s = max(0, abs(a).bit_length() - E + 7)
+    t, j, parts = 1 << Q, 0, [1 << Q, 0]
+    while abs(t) > 1:
+        j += 1
+        t = t * a // (j << (E + s))
+        # i^j cycles through 1, i, -1, -i
+        parts[j & 1] += -t if j & 2 else t
+    c, si, d = parts[0], parts[1], 2 * j + 4
+    for _ in range(s):
+        c, si, d = (c * c - si * si) >> Q, (c * si) >> (Q - 1), 3 * d + 2
+    return c, si, d
+
+
+def oscillatory_sum(kv: KnotVector, w, coeffs, pref) -> complex:
+    """pref sum_k e^{-i theta_k} N(theta_k) / W'(x_k), theta_k = w x_k, each
+    part correctly rounded, at any n.
+
+    N(theta) = sum_j (coeffs[j][0] + i coeffs[j][1]) theta^j; pref and w != 0
+    are Fractions, w with a power-of-two denominator (as n xi).  Over
+    ``_int_table`` theta_k = a_k / 2^E, and 2^{E deg N} N(theta_k) and W_k are
+    integers.  ``_exp_i`` at Q bits gives X_k, the part of (C_k - i S_k)
+    2^{E deg N} N(theta_k); with 2^g above every |N_k|_1 / |W_k|, A = sum
+    floor(X_k 2^-g / W_k) in units of 2^(g-Q) puts the part in [A - D, A + m
+    + D] for m terms, D = sum d_k.  The exact prefactor scales the two ends.
+    Q starts at 64 bits plus the bit size of the largest summand and doubles
+    until both ends round to one double (an end beyond the double range is
+    unresolved; a zero part resolves to +0.0).
+    """
+    L, X, W = _int_table(tuple(kv.xs.tolist()))
+    wn, wd = w.as_integer_ratio()
+    pn, pd = pref.as_integer_ratio()
+    E, deg = L + wd.bit_length() - 1, len(coeffs) - 1
+    terms = [
+        (a, *(sum(c[i] * a**j << E * (deg - j) for j, c in enumerate(coeffs)) for i in (0, 1)), wk)
+        for a, wk in zip((wn * x for x in X), W)
+    ]
+    g = max((abs(nr) + abs(ni)).bit_length() - abs(wk).bit_length() + 1 for _, nr, ni, wk in terms)
+    # value = pref 2^scale sum_k e^{-i theta_k} (Nr_k + i Ni_k) / W_k
+    scale = L * (len(X) - 1) - E * deg
+    Q = 64 + max(0, pn.bit_length() - pd.bit_length() + 1 + scale + g)
+    parts = [None, None]
+    while None in parts:
+        sums, D = [0, 0], 0
+        for a, nr, ni, wk in terms:
+            c, s, d = _exp_i(a, E, Q)
+            D += d
+            for i, x in enumerate((c * nr + s * ni, c * ni - s * nr)):
+                sums[i] += (x << -g) // wk if g < 0 else x // (wk << g)
+        for i in (0, 1):
+            lo = _to_double(pn * (sums[i] - D), pd, scale + g - Q)
+            hi = _to_double(pn * (sums[i] + len(terms) + D), pd, scale + g - Q)
+            if parts[i] is None and lo is not None and lo == hi:
+                parts[i] = lo + 0.0
+        Q *= 2
+    return complex(*parts)
 
 
 def complete_homogeneous(kv: KnotVector, J: int) -> tuple:

@@ -116,9 +116,13 @@ def test_criterion_11_hermite_genocchi_mc():
     proj = montecarlo.simplex_projection_samples(kv, 10**6, seed=1)
     est = montecarlo.estimate(np.exp(proj) / math.factorial(kv.n - 1))
     z = abs(est.mean - exact) / est.std_error
-    zero = montecarlo.estimate(np.zeros_like(proj) / math.factorial(kv.n - 1))
-    ok = z <= 4.0 and zero.mean == 0.0
-    _report(11, "Hermite-Genocchi MC", ok, f"exp case {z:.2f} SE; monomial case {zero.mean}")
+    # f = t^{n+1}: f^{(n-1)} / (n-1)! = (n+1) n / 2 t^2, whose divided
+    # difference is h_2(x), exact from the complete homogeneous sums
+    L, H = splines.complete_homogeneous(kv, 2)
+    mono = montecarlo.estimate((kv.n + 1) * kv.n / 2 * proj**2)
+    z_mono = abs(mono.mean - H[2] / (1 << 2 * L)) / mono.std_error
+    ok = z <= 4.0 and z_mono <= 4.0
+    _report(11, "Hermite-Genocchi MC", ok, f"exp case {z:.2f} SE; t^(n+1) case {z_mono:.2f} SE")
 
 
 def test_criterion_12_corollary4():

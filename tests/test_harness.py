@@ -41,7 +41,7 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         harness.ExperimentConfig(experiment="corollary4", n_list=[16], N_mc=100).validate()
     with pytest.raises(ConfigError):
-        harness.ExperimentConfig(experiment="corollary3", n_list=[64]).validate()
+        harness.ExperimentConfig(experiment="corollary3", n_list=[64], r=5).validate()
     harness.ExperimentConfig(experiment="scaling", n_list=[8, 16]).validate()
 
 
@@ -265,6 +265,25 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_and_validate_load_no_mpmath():
+    # every route is a Python-integer bracket: no extended-precision library
+    # is imported, by the CLI or by any validate check
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
+    script = (
+        "import sys, splinellt.cli\n"
+        "from splinellt import harness\n"
+        "harness.run_validate(harness.ExperimentConfig('validate'))\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_cli_unknown_family_exits_2(capsys):
     rc = cli.main(["scaling", "--family", "klingon", "--n", "8,16,32"])
     assert rc == 2
@@ -272,7 +291,7 @@ def test_cli_unknown_family_exits_2(capsys):
 
 
 def test_cli_bad_precondition_exits_2(capsys):
-    rc = cli.main(["corollary3", "--family", "equispaced", "--n", "64"])
+    rc = cli.main(["corollary3", "--family", "equispaced", "--n", "64", "--r", "5"])
     assert rc == 2
 
 
@@ -283,7 +302,7 @@ def test_cli_bad_precondition_exits_2(capsys):
      ["scaling", "--family", "uniform_random", "--n", "8", "--seed", "-1"],
      ["corollary4", "--family", "uniform_random", "--n", "8", "--N", "100000",
       "--seed", str(2**64 + 1)],
-     ["corollary3", "--n", "8,30"]],
+     ["corollary3", "--n", "8,1"]],
     ids=["grid_h", "grid_T", "negative_seed", "seed_past_64_bits", "corollary3_n"],
 )
 def test_cli_bad_config_exits_2_before_any_work(monkeypatch, capsys, argv):
@@ -297,9 +316,14 @@ def test_cli_bad_config_exits_2_before_any_work(monkeypatch, capsys, argv):
 
 
 def test_cli_identity_runs_past_oracle_max_n(capsys):
-    # identity's oracle, kernel and 2F0 quantities need no extended-precision
-    # sum, so ORACLE_MAX_N = 24 does not cap it
+    # the oracle, the kernel and the 2F0 identity have no cap on n
     assert cli.main(["identity", "--family", "equispaced", "--n", "32"]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_cli_corollary3_runs_past_n24(capsys):
+    # the two Corollary-3 sums are exact integer brackets, with no cap on n
+    assert cli.main(["corollary3", "--n", "32"]) == 0
     assert "PASS" in capsys.readouterr().out
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splinellt import knots, montecarlo
+from splinellt import knots, montecarlo, splines
 from splinellt.errors import InsufficientData
 
 
@@ -309,12 +309,22 @@ def test_density_histogram_needs_a_cell_with_20_draws():
         montecarlo.density_histogram_check(kv, 100, seed=1)
 
 
-def test_divided_difference_mc_exact_zero_for_low_degree():
-    # f = x^{n-2} has vanishing (n-1)-th derivative: the estimate is exactly 0
+def _monomial_agrees(kv, proj):
+    # Hermite-Genocchi at f = t^{n+1}: f^{(n-1)} / (n-1)! = (n+1) n / 2 t^2,
+    # and the divided difference of t^{n+1} is h_2(x), exact from the
+    # complete homogeneous sums
+    L, H = splines.complete_homogeneous(kv, 2)
+    est = montecarlo.estimate((kv.n + 1) * kv.n / 2 * proj**2)
+    return abs(est.mean - H[2] / (1 << 2 * L)) <= 4 * est.std_error
+
+
+def test_divided_difference_mc_monomial():
     kv = knots.family("uniform_random", 8, seed=5)
     proj = montecarlo.simplex_projection_samples(kv, 10**4, seed=1)
-    est = montecarlo.estimate(np.zeros_like(proj) / math.factorial(kv.n - 1))
-    assert est.mean == 0.0
+    assert _monomial_agrees(kv, proj)
+    # the check rests on the draws: a sampler that returns a constant fails it
+    for c in (0.0, float(proj.mean()), float(np.sqrt(np.mean(proj**2)))):
+        assert not _monomial_agrees(kv, np.full_like(proj, c))
 
 
 def test_divided_difference_mc_exp():

@@ -109,9 +109,9 @@ def test_corollary3_routes_agree():
 
 
 def test_corollary3_routes_agree_at_high_order():
-    # the Laguerre coefficients used to be rounded to double before the
-    # 140-digit sum, whose xi^{-(n+r-1)} prefactor amplified that rounding
-    # to 9.1e-4 relative at chebyshev n=16, r=6, xi=0.1
+    # the xi^{-(n+r-1)} prefactor amplifies any rounding of the Laguerre
+    # coefficients (once 9.1e-4 relative at chebyshev n=16, r=6, xi=0.1);
+    # both sums now take their integer coefficients exactly
     for fam, n in (("chebyshev", 16), ("equispaced", 20)):
         kv = knots.family(fam, n)
         for r in (4, 5, 6):
@@ -185,7 +185,7 @@ def test_corollary3_quadrature_exact_moments(family, n):
 @pytest.mark.parametrize("family", ["uniform_random", "clustered"])
 @pytest.mark.parametrize("n", [64, 256])
 def test_corollary3_quadrature_past_sum_cap_matches_float_integral(family, n):
-    # past ORACLE_MAX_N the series still runs; compare it with the integral
+    # at large n compare the series with the integral
     # of (it)^r B(t/n) e^{-it xi} by a float Gauss-Legendre rule on each knot
     # image [n x_k, n x_{k+1}], B from the Cox-de Boor kernel (no integer
     # table); the rule is exact on the polynomial factor and has 12 nodes
@@ -231,9 +231,6 @@ def test_corollary3_argument_checks():
         specfun.corollary3_sum(kv, 7, 1.0)
     with pytest.raises(ValueError):
         specfun.corollary3_sum_2f0(kv, 1, 0.0)
-    big = knots.family("equispaced", 30)
-    with pytest.raises(PrecisionLoss):
-        specfun.corollary3_sum(big, 0, 1.0)
 
 
 def test_wprime_cache_order_independent():
@@ -257,13 +254,42 @@ def test_wprime_cache_order_independent():
         assert results == fresh[first:] + fresh[:first]
 
 
-def test_2f0_route_is_certified(monkeypatch):
-    kv = knots.family("chebyshev", 8, seed=1)
-    # with a 5-digit certificate epsilon no sum can meet the 1e-10 bound (the
-    # sum itself still runs at 140 digits), so the route must raise
-    monkeypatch.setattr(splines, "ORACLE_DPS", 5)
-    with pytest.raises(PrecisionLoss):
-        specfun.corollary3_sum_2f0(kv, 1, 0.5)
+@pytest.mark.parametrize("n", [8, 16, 24, 32])
+def test_corollary3_sums_bit_equal_to_series(n):
+    # the three routes are each correctly rounded, so they agree bit for bit,
+    # the +0.0 imaginary part of exactly symmetric knots included
+    xis = (0.1, 1.0, 5.0)
+    for family in knots.FAMILIES:
+        kv = knots.family(family, n, seed=1)
+        for r in (0, 2, 3):
+            for xi, c in zip(xis, specfun.corollary3_quadrature(kv, r, xis)):
+                for route in (specfun.corollary3_sum, specfun.corollary3_sum_2f0):
+                    v = route(kv, r, xi)
+                    assert v == c, (family, r, xi, route.__name__)
+                    assert math.copysign(1, v.imag) == math.copysign(1, c.imag)
+
+
+def test_corollary3_sums_bit_equal_to_series_clustered_n64():
+    # small xi on clustered knots: the xi^{-(n+r-1)} prefactor cancels the
+    # most bits, more than 140 fixed digits could carry
+    kv = knots.family("clustered", 64, seed=1)
+    (c,) = specfun.corollary3_quadrature(kv, 0, (0.1,))
+    assert specfun.corollary3_sum(kv, 0, 0.1) == c
+    assert specfun.corollary3_sum_2f0(kv, 0, 0.1) == c
+
+
+@pytest.mark.parametrize("theta", [0.3, -1e-3, 2.75, -40.0, 317.5625])
+def test_exp_i_error_count_brackets_a_finer_value(theta):
+    # (C, S) +- d must contain the same exponential taken at 4Q bits, whose
+    # own error count is at least 4 units, so a zero count cannot pass
+    num, den = theta.as_integer_ratio()
+    E, Q = den.bit_length() - 1, 96
+    C, S, d = splines._exp_i(num, E, Q)
+    C4, S4, d4 = splines._exp_i(num, E, 4 * Q)
+    for x, x4 in ((C, C4), (S, S4)):
+        assert (x - d) << 3 * Q <= x4 - d4 and x4 + d4 <= (x + d) << 3 * Q
+    assert d < 2**40
+    assert (C / 2**Q, S / 2**Q) == pytest.approx((math.cos(theta), math.sin(theta)), abs=1e-15)
 
 
 def test_fourier_of_b_frozen():

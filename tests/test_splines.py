@@ -215,35 +215,6 @@ def test_wprime_correctly_rounded(n):
             assert splines.wprime(kv, k) == float(exact)
 
 
-def test_partial_fraction_sum_monomial_divided_differences():
-    # sum_k x_k^j / W'(x_k) is the divided difference of x^j over the n
-    # knots: 0 below degree n-1, 1 at it; each summand is rounded once
-    n = 24
-    with mp.workdps(splines.ORACLE_DPS):
-        for kind in knots.FAMILIES:
-            kv = knots.family(kind, n, seed=1)
-            for j in range(n):
-                total, biggest = splines.partial_fraction_sum(kv, lambda x: x**j)
-                expected = 1 if j == n - 1 else 0
-                assert abs(total - expected) <= n * mp.mpf(10) ** -splines.ORACLE_DPS * biggest
-
-
-def test_certify_threshold():
-    # the sum passes while 10^(2 - ORACLE_DPS) * biggest <= 1e-10 * |total|
-    with mp.workdps(splines.ORACLE_DPS):
-        eps = mp.mpf(10) ** (2 - splines.ORACLE_DPS)
-        biggest = mp.mpf(1)
-        total = eps * mp.mpf("1e10")
-        assert splines.certify(total * 2, biggest) == total * 2
-        assert splines.certify(-total * 2, biggest) == -total * 2
-        with pytest.raises(PrecisionLoss):
-            splines.certify(total / 2, biggest)
-        with pytest.raises(PrecisionLoss):
-            splines.certify(-total / 2, biggest)
-        # an empty sum (every summand vanished) is exact
-        assert splines.certify(mp.mpf(0), mp.mpf(0)) == 0
-
-
 def test_normalization_all_families():
     for kind in knots.FAMILIES:
         for n in range(2, 21):
@@ -285,15 +256,18 @@ def test_oracle_interior_zero(n):
 
 
 def _mpmath_oracle(kv, t, r):
-    # the 140-digit route the integer sum replaced: partial_fraction_sum
-    # through certify, which raises PrecisionLoss where it cannot vouch
-    e = kv.n - 2 - r
-    with mp.workdps(splines.ORACLE_DPS):
-        tm = mp.mpf(t)
-        total, biggest = splines.partial_fraction_sum(
-            kv, lambda x: (x - tm) ** e if x > tm else None
-        )
-        return float(splines.certify(total, biggest))
+    # the 140-digit route the integer sum replaced: each summand rounded once,
+    # in its division by the exact W_k, and PrecisionLoss where the rounding
+    # estimate (largest summand times the 140-digit epsilon, two digits of
+    # slack) passes 1e-10 of the sum
+    e, (L, _, W) = kv.n - 2 - r, splines._int_table(tuple(kv.xs.tolist()))
+    with mp.workdps(140):
+        tm, scale = mp.mpf(t), mp.ldexp(mp.mpf(1), L * (kv.n - 1))
+        summands = [(mp.mpf(x) - tm) ** e / w * scale for x, w in zip(kv.xs.tolist(), W) if x > t]
+        total = sum(summands, mp.mpf(0))
+        if abs(total) > 0 and max(map(abs, summands)) * mp.mpf(10) ** -138 > mp.mpf("1e-10") * abs(total):
+            raise PrecisionLoss("cancellation too severe")
+        return float(total)
 
 
 def _oracle_points(kv):
