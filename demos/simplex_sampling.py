@@ -43,7 +43,7 @@ def main():
 
     # the same samples estimate divided differences (Hermite-Genocchi):
     # E[f^{(n-1)}(<x, S>)] / (n-1)! equals the divided difference of f
-    exact_dd = splines.divided_difference([(x, float(np.exp(x))) for x in kv.xs])
+    exact_dd = splines.exp_divided_difference(kv)
     est = montecarlo.estimate(np.exp(samples) / math.factorial(kv.n - 1))
     print(
         f"divided difference of exp:  mc {est.mean:.6f} +/- {est.std_error:.1e}"

@@ -295,12 +295,11 @@ def run_identity(config):
 
 
 def corollary3_route_agreement(kv, r, xis=(0.5, 1.0, 2.0)) -> float:
+    """Largest relative gap between the Laguerre sum and the exact series."""
     worst = 0.0
     for xi, c in zip(xis, specfun.corollary3_quadrature(kv, r, xis)):
         a = specfun.corollary3_sum(kv, r, xi)
-        b = specfun.corollary3_sum_2f0(kv, r, xi)
-        scale = max(abs(a), 1e-300)
-        worst = max(worst, abs(a - b) / scale, abs(a - c) / scale)
+        worst = max(worst, abs(a - c) / max(abs(a), 1e-300))
     return worst
 
 

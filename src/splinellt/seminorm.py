@@ -144,7 +144,8 @@ def corollary3_error(
     d^q [He_r(xi) e^{-xi^2/2}] = (-1)^q He_{q+r}(xi) e^{-xi^2/2}, so the
     error is that of order q+r at q = 0 (the common sign drops under |.|).
     S_{q+r} comes correctly rounded from one series call for the whole
-    grid; the Laguerre sums it equals serve as independent checks only.
+    grid; the Laguerre sum it equals (whose 2F0 form is the same integer
+    polynomial) serves as an independent check only.
     """
     if r > 4:
         raise ValueError("r <= 4 required")

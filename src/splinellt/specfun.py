@@ -1,7 +1,8 @@
 """Special functions: probabilists' Hermite, generalized Laguerre with
 arbitrary (typically negative integer) parameter, terminating 2F0, the
 oscillatory Laguerre sum that the Fourier transform of the rescaled spline
-collapses to, and that transform as an exact power series.
+collapses to (its 2F0 form is the same integer polynomial, so the one sum
+serves both names), and that transform as an exact power series.
 
 Laguerre coefficients are built from running products only; the parameter
 alpha = -n-r+1 sits exactly on the gamma-function poles, so no gamma calls
@@ -74,14 +75,6 @@ def _i_pow(k: int, v: int) -> tuple:
     return ((v, 0), (0, v), (-v, 0), (0, -v))[k % 4]
 
 
-def _c3_bracket(kv, r, xi, coeffs) -> complex:
-    """(n-2)! / (n^{n-2} xi^{n+r-1}) sum_k e^{-i theta_k} N(theta_k) / W'(x_k),
-    theta_k = n xi x_k, N(theta) = sum_j coeffs[j] theta^j."""
-    n = kv.n
-    pref = Fraction(math.factorial(n - 2), n ** (n - 2)) / Fraction(xi) ** (n + r - 1)
-    return oscillatory_sum(kv, n * Fraction(xi), coeffs, pref)
-
-
 def corollary3_sum(kv: KnotVector, r: int, xi: float) -> complex:
     """The Laguerre-weighted exponential sum approximating He_r(xi) e^{-xi^2/2}.
 
@@ -93,38 +86,39 @@ def corollary3_sum(kv: KnotVector, r: int, xi: float) -> complex:
     |xi| = XI_MIN, where its xi^{-(n+r-1)} prefactor cancels the sum's
     removable singularity, it hands over to corollary3_quadrature, the same
     transform as an exact power series in xi (entire, so finite at xi = 0).
+
+    The coefficient of theta^j is i^{n-1+j} C(r, j) (n-1)_{r-j}, and the
+    terminating 2F0 form multiplies out to the same polynomial,
+    i^{n-1+r} theta^r 2F0(-r, n-1; i/theta): the Laguerre and 2F0 sums of
+    Corollary 3 are one sum.
     """
     if r > 6:
         raise ValueError("r <= 6 required")
     if abs(xi) < XI_MIN:
         return corollary3_quadrature(kv, r, (xi,))[0]
-    n, alpha = kv.n, -kv.n - r + 1
-    # (-1)^r i^{n-1} r! L_r(i theta)
-    return _c3_bracket(kv, r, xi, [
-        _i_pow(n - 1 + j + 2 * (r + j), math.comb(r, j) * math.prod(range(alpha + j + 1, alpha + r + 1)))
-        for j in range(r + 1)
-    ])
+    n = kv.n
+    pref = Fraction(math.factorial(n - 2), n ** (n - 2)) / Fraction(xi) ** (n + r - 1)
+    # (-1)^r i^{n-1} r! L_r^{(-n-r+1)}(i theta), as (-1)^{r-j} (n-1)_{r-j}
+    # = (a+j+1)...(a+r) at a = -n-r+1
+    coeffs = [_i_pow(n - 1 + j, math.comb(r, j) * math.prod(range(n - 1, n - 1 + r - j)))
+              for j in range(r + 1)]
+    return oscillatory_sum(kv, n * Fraction(xi), coeffs, pref)
 
 
 def corollary3_sum_2f0(kv: KnotVector, r: int, xi: float) -> complex:
-    """Same quantity through the derivative route and the terminating 2F0.
+    """The terminating-2F0 form of ``corollary3_sum``, which it returns.
 
-    The 2F0 argument 1/(n xi x_k) is rearranged into a polynomial in x_k so
-    that knots at (or near) zero cost nothing: with theta = n xi x, the term
-    (-r)_j (n-1)_j / j! (-i n xi)^{-j} x^{r-j} is (-1)^j C(r, j) (n-1)_j i^j
-    theta^{r-j} / (n xi)^r, which leaves i^{r+n-1} (n-2)! / (n^{n-2}
-    xi^{n+r-1}) in front of the sum.
+    Multiplied out to a polynomial in theta = n xi x_k, the 2F0 form has the
+    Laguerre sum's integer coefficients, so the two are one value.  The name
+    stays callable only because the traced benchmark (``bench/tracing.py``)
+    wraps it; its deletion waits for the benchmark regeneration of ROADMAP
+    item 1.  It refuses xi = 0, where the 2F0 argument i/theta is undefined.
     """
     if r > 6:
         raise ValueError("r <= 6 required")
     if xi == 0:
         raise ValueError("the 2F0 route needs xi != 0")
-    n = kv.n
-    # i^{r+n-1} (-i)^j C(r, j) (n-1)_j, the coefficient of theta^{r-j}
-    return _c3_bracket(kv, r, xi, [
-        _i_pow(r + n - 1 + 3 * j, math.comb(r, j) * math.prod(range(n - 1, n - 1 + j)))
-        for j in range(r, -1, -1)
-    ])
+    return corollary3_sum(kv, r, xi)
 
 
 def _tail(xi: float, y: Fraction, n: int, r: int, P: int) -> tuple:
@@ -136,8 +130,8 @@ def _tail(xi: float, y: Fraction, n: int, r: int, P: int) -> tuple:
     if P + z * math.log2(math.e) > _SERIES_MAX_BITS:
         raise PrecisionLoss(f"Corollary-3 series needs over {_SERIES_MAX_BITS} bits at P={P}")
     c = math.log(n / (n - 1)) + r * math.log(y) + P * math.log(2)
-    K = max(0, math.ceil(z) - 1)
-    while c + (K + 1) * math.log(z) - math.lgamma(K + 2) - math.log(1 - z / (K + 2)) > 0:
+    K, zf = max(0, math.ceil(z) - 1), float(z)
+    while c + (K + 1) * math.log(zf) - math.lgamma(K + 2) - math.log(1 - zf / (K + 2)) > 0:
         K += 1
     tail = Fraction(n, n - 1) * y**r * z ** (K + 1) / math.factorial(K + 1) / (1 - z / (K + 2))
     return K, -((-tail.numerator << P) // tail.denominator)

@@ -14,10 +14,11 @@ Two routes are provided for the same function
   about 60n bits, and the route serves as the oracle.  That integer
   table, memoized per knot vector in ``_int_table``, is the only one of
   the W'(x_k): ``wprime`` rounds its entries to double,
-  ``oscillatory_sum`` brackets over them the two Corollary-3 sums of
+  ``oscillatory_sum`` brackets over them the Corollary-3 sum of
   ``specfun``, with e^{-i theta_k} taken to Q bits in integers, and
-  ``complete_homogeneous`` forms from its integer knots the sums
-  h_j(x) from which the Corollary-3 oracle sums the transform of B exactly.
+  ``complete_homogeneous`` forms from its integer knots the sums h_j(x)
+  from which the Corollary-3 oracle sums the transform of B exactly and
+  ``exp_divided_difference`` the divided difference of e^t.
 * ``bspline_stable`` evaluates the identical spline through the
   triangular Cox-de Boor recursion in plain doubles, which involves only
   convex combinations and is safe for large n.  It works only where B is
@@ -36,10 +37,10 @@ sum and coefficient differencing in the stable recursion are both exact.
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import DuplicateKnots
 from .knots import KnotVector
 
 # points per Cox-de Boor chunk: the working set is (4n - 3) * _CHUNK doubles
@@ -200,6 +201,19 @@ def complete_homogeneous(kv: KnotVector, J: int) -> tuple:
     return L, tuple(H)
 
 
+def exp_divided_difference(kv: KnotVector) -> float:
+    """[x_0..x_{n-1}] e^t = sum_j h_j(x) / (j+n-1)!, its terms j <= 60
+    summed exactly in Fractions and rounded once to double.
+
+    The knots are normalized, so |x_k| <= 1, |h_j| <= C(j+n-1, j) and term
+    j is at most 1 / (j! (n-1)!).  The value is E e^{<x, S>} / (n-1)! over
+    the uniform simplex S (Hermite-Genocchi), so it is at least
+    e^-1 / (n-1)!, and the terms past j = 60 are below 2^-270 of it.
+    """
+    L, H = complete_homogeneous(kv, 60)
+    return float(sum(Fraction(h, math.factorial(j + kv.n - 1) << L * j) for j, h in enumerate(H)))
+
+
 def bspline_naive(kv: KnotVector, t: float, r: int = 0) -> float:
     """The explicit partial-fraction sum, exactly, correctly rounded to double.
 
@@ -315,21 +329,6 @@ def bspline_stable_deriv(kv: KnotVector, t, q: int = 0):
 def bspline_stable(kv: KnotVector, t):
     """B(t) by the stable recursion; matches the oracle to 1e-10 relative."""
     return bspline_stable_deriv(kv, t, 0)
-
-
-def divided_difference(pairs) -> float:
-    """Divided difference of tabulated (node, value) pairs by the recursive triangle."""
-    pts = list(pairs)
-    nodes = [float(p[0]) for p in pts]
-    if len(set(nodes)) != len(nodes):
-        raise DuplicateKnots("divided difference needs distinct nodes")
-    col = [float(p[1]) for p in pts]
-    for step in range(1, len(pts)):
-        col = [
-            (col[i + 1] - col[i]) / (nodes[i + step] - nodes[i])
-            for i in range(len(col) - 1)
-        ]
-    return col[0]
 
 
 def integrate_bspline(kv: KnotVector) -> float:

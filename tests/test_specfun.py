@@ -97,27 +97,23 @@ def test_corollary3_crossover_continuity():
 
 
 def test_corollary3_routes_agree():
+    # the Laguerre sum and the series are each correctly rounded
     kv = knots.family("uniform_random", 7, seed=2)
+    xis = (0.3, 1.1, 4.0)
     for r in (0, 1, 2):
-        for xi in (0.3, 1.1, 4.0):
-            a = specfun.corollary3_sum(kv, r, xi)
-            b = specfun.corollary3_sum_2f0(kv, r, xi)
-            (c,) = specfun.corollary3_quadrature(kv, r, (xi,))
-            scale = max(abs(a), 1e-12)
-            assert abs(a - b) / scale < 1e-10
-            assert abs(a - c) / scale < 1e-8
+        for xi, c in zip(xis, specfun.corollary3_quadrature(kv, r, xis)):
+            assert specfun.corollary3_sum(kv, r, xi) == c
 
 
 def test_corollary3_routes_agree_at_high_order():
     # the xi^{-(n+r-1)} prefactor amplifies any rounding of the Laguerre
     # coefficients (once 9.1e-4 relative at chebyshev n=16, r=6, xi=0.1);
-    # both sums now take their integer coefficients exactly
+    # the sum now takes its integer coefficients exactly
     for fam, n in (("chebyshev", 16), ("equispaced", 20)):
         kv = knots.family(fam, n)
         for r in (4, 5, 6):
-            a = specfun.corollary3_sum(kv, r, 0.1)
-            b = specfun.corollary3_sum_2f0(kv, r, 0.1)
-            assert abs(a - b) <= 1e-12 * abs(b)
+            (c,) = specfun.corollary3_quadrature(kv, r, (0.1,))
+            assert specfun.corollary3_sum(kv, r, 0.1) == c
 
 
 @pytest.mark.parametrize("family", ["uniform_random", "clustered"])
@@ -214,15 +210,29 @@ def test_corollary3_quadrature_one_call_equals_per_xi_calls():
         ]
 
 
+def _2f0_coefficients(n, r):
+    # i^{r+n-1} (-i)^j C(r, j) (n-1)_j, the coefficient of theta^{r-j} in
+    # i^{r+n-1} theta^r 2F0(-r, n-1; i/theta), listed from theta^0 up
+    coeffs = []
+    for j in range(r, -1, -1):
+        v = math.comb(r, j) * math.prod(range(n - 1, n - 1 + j))
+        coeffs.append(((v, 0), (0, v), (-v, 0), (0, -v))[(r + n - 1 + 3 * j) % 4])
+    return coeffs
+
+
 @pytest.mark.parametrize("family,n", [("chebyshev", 6), ("equispaced", 12), ("clustered", 16)])
-def test_corollary3_sum_below_xi_min_matches_2f0(family, n):
-    # below XI_MIN the sum hands over to the exact series route
+def test_2f0_polynomial_sum_bit_equal_to_corollary3_sum(family, n):
+    # the 2F0 form of Corollary 3, through the same partial-fraction bracket,
+    # is the Laguerre sum bit for bit; below XI_MIN, where the Laguerre sum
+    # hands over to the series, this also pins the bracket against the series
     kv = knots.family(family, n, seed=1)
-    for r in (0, 1, 2):
-        for xi in (0.01, 0.049):
-            a = specfun.corollary3_sum(kv, r, xi)
-            b = specfun.corollary3_sum_2f0(kv, r, xi)
-            assert abs(a - b) <= 1e-12 * abs(b)
+    for r in (0, 1, 2, 6):
+        for xi in (0.01, 0.049, 0.5, 3.0):
+            pref = Fraction(math.factorial(n - 2), n ** (n - 2)) / Fraction(xi) ** (n + r - 1)
+            v = splines.oscillatory_sum(kv, n * Fraction(xi), _2f0_coefficients(n, r), pref)
+            c = specfun.corollary3_sum(kv, r, xi)
+            assert v == c, (r, xi)
+            assert math.copysign(1, v.imag) == math.copysign(1, c.imag)
 
 
 def test_corollary3_argument_checks():
@@ -256,17 +266,16 @@ def test_wprime_cache_order_independent():
 
 @pytest.mark.parametrize("n", [8, 16, 24, 32])
 def test_corollary3_sums_bit_equal_to_series(n):
-    # the three routes are each correctly rounded, so they agree bit for bit,
-    # the +0.0 imaginary part of exactly symmetric knots included
+    # the sum and the series are each correctly rounded, so they agree bit
+    # for bit, the +0.0 imaginary part of exactly symmetric knots included
     xis = (0.1, 1.0, 5.0)
     for family in knots.FAMILIES:
         kv = knots.family(family, n, seed=1)
         for r in (0, 2, 3):
             for xi, c in zip(xis, specfun.corollary3_quadrature(kv, r, xis)):
-                for route in (specfun.corollary3_sum, specfun.corollary3_sum_2f0):
-                    v = route(kv, r, xi)
-                    assert v == c, (family, r, xi, route.__name__)
-                    assert math.copysign(1, v.imag) == math.copysign(1, c.imag)
+                v = specfun.corollary3_sum(kv, r, xi)
+                assert v == c, (family, r, xi)
+                assert math.copysign(1, v.imag) == math.copysign(1, c.imag)
 
 
 def test_corollary3_sums_bit_equal_to_series_clustered_n64():
@@ -275,7 +284,6 @@ def test_corollary3_sums_bit_equal_to_series_clustered_n64():
     kv = knots.family("clustered", 64, seed=1)
     (c,) = specfun.corollary3_quadrature(kv, 0, (0.1,))
     assert specfun.corollary3_sum(kv, 0, 0.1) == c
-    assert specfun.corollary3_sum_2f0(kv, 0, 0.1) == c
 
 
 @pytest.mark.parametrize("theta", [0.3, -1e-3, 2.75, -40.0, 317.5625])

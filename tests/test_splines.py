@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splinellt import charprob, knots, seminorm, splines
-from splinellt.errors import DuplicateKnots, PrecisionLoss
+from splinellt.errors import PrecisionLoss
 
 # values frozen from a 50-digit direct evaluation of the partial-fraction sum
 CHEB5_B_AT_03 = 0.16341026289513260153
@@ -363,25 +363,21 @@ def test_derivative_order_bounds():
         splines.bspline_stable_deriv(kv, 0.0, 7)
 
 
-def test_divided_difference_polynomials():
-    nodes = [0.0, 0.5, 1.25, 2.0, 3.5]
-    # degree below order -> 0; monic of matching degree -> leading coefficient
-    assert splines.divided_difference([(x, x**3) for x in nodes]) == pytest.approx(0.0, abs=1e-12)
-    assert splines.divided_difference([(x, x**4) for x in nodes]) == pytest.approx(1.0, rel=1e-12)
-    assert splines.divided_difference(
-        [(x, 2 * x**4 + x - 7) for x in nodes]
-    ) == pytest.approx(2.0, rel=1e-11)
-
-
 def test_divided_difference_exp_frozen():
     kv = knots.family("equispaced", 6)
-    dd = splines.divided_difference([(x, math.exp(x)) for x in kv.xs])
-    assert dd == pytest.approx(EQ6_DD_EXP, rel=1e-12)
+    assert splines.exp_divided_difference(kv) == pytest.approx(EQ6_DD_EXP, rel=1e-15)
 
 
-def test_divided_difference_duplicate_nodes():
-    with pytest.raises(DuplicateKnots):
-        splines.divided_difference([(0.0, 1.0), (0.0, 2.0), (1.0, 3.0)])
+@pytest.mark.parametrize("family,n", [("equispaced", 16), ("clustered", 24), ("uniform_random", 64)])
+def test_exp_divided_difference_matches_partial_fractions(family, n):
+    # sum_k e^{x_k} / W'(x_k) at 400 digits: its terms cancel to 5e-88 at
+    # uniform_random n = 64, where a float triangle returns -4.6e52, and
+    # the digits left over still round to the one double
+    kv = knots.family(family, n, seed=1)
+    with mp.workdps(400):
+        xs = [mp.mpf(x) for x in kv.xs.tolist()]
+        ref = mp.fsum(mp.exp(xk) / mp.fprod(xk - xj for xj in xs if xj != xk) for xk in xs)
+        assert splines.exp_divided_difference(kv) == float(ref)
 
 
 @given(n=st.integers(3, 16), seed=st.integers(0, 10**4))
