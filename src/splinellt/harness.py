@@ -325,8 +325,8 @@ def run_corollary4(config):
     for n in config.n_list:
         t0 = time.perf_counter()
         kvs = [knots.family(fam, n, config.seed) for fam in config.families]
-        results = seminorm.corollary4_errors(
-            kvs, config.p, (0.5, 1.0, 2.0), config.N_mc, config.seed
+        results = seminorm.corollary4_error(
+            kvs, config.p, 0, (0.5, 1.0, 2.0), config.N_mc, config.seed
         )
         for fam, kv, (cos_res, sin_res) in zip(config.families, kvs, results):
             floor = 5 * knots.m3(kv)
@@ -353,7 +353,7 @@ def inversion_vs_mc(kv, N, seed):
     g2 = _cell_average_nodes(edges2)
     # the grid certifies itself or raises, before any sampling
     fine = charprob.pdf_Q_inversion_grid(kv, g1, g2)
-    counts = montecarlo.mc_pdf_Q(kv, N, (edges1, edges2), seed)
+    counts = montecarlo.mc_pdf_Q(kv, N, seed)
     pdf = fine.reshape(g1.size // 2, 2, g2.size // 2, 2).mean(axis=(1, 3))
     area = np.multiply.outer(np.diff(edges1), np.diff(edges2))
     return montecarlo.histogram_deviation(pdf, counts, N, area)
@@ -374,6 +374,7 @@ def run_inversion(config):
 # ---------------------------------------------------------------------------
 
 _VALIDATE_NS = (2, 3, 5, 8, 16, 20)
+_RATIO_NS, _RATIO_SEEDS = (16, 64), 20
 
 
 def _all_kvs(seed, ns=_VALIDATE_NS):
@@ -654,17 +655,18 @@ def check_seminorm_monotone(seed):
     return ok, f"errors {['%.3e' % e for e in errs]}"
 
 
-def ratio_slope(seed, n_values=(16, 64), n_families=20):
-    """Two-point slope of mean log(sup error / sum|x|^3) against log n."""
+def ratio_slope(seed):
+    """Two-point slope of mean log(sup error / sum|x|^3) against log n, over
+    _RATIO_SEEDS uniform_random knot vectors at each n of _RATIO_NS."""
     means = []
-    for n in n_values:
+    for n in _RATIO_NS:
         logs = []
-        for s in range(n_families):
+        for s in range(_RATIO_SEEDS):
             kv = knots.family("uniform_random", n, seed + s)
             err = seminorm.theorem1_error(kv, 0, 0, seminorm.default_grid(n)).value
             logs.append(math.log(err / knots.x_l3_cubed(kv)))
         means.append(np.mean(logs))
-    return (means[-1] - means[0]) / (math.log(n_values[-1]) - math.log(n_values[0]))
+    return (means[-1] - means[0]) / (math.log(_RATIO_NS[-1]) - math.log(_RATIO_NS[0]))
 
 
 def check_seminorm_ratio_bounded(seed):

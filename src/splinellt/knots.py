@@ -39,6 +39,11 @@ class KnotVector:
         return self.xs.size
 
     @property
+    def symmetric(self) -> bool:
+        """Exactly symmetric about 0: x_{n-1-k} = -x_k for every k."""
+        return bool(np.array_equal(self.xs, -self.xs[::-1]))
+
+    @property
     def sum_x(self) -> float:
         return float(self.xs.sum())
 

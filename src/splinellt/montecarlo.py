@@ -252,29 +252,20 @@ def char_estimates(kvs, N: int, seed: int, xis):
     return means, np.sqrt(m2s / (count - 1)) / math.sqrt(count)
 
 
-def mc_pdf_Q(kv: KnotVector, N: int, grid2d, seed: int) -> np.ndarray:
-    """Counts of N draws of Q = (sum x_k(P_k-1), n^{-1/2} sum(P_k-1)) in the cells of grid2d.
+def mc_pdf_Q(kv: KnotVector, N: int, seed: int) -> np.ndarray:
+    """Counts of N draws of Q = (sum x_k(P_k-1), n^{-1/2} sum(P_k-1)) in the cells of default_grid().
 
-    Both axes need equal-width edges, ``np.linspace(e[0], e[-1], e.size)``
-    (ValueError otherwise), as ``default_grid`` makes.  Each block is binned
-    by ``_equal_width_bins`` and counted with one ``bincount``, which gives
-    the counts of ``np.histogram2d``.  ``histogram_deviation`` compares them
-    against a density.
+    Each block is binned by ``_equal_width_bins`` on both axes and counted
+    with one ``bincount``, which gives the counts of ``np.histogram2d``.
     """
-    edges1, edges2 = (np.asarray(e, dtype=float) for e in grid2d)
-    for e in (edges1, edges2):
-        equal_width = e.size >= 2 and np.array_equal(e, np.linspace(e[0], e[-1], e.size))
-        if not (equal_width and e[-1] > e[0]):
-            raise ValueError("mc_pdf_Q needs equal-width edges np.linspace(e[0], e[-1], e.size)")
-    cells = (edges1.size - 1) * (edges2.size - 1)
-    counts = np.zeros(cells)
+    edges, _ = default_grid()
+    counts = np.zeros(_HIST_BINS * _HIST_BINS)
     for q1, q2 in q_blocks(kv, N, seed):
         # draws outside the edges (and NaN) fall in no cell
-        keep = (q1 >= edges1[0]) & (q1 <= edges1[-1]) & (q2 >= edges2[0]) & (q2 <= edges2[-1])
-        cell = _equal_width_bins(q1[keep], edges1) * (edges2.size - 1)
-        cell += _equal_width_bins(q2[keep], edges2)
-        counts += np.bincount(cell, minlength=cells)
-    return counts.reshape(edges1.size - 1, edges2.size - 1)
+        keep = (q1 >= edges[0]) & (q1 <= edges[-1]) & (q2 >= edges[0]) & (q2 <= edges[-1])
+        cell = _equal_width_bins(q1[keep], edges) * _HIST_BINS + _equal_width_bins(q2[keep], edges)
+        counts += np.bincount(cell, minlength=counts.size)
+    return counts.reshape(_HIST_BINS, _HIST_BINS)
 
 
 def _equal_width_bins(q: np.ndarray, edges: np.ndarray) -> np.ndarray:

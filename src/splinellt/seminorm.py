@@ -68,8 +68,7 @@ def default_grid(n: int, h: float = 0.05) -> GridSpec:
 
 
 def _weighted_sup(ts, diffs, p, noise_floor=None) -> SeminormResult:
-    weights = np.abs(ts) ** p if p > 0 else np.ones_like(ts)
-    vals = weights * np.abs(diffs)
+    vals = np.abs(ts) ** p * np.abs(diffs)
     best = float(vals.max())
     # tie-break: among near-maximal points prefer the smallest |t|
     cand = np.flatnonzero(vals >= best * (1 - 1e-12))
@@ -160,32 +159,21 @@ def corollary3_error(
     return _weighted_sup(xis, np.array(diffs), p)
 
 
-def corollary4_error(
-    kv: KnotVector, p: int, q: int, xi_grid, N: int, seed: int
-):
+def corollary4_error(kvs, p: int, q: int, xi_grid, N: int, seed: int):
     """MC cosine/sine means of simplex projections vs the Gaussian transform.
 
-    Only q = 0 is supported (differentiating MC means is out of scope).
-    Returns (cos SeminormResult, sin SeminormResult); each carries the MC
-    noise floor max_xi 4 * SE * |xi|^p.  The means are streamed by
-    ``montecarlo.char_estimates``, so the draws are never held.
+    The knot vectors, all of one n, share one streamed pass of N simplex
+    points (``montecarlo.char_estimates``), and each gets the bits it would
+    get alone.  Only q = 0 is supported (differentiating MC means is out of
+    scope).  Returns one (cos, sin) pair of SeminormResults per knot vector,
+    each with the MC noise floor max_xi 4 * SE * |xi|^p.
     """
     if q != 0:
         raise ValueError("q = 0 required")
     if N < 10**5:
         raise ValueError("N >= 1e5 required")
-    return corollary4_errors([kv], p, xi_grid, N, seed)[0]
-
-
-def corollary4_errors(kvs, p: int, xi_grid, N: int, seed: int):
-    """``corollary4_error`` at q = 0 for knot vectors of one n, from one pass.
-
-    The knot vectors share the N simplex points, and each gets the bits of
-    its own ``corollary4_error`` call.  Returns one (cos, sin) pair per
-    knot vector.
-    """
     xis = np.asarray(xi_grid, dtype=float)
-    w = np.abs(xis) ** p if p > 0 else np.ones_like(xis)
+    w = np.abs(xis) ** p
     gauss = np.array([math.exp(-xi * xi / 2) for xi in xis])
     means, ses = char_estimates(kvs, N, seed, xis)
     floors = np.max(4 * ses * w, axis=-1)

@@ -1,8 +1,8 @@
 """Special functions: probabilists' Hermite, generalized Laguerre with
 arbitrary (typically negative integer) parameter, terminating 2F0, the
 oscillatory Laguerre sum that the Fourier transform of the rescaled spline
-collapses to (its 2F0 form is the same integer polynomial, so the one sum
-serves both names), and that transform as an exact power series.
+collapses to (its 2F0 form is the same integer polynomial), and that
+transform as an exact power series, a route independent of the sum at xi != 0.
 
 Laguerre coefficients are built from running products only; the parameter
 alpha = -n-r+1 sits exactly on the gamma-function poles, so no gamma calls
@@ -18,7 +18,6 @@ from .errors import PrecisionLoss
 from .knots import KnotVector
 from .splines import complete_homogeneous, oscillatory_sum
 
-XI_MIN = 0.05
 # corollary3_quadrature refuses a value whose fixed-point sum needs more bits
 _SERIES_MAX_BITS = 1 << 13
 
@@ -82,10 +81,10 @@ def corollary3_sum(kv: KnotVector, r: int, xi: float) -> complex:
     with C_{r,n} = (-1)^r (n-2)! r! i^{n-1} / n^{n-2}, which equals the
     Fourier transform of t -> (it)^r B(t/n).  r! L_r^{(a)}(z) = sum_j (-1)^j
     C(r, j) (a+j+1)...(a+r) z^j has integer coefficients, so
-    ``splines.oscillatory_sum`` rounds each part correctly, at any n.  Below
-    |xi| = XI_MIN, where its xi^{-(n+r-1)} prefactor cancels the sum's
-    removable singularity, it hands over to corollary3_quadrature, the same
-    transform as an exact power series in xi (entire, so finite at xi = 0).
+    ``splines.oscillatory_sum`` rounds each part correctly, at any n and any
+    xi != 0, taking the bits that the xi^{-(n+r-1)} prefactor cancels.  At
+    xi = 0, where that prefactor is undefined, the value is the limit from
+    corollary3_quadrature, the same transform as an exact power series.
 
     The coefficient of theta^j is i^{n-1+j} C(r, j) (n-1)_{r-j}, and the
     terminating 2F0 form multiplies out to the same polynomial,
@@ -94,8 +93,8 @@ def corollary3_sum(kv: KnotVector, r: int, xi: float) -> complex:
     """
     if r > 6:
         raise ValueError("r <= 6 required")
-    if abs(xi) < XI_MIN:
-        return corollary3_quadrature(kv, r, (xi,))[0]
+    if xi == 0:
+        return corollary3_quadrature(kv, r, (0.0,))[0]
     n = kv.n
     pref = Fraction(math.factorial(n - 2), n ** (n - 2)) / Fraction(xi) ** (n + r - 1)
     # (-1)^r i^{n-1} r! L_r^{(-n-r+1)}(i theta), as (-1)^{r-j} (n-1)_{r-j}
@@ -181,7 +180,7 @@ def corollary3_quadrature(kv: KnotVector, r: int, xis) -> list:
     L, H = complete_homogeneous(kv, r + K)
     out = []
     for xi in xis:
-        parts, P = [None, 0.0 if xs == [-x for x in reversed(xs)] else None], 128
+        parts, P = [None, 0.0 if kv.symmetric else None], 128
         if xi == 0:
             # the one term j = r: n^{r+1} (n-2)! r! / (r+n-1)! h_r i^r
             t = n ** (r + 1) * math.factorial(n - 2) * math.factorial(r) * H[r] * (-1) ** (r // 2)

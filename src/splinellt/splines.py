@@ -157,7 +157,11 @@ def oscillatory_sum(kv: KnotVector, w, coeffs, pref) -> complex:
     + D] for m terms, D = sum d_k.  The exact prefactor scales the two ends.
     Q starts at 64 bits plus the bit size of the largest summand and doubles
     until both ends round to one double (an end beyond the double range is
-    unresolved; a zero part resolves to +0.0).
+    unresolved; a zero part resolves to +0.0).  On exactly symmetric knots
+    W'(-x_k) = (-1)^{n-1} W'(x_k), so when every coeffs[j] / i^{n-1+j} is
+    real (imaginary) the summand at -x_k is the conjugate (minus the
+    conjugate) of the one at x_k: the pairs cancel the imaginary (real)
+    part, which is then +0.0 without a bracket.
     """
     L, X, W = _int_table(tuple(kv.xs.tolist()))
     wn, wd = w.as_integer_ratio()
@@ -171,7 +175,10 @@ def oscillatory_sum(kv: KnotVector, w, coeffs, pref) -> complex:
     # value = pref 2^scale sum_k e^{-i theta_k} (Nr_k + i Ni_k) / W_k
     scale = L * (len(X) - 1) - E * deg
     Q = 64 + max(0, pn.bit_length() - pd.bit_length() + 1 + scale + g)
-    parts = [None, None]
+    # part i cancels when no coeffs[j] has a component (n + j + i + 1) % 2
+    zero = [kv.symmetric and all(c[(kv.n + j + i + 1) % 2] == 0 for j, c in enumerate(coeffs))
+            for i in (0, 1)]
+    parts = [0.0 if z else None for z in zero]
     while None in parts:
         sums, D = [0, 0], 0
         for a, nr, ni, wk in terms:

@@ -120,7 +120,7 @@ def test_corollary4_draws_once_per_n(monkeypatch):
     expected, checks = [], {}
     for fam in families:
         kv = knots.family(fam, 16, 2)
-        cos_res, sin_res = seminorm.corollary4_error(kv, 1, 0, (0.5, 1.0, 2.0), 10**5, 2)
+        ((cos_res, sin_res),) = seminorm.corollary4_error([kv], 1, 0, (0.5, 1.0, 2.0), 10**5, 2)
         floor = 5 * knots.m3(kv)
         for r, res in enumerate((cos_res, sin_res)):
             expected.append((fam, r, res.value, res.argmax_t, res.noise_floor))
@@ -461,8 +461,8 @@ def test_inversion_counts_an_empty_cell(monkeypatch):
     # be, not a cell without a standard error
     sample = montecarlo.mc_pdf_Q
 
-    def emptied(kv, N, grid2d, seed):
-        counts = sample(kv, N, grid2d, seed)
+    def emptied(kv, N, seed):
+        counts = sample(kv, N, seed)
         counts[np.unravel_index(np.argmax(counts), counts.shape)] = 0.0
         return counts
 

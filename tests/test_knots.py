@@ -64,6 +64,16 @@ def test_l3_below_max_abs_knot():
     assert np.max(np.abs(kv.xs)) <= 1.0 + 1e-14
 
 
+def test_symmetric_is_exact():
+    # the predicate compares doubles exactly: normalize leaves equispaced
+    # knots symmetric at n = 8, 9 and 16, but only to rounding at n = 24
+    for n in (8, 9, 16):
+        assert knots.family("equispaced", n).symmetric
+    assert not knots.family("equispaced", 24).symmetric
+    assert not knots.family("uniform_random", 8, seed=1).symmetric
+    assert knots.KnotVector(np.array([-1.0, 0.0, 1.0]) / np.sqrt(2)).symmetric
+
+
 def test_normalize_rejects_duplicates():
     with pytest.raises(DuplicateKnots):
         knots.normalize([0.0, 1.0, 1.0, 2.0])

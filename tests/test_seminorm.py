@@ -150,13 +150,13 @@ def test_laguerre_sum_derivative_identity(family, r):
 
 def test_corollary4_noise_floor_and_validation():
     kv = knots.family("equispaced", 16)
-    cos_res, sin_res = seminorm.corollary4_error(kv, 0, 0, (0.5, 1.0), 10**5, seed=3)
+    ((cos_res, sin_res),) = seminorm.corollary4_error([kv], 0, 0, (0.5, 1.0), 10**5, seed=3)
     assert cos_res.noise_floor > 0
     assert sin_res.value < 0.05  # symmetric knots: sin mean is pure noise + tiny bias
     with pytest.raises(ValueError):
-        seminorm.corollary4_error(kv, 0, 1, (1.0,), 10**5, seed=3)
+        seminorm.corollary4_error([kv], 0, 1, (1.0,), 10**5, seed=3)
     with pytest.raises(ValueError):
-        seminorm.corollary4_error(kv, 0, 0, (1.0,), 10, seed=3)
+        seminorm.corollary4_error([kv], 0, 0, (1.0,), 10, seed=3)
 
 
 def test_corollary4_error_memory_bounded(monkeypatch):
@@ -167,7 +167,7 @@ def test_corollary4_error_memory_bounded(monkeypatch):
     kv = knots.family("uniform_random", 32, seed=1)
     tracemalloc.start()
     try:
-        seminorm.corollary4_error(kv, 0, 0, (0.5, 1.0, 2.0), 10**6, seed=1)
+        seminorm.corollary4_error([kv], 0, 0, (0.5, 1.0, 2.0), 10**6, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -88,12 +88,29 @@ def test_corollary3_sum_at_zero_matches_mass():
         assert abs(specfun.corollary3_sum(kv, 1, 0.0)) < 1e-10
 
 
-def test_corollary3_crossover_continuity():
+def test_corollary3_sum_continuous_at_zero():
+    # the one hand-over left: at xi = 0 the value is the series' limit, and
+    # the Laguerre sum next to it must approach that limit
     kv = knots.family("chebyshev", 6)
     for r in (0, 1):
-        below = specfun.corollary3_sum(kv, r, 0.049)
-        above = specfun.corollary3_sum(kv, r, 0.051)
-        assert abs(below - above) < 5e-3 * max(1.0, abs(above))
+        at_zero = specfun.corollary3_sum(kv, r, 0.0)
+        for xi in (1e-6, -1e-6):
+            assert abs(specfun.corollary3_sum(kv, r, xi) - at_zero) < 1e-4
+
+
+@pytest.mark.parametrize("n", [8, 32, 64])
+def test_corollary3_sum_small_xi_bit_equal_to_series(n):
+    # at small xi the sum and the series are independent routes, each
+    # correctly rounded: the bracket must absorb the cancellation against the
+    # xi^{-(n+r-1)} prefactor, sign of zero included
+    xis = (1e-4, 0.01, 0.049)
+    for family in knots.FAMILIES:
+        kv = knots.family(family, n, seed=1)
+        for r in (0, 2):
+            for xi, c in zip(xis, specfun.corollary3_quadrature(kv, r, xis)):
+                v = specfun.corollary3_sum(kv, r, xi)
+                assert v == c, (family, r, xi)
+                assert math.copysign(1, v.imag) == math.copysign(1, c.imag)
 
 
 def test_corollary3_routes_agree():
@@ -223,8 +240,7 @@ def _2f0_coefficients(n, r):
 @pytest.mark.parametrize("family,n", [("chebyshev", 6), ("equispaced", 12), ("clustered", 16)])
 def test_2f0_polynomial_sum_bit_equal_to_corollary3_sum(family, n):
     # the 2F0 form of Corollary 3, through the same partial-fraction bracket,
-    # is the Laguerre sum bit for bit; below XI_MIN, where the Laguerre sum
-    # hands over to the series, this also pins the bracket against the series
+    # is the Laguerre sum bit for bit, at small xi as at large
     kv = knots.family(family, n, seed=1)
     for r in (0, 1, 2, 6):
         for xi in (0.01, 0.049, 0.5, 3.0):
@@ -284,6 +300,23 @@ def test_corollary3_sums_bit_equal_to_series_clustered_n64():
     kv = knots.family("clustered", 64, seed=1)
     (c,) = specfun.corollary3_quadrature(kv, 0, (0.1,))
     assert specfun.corollary3_sum(kv, 0, 0.1) == c
+
+
+def test_corollary3_sum_takes_the_zero_part_from_symmetry(monkeypatch):
+    # on exactly symmetric knots the imaginary part is exactly 0; read from
+    # the knots' symmetry, it costs no bracket narrowed below the least
+    # subnormal, so only the real part's precisions are taken
+    precisions = set()
+    exp_i = splines._exp_i
+
+    def counted(a, E, Q):
+        precisions.add(Q)
+        return exp_i(a, E, Q)
+
+    monkeypatch.setattr(splines, "_exp_i", counted)
+    v = specfun.corollary3_sum(knots.family("equispaced", 8), 2, 1.0)
+    assert v.imag == 0 and math.copysign(1, v.imag) == 1
+    assert len(precisions) <= 2
 
 
 @pytest.mark.parametrize("theta", [0.3, -1e-3, 2.75, -40.0, 317.5625])

@@ -355,6 +355,34 @@ def test_oracle_exact_zero_left_of_support():
                     assert splines.bspline_naive(kv, x0, r) == pytest.approx(expected, rel=1e-14)
 
 
+@pytest.mark.parametrize("n", [8, 9, 16])
+def test_oscillatory_sum_zero_part_has_the_brackets_bits(n, monkeypatch):
+    # on exactly symmetric knots a coefficient list whose every c_j / i^{n-1+j}
+    # is real (imaginary) cancels the imaginary (real) part in the +-x_k
+    # pairs; the value read from the symmetry must be the one the bracket
+    # resolves, and a list of mixed parity is left to the bracket
+    kv = knots.family("equispaced", n)
+    assert kv.symmetric
+    w, pref = n * Fraction(3, 4), Fraction(1, 7)
+
+    def rotated(k, v):
+        return ((v, 0), (0, v), (-v, 0), (0, -v))[k % 4]
+
+    lists = (
+        [rotated(n - 1 + j, v) for j, v in enumerate((3, -2, 5))],
+        [rotated(n + j, v) for j, v in enumerate((3, -2, 5))],
+        [(1, 1), (2, 0)],
+    )
+    fast = [splines.oscillatory_sum(kv, w, c, pref) for c in lists]
+    monkeypatch.setattr(knots.KnotVector, "symmetric", property(lambda self: False))
+    slow = [splines.oscillatory_sum(kv, w, c, pref) for c in lists]
+    assert [(v.real, v.imag) for v in fast] == [(v.real, v.imag) for v in slow]
+    assert [math.copysign(1, v.imag) for v in fast] == [math.copysign(1, v.imag) for v in slow]
+    assert [math.copysign(1, v.real) for v in fast] == [math.copysign(1, v.real) for v in slow]
+    assert fast[0].imag == 0 and fast[1].real == 0
+    assert fast[2].real != 0 and fast[2].imag != 0
+
+
 def test_derivative_order_bounds():
     kv = knots.family("equispaced", 5)
     with pytest.raises(ValueError):
