@@ -5,8 +5,8 @@ Library layout:
 - :mod:`splinellt.knots` — normalized knot families and moment functionals
 - :mod:`splinellt.splines` — stable spline evaluation plus exact integer
   oracles
-- :mod:`splinellt.specfun` — Hermite / Laguerre / 2F0 special functions and
-  the oscillatory Laguerre sum
+- :mod:`splinellt.specfun` — Hermite functions, exact Laguerre coefficients
+  and the oscillatory Laguerre sum
 - :mod:`splinellt.charprob` — characteristic functions, Fourier inversion,
   quotient densities
 - :mod:`splinellt.montecarlo` — seeded simplex / exponential Monte Carlo

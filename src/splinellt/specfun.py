@@ -1,12 +1,13 @@
-"""Special functions: probabilists' Hermite, generalized Laguerre with
-arbitrary (typically negative integer) parameter, terminating 2F0, the
-oscillatory Laguerre sum that the Fourier transform of the rescaled spline
-collapses to (its 2F0 form is the same integer polynomial), and that
-transform as an exact power series, a route independent of the sum at xi != 0.
+"""Special functions: probabilists' Hermite, the integer coefficients of the
+generalized Laguerre polynomial r! L_r^{(alpha)} at any integer (typically
+negative) parameter, the oscillatory Laguerre sum that the Fourier transform
+of the rescaled spline collapses to (its 2F0 form is the same integer
+polynomial), and that transform as an exact power series, a route
+independent of the sum at xi != 0.
 
-Laguerre coefficients are built from running products only; the parameter
+Laguerre coefficients are exact products of integers; the parameter
 alpha = -n-r+1 sits exactly on the gamma-function poles, so no gamma calls
-appear anywhere here.
+appear anywhere here, and no Laguerre or 2F0 value is taken in floating point.
 """
 
 import math
@@ -42,31 +43,14 @@ def hermite_function(r: int, t):
     return hermite(r, t) * np.exp(-np.square(t) / 2) / math.sqrt(2 * math.pi)
 
 
-def laguerre(r: int, alpha, x):
-    """Generalized Laguerre L_r^{(alpha)}(x) by its terminating series.
-
-    Valid for every real alpha, including alpha < -1; the coefficients are
-    formed in floating point.
-    """
+def laguerre_coefficients(r: int, alpha: int) -> list:
+    """The integer coefficients of r! L_r^{(alpha)}(x), from x^0 up:
+    (-1)^j C(r, j) (alpha+j+1)...(alpha+r), exact at every integer alpha,
+    negative ones included."""
     if r < 0:
         raise ValueError("degree must be >= 0")
-    total = 0
-    for j in range(r + 1):
-        binom = math.prod(alpha + i for i in range(j + 1, r + 1)) / math.factorial(r - j)
-        total += (-1) ** j / math.factorial(j) * binom * x**j
-    return total
-
-
-def hyp2f0(r: int, a, z):
-    """Terminating 2F0(-r, a; z): r+1 terms of rising factorials."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    total = 0
-    for j in range(r + 1):
-        rising_neg_r = math.prod(-r + i for i in range(j))
-        rising_a = math.prod(a + i for i in range(j))
-        total += rising_neg_r * rising_a * z**j / math.factorial(j)
-    return total
+    return [(-1) ** j * math.comb(r, j) * math.prod(range(alpha + j + 1, alpha + r + 1))
+            for j in range(r + 1)]
 
 
 def _i_pow(k: int, v: int) -> tuple:
@@ -79,8 +63,8 @@ def corollary3_sum(kv: KnotVector, r: int, xi: float) -> complex:
 
     C_{r,n} / xi^{n+r-1} * sum_k e^{-i n xi x_k} L_r^{(-n-r+1)}(i n xi x_k) / W'(x_k)
     with C_{r,n} = (-1)^r (n-2)! r! i^{n-1} / n^{n-2}, which equals the
-    Fourier transform of t -> (it)^r B(t/n).  r! L_r^{(a)}(z) = sum_j (-1)^j
-    C(r, j) (a+j+1)...(a+r) z^j has integer coefficients, so
+    Fourier transform of t -> (it)^r B(t/n).  r! L_r^{(a)} has the integer
+    coefficients of ``laguerre_coefficients``, so
     ``splines.oscillatory_sum`` rounds each part correctly, at any n and any
     xi != 0, taking the bits that the xi^{-(n+r-1)} prefactor cancels.  At
     xi = 0, where that prefactor is undefined, the value is the limit from
@@ -97,10 +81,9 @@ def corollary3_sum(kv: KnotVector, r: int, xi: float) -> complex:
         return corollary3_quadrature(kv, r, (0.0,))[0]
     n = kv.n
     pref = Fraction(math.factorial(n - 2), n ** (n - 2)) / Fraction(xi) ** (n + r - 1)
-    # (-1)^r i^{n-1} r! L_r^{(-n-r+1)}(i theta), as (-1)^{r-j} (n-1)_{r-j}
-    # = (a+j+1)...(a+r) at a = -n-r+1
-    coeffs = [_i_pow(n - 1 + j, math.comb(r, j) * math.prod(range(n - 1, n - 1 + r - j)))
-              for j in range(r + 1)]
+    # (-1)^r i^{n-1} r! L_r^{(-n-r+1)}(i theta)
+    coeffs = [_i_pow(n - 1 + j, (-1) ** r * c)
+              for j, c in enumerate(laguerre_coefficients(r, 1 - n - r))]
     return oscillatory_sum(kv, n * Fraction(xi), coeffs, pref)
 
 

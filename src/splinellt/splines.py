@@ -13,7 +13,7 @@ Two routes are provided for the same function
   condition number -- so each point costs n divisions of integers of
   about 60n bits, and the route serves as the oracle.  That integer
   table, memoized per knot vector in ``_int_table``, is the only one of
-  the W'(x_k): ``wprime`` rounds its entries to double,
+  the W'(x_k): ``wprime`` returns its entries as exact fractions,
   ``oscillatory_sum`` brackets over them the Corollary-3 sum of
   ``specfun``, with e^{-i theta_k} taken to Q bits in integers, and
   ``complete_homogeneous`` forms from its integer knots the sums h_j(x)
@@ -78,11 +78,11 @@ def _to_double(a: int, b: int, k: int):
         return None
 
 
-def wprime(kv: KnotVector, k: int):
-    """W'(x_k) = prod_{j != k} (x_k - x_j), correctly rounded to double at
-    any n (None beyond the double range)."""
+def wprime(kv: KnotVector, k: int) -> Fraction:
+    """W'(x_k) = prod_{j != k} (x_k - x_j) exactly, at any n: the entry
+    W_k / 2^{L(n-1)} of ``_int_table``."""
     L, _, W = _int_table(tuple(kv.xs.tolist()))
-    return _to_double(W[k], 1, -L * (kv.n - 1))
+    return Fraction(W[k], 1 << L * (kv.n - 1))
 
 
 def _round_scaled_sum(terms: list, s: int) -> float:

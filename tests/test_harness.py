@@ -6,12 +6,13 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from splinellt import charprob, cli, harness, knots, montecarlo, seminorm
+from splinellt import charprob, cli, harness, knots, montecarlo, seminorm, specfun, splines
 from splinellt.errors import ConfigError, InsufficientData
 
 
@@ -216,6 +217,35 @@ def test_mc_covariance_bounds_each_entry_by_its_own_se(monkeypatch):
     assert np.max(dev) < 4 * math.sqrt(3 / N)
     ok, detail = harness.check_mc_covariance(seed)
     assert not ok, detail
+
+
+def test_wprime_sums_detect_one_ulp(monkeypatch):
+    # one W'(x_k) moved by a unit in the last place of its double leaves
+    # every float sum within 1e-12 max|1/W'|, but not the exact sums
+    assert harness.check_wprime_sums(1)[0]
+    wprime = splines.wprime
+
+    def moved(kv, k):
+        w = wprime(kv, k)
+        return w + Fraction(math.ulp(float(w))) if k == 0 else w
+
+    monkeypatch.setattr(splines, "wprime", moved)
+    assert not harness.check_wprime_sums(1)[0]
+
+
+def test_laguerre_2f0_checks_detect_one_wrong_coefficient(monkeypatch):
+    coefficients = specfun.laguerre_coefficients
+
+    def moved(r, alpha):
+        c = coefficients(r, alpha)
+        return c[:-1] + [c[-1] + 1] if r == 3 else c
+
+    config = harness.ExperimentConfig(experiment="identity", n_list=[4])
+    assert harness.check_2f0_laguerre(1)[0]
+    assert harness.run_identity(config)[1]["checks"]["laguerre_2f0"]
+    monkeypatch.setattr(specfun, "laguerre_coefficients", moved)
+    assert not harness.check_2f0_laguerre(1)[0]
+    assert not harness.run_identity(config)[1]["checks"]["laguerre_2f0"]
 
 
 def test_validate_check_names_cover_modules():

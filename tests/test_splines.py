@@ -212,7 +212,7 @@ def test_wprime_correctly_rounded(n):
         xs = [Fraction(x) for x in kv.xs.tolist()]
         for k, xk in enumerate(xs):
             exact = math.prod(xk - xj for j, xj in enumerate(xs) if j != k)
-            assert splines.wprime(kv, k) == float(exact)
+            assert splines.wprime(kv, k) == exact
 
 
 def test_normalization_all_families():
