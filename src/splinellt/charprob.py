@@ -346,19 +346,9 @@ def pdf_gaussian_ratio(n: int, t: float) -> float:
     if n < 2:
         raise ValueError("n >= 2 required")
     rt = n**-0.5
-
-    def joint(a, b):
-        # second coordinate is 1 + n^{-1/2} N2
-        z = (b - 1.0) / rt
-        return (
-            np.exp(-a * a / 2)
-            / math.sqrt(2 * math.pi)
-            * np.exp(-z * z / 2)
-            / math.sqrt(2 * math.pi)
-            / rt
-        )
-
-    return quotient_pdf(joint, t, (1.0 - 12.0 * rt, 1.0 + 12.0 * rt))
+    # the second coordinate 1 + n^{-1/2} N2 has density phi((b - 1) / rt) / rt
+    return quotient_pdf(lambda a, b: gaussian_joint(a, (b - 1.0) / rt) / rt, t,
+                        (1.0 - 12.0 * rt, 1.0 + 12.0 * rt))
 
 
 def pdf_gaussian_ratio_closed_form(n: int, t: float) -> float:

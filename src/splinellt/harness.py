@@ -571,11 +571,8 @@ def check_mc_moments(seed):
     draws = montecarlo.sample_exp_vector(10**6, montecarlo.rng_stream(seed))
     # the first 2000 simplex points that the block sampler yields at n = 4
     e = draws[:8000].reshape(2000, 4).copy()
-    # the mean and var(ddof=1), bit for bit, by numpy's own steps in place
-    mean = float(draws.sum()) / draws.size
-    np.subtract(draws, mean, out=draws)
-    np.square(draws, out=draws)
-    if abs(mean - 1.0) > 4e-3 or abs(float(draws.sum()) / (draws.size - 1) - 1.0) > 1e-2:
+    count, mean, m2 = montecarlo.block_moments(draws)
+    if abs(mean - 1.0) > 4e-3 or abs(m2 / (count - 1) - 1.0) > 1e-2:
         return False, "Exp(1) moments off"
     coords = e / e.sum(axis=1, keepdims=True)
     if np.max(np.abs(coords.sum(axis=1) - 1.0)) > 1e-14:

@@ -99,8 +99,6 @@ def family(kind: str, n: int, seed: int = 0) -> KnotVector:
         eps = 0.05
         c = n // 2
         outer = np.linspace(-1.0, 1.0, n - c)
-        if c == 0:
-            return normalize(outer)
         inner = np.linspace(-eps, eps, c) + eps * 1e-3
         return normalize(np.concatenate([outer, inner]))
     raise DegenerateInput(f"unknown knot family {kind!r}")

@@ -67,18 +67,18 @@ def sample_exp_vector(n: int, rng: np.random.Generator) -> np.ndarray:
 def estimate(vals: np.ndarray) -> McEstimate:
     """Mean of the samples and its standard error std(ddof=1) / sqrt(N).
 
-    The one-block case of the streamed estimates: ``_block_moments`` of one
+    The one-block case of the streamed estimates: ``block_moments`` of one
     copy of ``vals`` (left unchanged), with the bits of ``vals.sum() / N``
     and ``vals.std(ddof=1) / sqrt(N)``.
     """
     buf = np.array(vals, dtype=float)
     if buf.size < 2:
         raise ValueError("N >= 2 required")
-    count, mean, m2 = _block_moments(buf)
+    count, mean, m2 = block_moments(buf)
     return McEstimate(float(mean), math.sqrt(float(m2) / (count - 1)) / math.sqrt(count))
 
 
-def _block_moments(buf: np.ndarray):
+def block_moments(buf: np.ndarray):
     """(count, mean, M2) along the last axis of ``buf``, which it overwrites.
 
     Repeats numpy's own ``_var`` steps in place, so no temporary of the
@@ -87,6 +87,7 @@ def _block_moments(buf: np.ndarray):
     has the bits of ``var(ddof=1)``.  A ``buf`` of more axes gives one mean
     and M2 per row along the last axis, each with the bits of that row
     reduced on its own: numpy sums every such row pairwise by itself.
+    ``harness.check_mc_moments`` reduces its Exp(1) draws through it too.
     """
     count = buf.shape[-1]
     mean = buf.sum(axis=-1) / count
@@ -225,7 +226,7 @@ def char_estimates(kvs, N: int, seed: int, xis):
 
     The knot vectors, all of one n, share N simplex points S of the seed's
     stream.  Per sampler block one buffer takes n*xi*<x, S> for every knot
-    vector and xi, and its cosines and sines; ``_block_moments`` reduces
+    vector and xi, and its cosines and sines; ``block_moments`` reduces
     each of their rows in place to (count, mean, M2), and the blocks are
     merged in block order by ``_merge_moments``.  So the scratch is a few
     block-sized buffers whatever N, and the estimates depend on the block
@@ -246,7 +247,7 @@ def char_estimates(kvs, N: int, seed: int, xis):
         np.multiply(scales[:, None], projs[:, None, :], out=w[0])
         np.sin(w[0], out=w[1])
         np.cos(w[0], out=w[0])
-        block = _block_moments(w)
+        block = block_moments(w)
         moments = block if moments is None else _merge_moments(moments, block)
     count, means, m2s = moments
     return means, np.sqrt(m2s / (count - 1)) / math.sqrt(count)

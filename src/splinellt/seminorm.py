@@ -1,12 +1,14 @@
 """Grid approximation of weighted-sup seminorms of approximation errors.
 
 The seminorm ||f||_{p,q} = sup_t |t|^p |d^q f(t)| is approximated on a
-finite grid [-T, T] with step h.  Derivatives on the spline side come from
-exact exponent reduction (never finite differences in t).  The Corollary-3
-side S_r(xi) is the Fourier transform of (it)^r B(t/n), so differentiating
-under the integral gives d^q/dxi^q S_r(xi) = (-1)^q S_{q+r}(xi): its
-xi-derivatives are taken exactly, as the transform of order q+r, read from
-the exact power series ``specfun.corollary3_quadrature``.
+finite grid [-T, T] with step h.  Theorem 1 at order q and Corollary 2 at
+order q + r are one error, that of the m-th t-derivative of B(t/n), taken
+by exact coefficient differencing (never finite differences in t).  The
+Corollary-3 side S_r(xi) is the Fourier transform of (it)^r B(t/n), so
+differentiating under the integral gives d^q/dxi^q S_r(xi) =
+(-1)^q S_{q+r}(xi): its xi-derivatives are taken exactly, as the
+transform of order q+r, read from the exact power series
+``specfun.corollary3_quadrature``.
 """
 
 import math
@@ -76,31 +78,18 @@ def _weighted_sup(ts, diffs, p, noise_floor=None) -> SeminormResult:
     return SeminormResult(value=best, argmax_t=arg, noise_floor=noise_floor)
 
 
-def _spline_side(kv: KnotVector, ts: np.ndarray, q: int, r: int) -> np.ndarray:
-    """d^q/dt^q of (-1)^r d^r/dt^r B(t/n), all algebraically exact.
+def _hermite_error(kv: KnotVector, p: int, m: int, grid: GridSpec) -> SeminormResult:
+    """sup |t|^p |(-1)^m He_m(t) phi(t) - n^{-m} B^{(m)}(t/n)| on the grid.
 
-    By the chain rule d^m/dt^m [B(t/n)] = n^{-m} B^{(m)}(t/n), so the value
-    is (-1)^r n^{-(q+r)} B^{(q+r)}(t/n): one stable derivative evaluation of
-    order q+r covers every (q, r).  This is the t-derivative that Theorem 1
-    bounds, so it is the comparand whose limit is (-1)^q He_{q+r}(t) phi(t).
-
-    It is not the exponent-reduced sum S_r(t/n) = sum_k (x_k - t/n)_+^{n-2-r}
-    / W'(x_k), which ``splines.bspline_naive(kv, t/n, r)`` evaluates:
-    S_r(s) = (-1)^r B^{(r)}(s) / (n-2)_r with the falling factorial (n-2)_r,
-    so S_r(t/n) is this value (q = 0) times n^r / (n-2)_r.  That factor
-    tends to 1, but at small n it dominates the Corollary 2 error (it is
-    1.41 at n=16, r=2).
+    By the chain rule this is the m-th t-derivative of phi(t) - B(t/n),
+    which Theorem 1 bounds.  It is B^{(m)}, not the oracle's exponent-reduced
+    S_m(t/n) = (-1)^m B^{(m)}(t/n) / (n-2)_m of ``splines.bspline_naive``,
+    whose factor n^m / (n-2)_m tends to 1 but dominates the error at small n
+    (1.41 at n=16, m=2).
     """
-    n = kv.n
-    d = bspline_stable_deriv(kv, ts / n, r + q)
-    return (-1) ** r * d / n ** (q + r)
-
-
-def _hermite_error(kv, p, q, r, grid) -> SeminormResult:
-    """sup |t|^p |(-1)^q He_{q+r}(t) phi(t) - _spline_side(q, r)| on the grid."""
     ts = grid.points_avoiding(kv)
-    herm = (-1) ** q * hermite_function(q + r, ts)
-    spline = _spline_side(kv, ts, q, r)
+    herm = (-1) ** m * hermite_function(m, ts)
+    spline = bspline_stable_deriv(kv, ts / kv.n, m) / kv.n**m
     return _weighted_sup(ts, herm - spline, p)
 
 
@@ -110,7 +99,7 @@ def theorem1_error(kv: KnotVector, p: int, q: int, grid: GridSpec) -> SeminormRe
         raise OrderTooHigh(f"q <= n-4 required (q={q}, n={kv.n})")
     if p + q > 8:
         raise ValueError("p + q <= 8 required")
-    return _hermite_error(kv, p, q, 0, grid)
+    return _hermite_error(kv, p, q, grid)
 
 
 def corollary2_error(
@@ -121,17 +110,14 @@ def corollary2_error(
     Corollary 2 is the Hermite consequence of Theorem 1:
     (-1)^r d^r/dt^r B(t/n) -> He_r(t) phi(t) in every Schwartz seminorm.
     PAPER.md does not state it, so this normalization is derived from
-    Theorem 1, not quoted from the paper.  Theorem 1 bounds every
-    t-derivative of phi(t) - B(t/n); its (q+r)-th one, times (-1)^r, has
-    the spline side (-1)^r n^{-(q+r)} B^{(q+r)}(t/n) (see ``_spline_side``)
-    and the Gaussian side (-1)^q He_{q+r}(t) phi(t).  The difference here is
-    therefore (-1)^r times the Theorem 1 difference at order q+r, and this
-    error equals ``theorem1_error(kv, p, q + r, grid)`` bit for bit wherever
-    both are defined.
+    Theorem 1, not quoted from the paper.  The difference here is (-1)^r
+    times the (q+r)-th t-derivative of phi(t) - B(t/n), so under |.| this
+    error is Theorem 1's at order q+r, read from the one body
+    ``_hermite_error`` under this function's own guard.
     """
     if q + r > kv.n - 4:
         raise OrderTooHigh(f"q + r <= n-4 required (q={q}, r={r}, n={kv.n})")
-    return _hermite_error(kv, p, q, r, grid)
+    return _hermite_error(kv, p, q + r, grid)
 
 
 def corollary3_error(

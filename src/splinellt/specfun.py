@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import PrecisionLoss
 from .knots import KnotVector
-from .splines import complete_homogeneous, oscillatory_sum
+from .splines import complete_homogeneous, oscillatory_sum, round_bracket
 
 # corollary3_quadrature refuses a value whose fixed-point sum needs more bits
 _SERIES_MAX_BITS = 1 << 13
@@ -96,8 +96,6 @@ def corollary3_sum_2f0(kv: KnotVector, r: int, xi: float) -> complex:
     wraps it; its deletion waits for the benchmark regeneration of ROADMAP
     item 1.  It refuses xi = 0, where the 2F0 argument i/theta is undefined.
     """
-    if r > 6:
-        raise ValueError("r <= 6 required")
     if xi == 0:
         raise ValueError("the 2F0 route needs xi != 0")
     return corollary3_sum(kv, r, xi)
@@ -106,14 +104,14 @@ def corollary3_sum_2f0(kv: KnotVector, r: int, xi: float) -> complex:
 def _tail(xi: float, y: Fraction, n: int, r: int, P: int) -> tuple:
     """(K, T): the least K >= z - 1, z = y |xi|, whose float estimate puts
     the terms past j = r + K below 2^-P, and T >= 2^P n/(n-1) y^r sum_{k>K}
-    z^k/k! by z^{K+1}/(K+1)! / (1 - z/(K+2)).  PrecisionLoss when P bits
-    and log2 e^z (the largest term) pass _SERIES_MAX_BITS."""
+    z^k/k! by z^{K+1}/(K+1)! / (1 - z/(K+2)); (0, 0) at z = 0.  PrecisionLoss
+    when P bits and log2 e^z (the largest term) pass _SERIES_MAX_BITS."""
     z = y * abs(Fraction(xi))
     if P + z * math.log2(math.e) > _SERIES_MAX_BITS:
         raise PrecisionLoss(f"Corollary-3 series needs over {_SERIES_MAX_BITS} bits at P={P}")
     c = math.log(n / (n - 1)) + r * math.log(y) + P * math.log(2)
     K, zf = max(0, math.ceil(z) - 1), float(z)
-    while c + (K + 1) * math.log(zf) - math.lgamma(K + 2) - math.log(1 - zf / (K + 2)) > 0:
+    while zf and c + (K + 1) * math.log(zf) - math.lgamma(K + 2) - math.log(1 - zf / (K + 2)) > 0:
         K += 1
     tail = Fraction(n, n - 1) * y**r * z ** (K + 1) / math.factorial(K + 1) / (1 - z / (K + 2))
     return K, -((-tail.numerator << P) // tail.denominator)
@@ -150,34 +148,27 @@ def corollary3_quadrature(kv: KnotVector, r: int, xis) -> list:
     more terms.  Each part is summed in fixed point at P bits, each term
     floor-divided, plus a bound on the terms left out (``_tail``: term j is
     at most n/(n-1) y^r z^{j-r}/(j-r)!, y = n max|x|, z = y |xi|).  P doubles
-    until both ends of the bracket round to the same double, or past
-    _SERIES_MAX_BITS the route raises PrecisionLoss.  At xi = 0 the one term
-    j = r is rounded exactly; on exactly symmetric knots every odd h_j is 0,
-    so the imaginary part is +0.0, unbracketed.
+    until ``splines.round_bracket`` resolves the bracket, or past
+    _SERIES_MAX_BITS the route raises PrecisionLoss.  At xi = 0 nothing is
+    left out and the sum is its one term j = r; on exactly symmetric knots
+    every odd h_j is 0, so the imaginary part is +0.0, unbracketed.
     """
     if r < 0:
         raise ValueError("r >= 0 required")
     n, xs, xis = kv.n, kv.xs.tolist(), [float(xi) for xi in xis]
     y = n * Fraction(max(map(abs, xs)))
-    K = max((_tail(xi, y, n, r, 128)[0] for xi in xis if xi), default=0)
+    K = max((_tail(xi, y, n, r, 128)[0] for xi in xis), default=0)
     L, H = complete_homogeneous(kv, r + K)
     out = []
     for xi in xis:
         parts, P = [None, 0.0 if kv.symmetric else None], 128
-        if xi == 0:
-            # the one term j = r: n^{r+1} (n-2)! r! / (r+n-1)! h_r i^r
-            t = n ** (r + 1) * math.factorial(n - 2) * math.factorial(r) * H[r] * (-1) ** (r // 2)
-            parts = [0.0, 0.0]
-            parts[r % 2] = t / (math.factorial(r + n - 1) << L * r) + 0.0
         while None in parts:
             K, tail = _tail(xi, y, n, r, P)
             if r + K >= len(H):
                 L, H = complete_homogeneous(kv, r + K)
             sums, counts = _series_sums(L, H, n, r, xi, r + K, P)
-            for i in (0, 1):
-                lo, hi = (sums[i] - tail) / (1 << P), (sums[i] + counts[i] + tail) / (1 << P)
-                if parts[i] is None and lo == hi and math.copysign(1, lo) == math.copysign(1, hi):
-                    parts[i] = lo
+            parts = [round_bracket(a - tail, a + c + tail, 1, -P) if v is None else v
+                     for v, a, c in zip(parts, sums, counts)]
             P *= 2
         out.append(complex(*parts))
     return out

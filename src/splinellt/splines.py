@@ -18,7 +18,9 @@ Two routes are provided for the same function
   ``specfun``, with e^{-i theta_k} taken to Q bits in integers, and
   ``complete_homogeneous`` forms from its integer knots the sums h_j(x)
   from which the Corollary-3 oracle sums the transform of B exactly and
-  ``exp_divided_difference`` the divided difference of e^t.
+  ``exp_divided_difference`` the divided difference of e^t.  One rule,
+  ``round_bracket``, turns every such integer bracket -- the oracle's,
+  ``oscillatory_sum``'s and the Corollary-3 series' -- into its double.
 * ``bspline_stable`` evaluates the identical spline through the
   triangular Cox-de Boor recursion in plain doubles, which involves only
   convex combinations and is safe for large n.  It works only where B is
@@ -78,6 +80,15 @@ def _to_double(a: int, b: int, k: int):
         return None
 
 
+def round_bracket(lo: int, hi: int, den: int, k: int):
+    """The double that both lo / den * 2^k and hi / den * 2^k round to, or
+    None when they round apart or either lies beyond the double range.
+    Rounding is monotone, so it is the correctly rounded value of anything
+    between the ends; a zero is +0.0, whatever the signs of the ends."""
+    a, b = _to_double(lo, den, k), _to_double(hi, den, k)
+    return a + 0.0 if a is not None and a == b else None
+
+
 def wprime(kv: KnotVector, k: int) -> Fraction:
     """W'(x_k) = prod_{j != k} (x_k - x_j) exactly, at any n: the entry
     W_k / 2^{L(n-1)} of ``_int_table``."""
@@ -90,16 +101,13 @@ def _round_scaled_sum(terms: list, s: int) -> float:
 
     With p bits below the point, A = sum floor(num 2^p / w) satisfies
     A <= 2^p sum < A + m for m terms, so the value lies in
-    [A 2^{s-p}, (A + m) 2^{s-p}).  Rounding is monotone, so once both ends
-    round to the same double the value does too.  Otherwise p grows: to
-    about 60 bits below the value's magnitude when A shows it, and else
-    straight to a bracket narrower than half the least subnormal, where a
-    zero resolves to +0.0 (so the sign of a zero never rests on a -0.0 end
-    comparing equal to a 0.0 one).  Only a value within that width of a
-    halfway point (a tie) can stay unresolved there; it is rounded from the
-    exact quotient over the common denominator instead.  An end beyond the
-    double range counts as unresolved; a value beyond it raises
-    OverflowError.
+    [A 2^{s-p}, (A + m) 2^{s-p}), which ``round_bracket`` rounds.  Until it
+    resolves, p grows: to about 60 bits below the value's magnitude when A
+    shows it, and else straight to a bracket narrower than half the least
+    subnormal, where a zero resolves to +0.0.  Only a value within that
+    width of a halfway point (a tie) can stay unresolved there; it is
+    rounded from the exact quotient over the common denominator instead.  A
+    value beyond the double range raises OverflowError.
     """
     m = len(terms)
     if not m:
@@ -109,9 +117,9 @@ def _round_scaled_sum(terms: list, s: int) -> float:
     while True:
         p = max(q + s, 0)
         a = sum((num << p) // w for num, w in terms)
-        lo, hi = _to_double(a, 1, s - p), _to_double(a + m, 1, s - p)
-        if lo is not None and lo == hi:
-            return lo + 0.0
+        value = round_bracket(a, a + m, 1, s - p)
+        if value is not None:
+            return value
         if p - s >= q_zero:
             break
         mag = abs(a) - m
@@ -156,8 +164,7 @@ def oscillatory_sum(kv: KnotVector, w, coeffs, pref) -> complex:
     floor(X_k 2^-g / W_k) in units of 2^(g-Q) puts the part in [A - D, A + m
     + D] for m terms, D = sum d_k.  The exact prefactor scales the two ends.
     Q starts at 64 bits plus the bit size of the largest summand and doubles
-    until both ends round to one double (an end beyond the double range is
-    unresolved; a zero part resolves to +0.0).  On exactly symmetric knots
+    until ``round_bracket`` resolves the two ends.  On exactly symmetric knots
     W'(-x_k) = (-1)^{n-1} W'(x_k), so when every coeffs[j] / i^{n-1+j} is
     real (imaginary) the summand at -x_k is the conjugate (minus the
     conjugate) of the one at x_k: the pairs cancel the imaginary (real)
@@ -186,11 +193,8 @@ def oscillatory_sum(kv: KnotVector, w, coeffs, pref) -> complex:
             D += d
             for i, x in enumerate((c * nr + s * ni, c * ni - s * nr)):
                 sums[i] += (x << -g) // wk if g < 0 else x // (wk << g)
-        for i in (0, 1):
-            lo = _to_double(pn * (sums[i] - D), pd, scale + g - Q)
-            hi = _to_double(pn * (sums[i] + len(terms) + D), pd, scale + g - Q)
-            if parts[i] is None and lo is not None and lo == hi:
-                parts[i] = lo + 0.0
+        parts = [round_bracket(pn * (t - D), pn * (t + len(terms) + D), pd, scale + g - Q)
+                 if v is None else v for v, t in zip(parts, sums)]
         Q *= 2
     return complex(*parts)
 

@@ -160,6 +160,25 @@ def test_corollary3_quadrature_odd_moments_vanish_on_symmetric_knots():
             assert c.imag == 0.0 and math.copysign(1.0, c.imag) == 1.0
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 64])
+def test_corollary3_quadrature_at_zero_is_its_one_term(n):
+    # at xi = 0 the series is its one term j = r,
+    # n^{r+1} (n-2)! r! h_r i^r / (r+n-1)!: each part must be that exact
+    # fraction correctly rounded, sign of zero included
+    for family in knots.FAMILIES:
+        kv = knots.family(family, n, seed=1)
+        L, H = splines.complete_homogeneous(kv, 6)
+        for r in range(7):
+            term = Fraction(n ** (r + 1) * math.factorial(n - 2) * math.factorial(r) * H[r],
+                            math.factorial(r + n - 1) << L * r)
+            expected = [0.0, 0.0]
+            expected[r % 2] = float((-1) ** (r // 2) * term) + 0.0
+            c = specfun.corollary3_quadrature(kv, r, (0.0,))[0]
+            for got, want in zip((c.real, c.imag), expected):
+                assert got == want, (family, r)
+                assert math.copysign(1, got) == math.copysign(1, want), (family, r)
+
+
 @pytest.mark.parametrize("family", ["equispaced", "chebyshev", "uniform_random", "clustered"])
 @pytest.mark.parametrize("n", [5, 9, 16])
 def test_corollary3_quadrature_exact_moments(family, n):

@@ -338,6 +338,24 @@ def test_bracket_zero_and_tie():
     assert splines._round_scaled_sum(terms, 0) == 1 + 2**-51
 
 
+def test_round_bracket():
+    # a bracket straddling zero inside the subnormal gap is +0.0
+    zero = splines.round_bracket(-1, 1, 1, -1100)
+    assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+    # ends either side of the halfway point between 1 and its successor
+    half = (2**53 + 1) * 3
+    assert splines.round_bracket(half - 1, half + 1, 3, -53) is None
+    assert splines.round_bracket(3 << 53, half - 1, 3, -53) == 1.0
+    # an end past the double range: the largest double is 2^1024 - 2^971,
+    # and from 2^1024 - 2^970 up a value rounds past it
+    assert splines.round_bracket(2**1024 - 2**971, 2**1024 - 2**970, 1, 0) is None
+    assert splines.round_bracket(2**1024 - 2**971, 2**1024 - 2**970 - 1, 1, 0) == sys.float_info.max
+    assert splines.round_bracket(1, 1, 1, 1024) is None
+    # den != 1: the fraction, correctly rounded, at either sign of k
+    assert splines.round_bracket(10**20, 10**20, 3, -5) == float(Fraction(10**20, 3 << 5))
+    assert splines.round_bracket(-1, -1, 3, 2) == -4 / 3
+
+
 def test_oracle_exact_zero_left_of_support():
     # left of x_0 (and at x_0 unless n - 2 - r = 0) the sum is a divided
     # difference of a polynomial of degree n - 2 - r, so it is exactly 0
