@@ -602,11 +602,14 @@ def check_mc_cos_sin_bound(seed):
 def check_mc_covariance(seed):
     kv = knots.family("uniform_random", 8, seed)
     N = 10**6
-    # sum q and sum q q^T, streamed block by block
+    def sums(q1, q2):
+        # sum q and sum q q^T of one block, on the thread that drew it
+        return np.array([q1.sum(), q2.sum()]), np.array([[q1 @ q1, q1 @ q2], [q2 @ q1, q2 @ q2]])
+
     total, outer = np.zeros(2), np.zeros((2, 2))
-    for q1, q2 in montecarlo.q_blocks(kv, N, seed):
-        total += q1.sum(), q2.sum()
-        outer += [[q1 @ q1, q1 @ q2], [q2 @ q1, q2 @ q2]]
+    for block_total, block_outer in montecarlo.q_blocks(kv, N, seed, sums):  # in block order
+        total += block_total
+        outer += block_outer
     mean = total / N
     cov = (outer - N * np.outer(mean, mean)) / (N - 1)
     se_mean = np.sqrt(np.diag(cov) / N)

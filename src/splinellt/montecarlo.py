@@ -13,16 +13,21 @@ numbers: as easy as 1, 2, 3", SC 2011): it makes 4 doubles per counter
 step, so advancing the counter by k // 4 and discarding k % 4 doubles
 positions a fresh generator exactly k doubles into the stream, and each
 block is filled from its own positioned generator with the bits of the
-serial stream.  The block boundaries do not depend on the worker count, and
-every consumer of a block (the BLAS ``e @ x``, the histogram adds, the
-per-block moments) runs on the calling thread in block order, so no output
-depends on the worker count.  BLAS is not pinned here: a threaded gemv splits each block between
-its threads, so the BLAS thread count can still move the sums in the last
-bits (see ``test_projection_samples_chunk_invariant``).
+serial stream.  The thread that fills a block also runs the consumer's
+per-block work on it (the BLAS ``e @ x``, the sines and cosines, the
+per-block moments, the histogram bins), and the calling thread only merges
+the blocks' results, in block order.  The block boundaries do not depend on
+the worker count, each block's result depends only on its own rows and on
+the same ufunc and BLAS calls, and the merges run in the same order, so no
+output depends on the worker count.  BLAS is not pinned here: a threaded
+gemv splits each block between its threads, so the BLAS thread count can
+still move the sums in the last bits (see
+``test_projection_samples_chunk_invariant``).
 """
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,8 +135,21 @@ def _fill_exp(seed: int, offset: int, out: np.ndarray) -> np.ndarray:
     return _exp_in_place(out)
 
 
-def _exp_blocks(n: int, N: int, seed: int):
-    """Yield (pos, block) over N rows of n Exp(1) draws from the seed's stream.
+def _thread_buffers(make):
+    """A getter of the calling thread's own buffers, made by ``make()`` on its first call there."""
+    local = threading.local()
+
+    def get():
+        bufs = getattr(local, "bufs", None)
+        if bufs is None:
+            bufs = local.bufs = make()
+        return bufs
+
+    return get
+
+
+def _exp_blocks(n: int, N: int, seed: int, work):
+    """Yield work(pos, block) in block order over N rows of n Exp(1) draws from the seed's stream.
 
     A block holds _block_rows(n) rows, the first being row pos.  Every
     block is filled from a generator positioned at row pos (see the module
@@ -144,14 +162,19 @@ def _exp_blocks(n: int, N: int, seed: int):
     size while a block holds at least 4 rows (n <= _BLOCK_FLOATS / 4).
 
     With W workers (``_worker_count()``, at most one per block) the calling
-    thread fills every W-th block and W - 1 threads fill the blocks between,
-    up to about two blocks each ahead of it, into a ring of 3W - 2
-    preallocated buffers; a block that no thread has started by the time it
-    is due is filled by the caller.  With W = 1 no thread is started.
-    Blocks are still yielded on the calling thread in order, so every
-    consumer, BLAS included, runs there as it would serially.  A yielded
-    block is a view into the ring: it is valid only until the next
-    iteration, and a consumer that keeps it must copy it.
+    thread takes every W-th block and W - 1 threads take the blocks between,
+    up to about two blocks each ahead of it; a block that no thread has
+    started by the time it is due is taken by the caller.  The thread that
+    takes a block fills it into a free buffer and runs ``work`` on it at
+    once.  At most W blocks are in work at a time, so W buffers, made on
+    the calling thread, serve them all (made on a pool thread, a buffer can
+    stay resident in that thread's malloc arena after it is freed).
+    With W = 1 no thread is started.  The results are yielded on the
+    calling thread in block order, so a consumer that merges them as they
+    come merges them in the same order whatever W.  ``work`` may use its
+    block as scratch, but the buffer is refilled by the next block that
+    takes it: ``work`` must return arrays that it owns, never a view of the
+    block.
     """
     step = _block_rows(n)
     starts = list(range(0, N, step))
@@ -159,10 +182,14 @@ def _exp_blocks(n: int, N: int, seed: int):
         starts.pop()
     ends = starts[1:] + [N]
     workers = max(1, min(_worker_count(), len(starts)))
-    ring = np.empty((min(3 * workers - 2, len(starts)), min(N, step + 1), n))
+    free = list(np.empty((workers, min(N, step + 1), n)))
 
-    def fill(i):
-        return _fill_exp(seed, starts[i] * n, ring[i % len(ring), : ends[i] - starts[i]])
+    def task(i):
+        buf = free.pop()
+        try:
+            return work(starts[i], _fill_exp(seed, starts[i] * n, buf[: ends[i] - starts[i]]))
+        finally:
+            free.append(buf)
 
     pool = None
     if workers > 1:
@@ -172,52 +199,71 @@ def _exp_blocks(n: int, N: int, seed: int):
     ahead = {}
     queued = 1
     try:
-        for i, pos in enumerate(starts):
-            # block i - 1 is consumed, so the ring may run up to block i + len(ring) - 1
-            while queued < min(i + len(ring), len(starts)):
+        for i in range(len(starts)):
+            while queued < min(i + 2 * workers, len(starts)):
                 if queued % workers:
-                    ahead[queued] = pool.submit(fill, queued)
+                    ahead[queued] = pool.submit(task, queued)
                 queued += 1
-            # a block no worker has started yet is filled here instead
-            task = ahead.pop(i, None)
-            yield pos, fill(i) if task is None or task.cancel() else task.result()
+            # a block no worker has started yet is taken here instead
+            future = ahead.pop(i, None)
+            yield task(i) if future is None or future.cancel() else future.result()
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
 
-def q_blocks(kv: KnotVector, N: int, seed: int):
-    """Yield (q1, q2) per sampler block: Q = (sum x_k(P_k-1), n^{-1/2} sum(P_k-1))."""
-    for _, e in _exp_blocks(kv.n, N, seed):
-        p = e - 1.0
-        yield p @ kv.xs, p.sum(axis=1) / math.sqrt(kv.n)
+def q_blocks(kv: KnotVector, N: int, seed: int, work):
+    """Yield work(q1, q2) per sampler block: Q = (sum x_k(P_k-1), n^{-1/2} sum(P_k-1)).
+
+    P - 1 is formed in place in the block, on the thread that filled it,
+    which runs ``work`` too (see ``_exp_blocks``).
+    """
+
+    def q(pos, e):
+        p = np.subtract(e, 1.0, out=e)
+        return work(p @ kv.xs, p.sum(axis=1) / math.sqrt(kv.n))
+
+    return _exp_blocks(kv.n, N, seed, q)
 
 
-def _projection_blocks(kvs, N: int, seed: int):
-    """Yield (pos, projs) per sampler block, projs[i] = <x_i, S> on the block's rows.
+def _projection_blocks(kvs, N: int, seed: int, work):
+    """Yield work(pos, projs) per sampler block, projs[i] = <x_i, S> on the block's rows.
 
     Every knot vector, all of one n, sees the same simplex points S.  Per
     block the row sums are formed once and each knot vector takes one gemv,
-    with the bits of ``(e @ x) / e.sum(axis=1)``.  ``projs`` is a view into
-    one buffer that every block reuses: it is valid until the next block.
+    with the bits of ``(e @ x) / e.sum(axis=1)``, on the thread that filled
+    the block, which runs ``work`` too (see ``_exp_blocks``).  ``projs`` is
+    that thread's own buffer, refilled by its next block, so ``work`` must
+    not return a view of it.
     """
     n = kvs[0].n
     rows = min(N, _block_rows(n) + 1)
-    sums, bufs = np.empty(rows), np.empty((len(kvs), rows))
-    for pos, e in _exp_blocks(n, N, seed):
+    scratch = _thread_buffers(lambda: (np.empty(rows), np.empty((len(kvs), rows))))
+
+    def project(pos, e):
+        sums, bufs = scratch()
         s = np.sum(e, axis=1, out=sums[: len(e)])
         projs = bufs[:, : len(e)]
         for kv, proj in zip(kvs, projs):
             np.matmul(e, kv.xs, out=proj)
             np.divide(proj, s, out=proj)
-        yield pos, projs
+        return work(pos, projs)
+
+    return _exp_blocks(n, N, seed, project)
 
 
 def simplex_projection_samples(kv: KnotVector, N: int, seed: int) -> np.ndarray:
-    """N draws of <x, S> for S uniform on the simplex, in block order."""
+    """N draws of <x, S> for S uniform on the simplex, in block order.
+
+    Each block's thread writes its projections into the block's own rows of the result.
+    """
     out = np.empty(N)
-    for pos, (proj,) in _projection_blocks([kv], N, seed):
-        out[pos : pos + proj.size] = proj
+
+    def store(pos, projs):
+        out[pos : pos + projs.shape[1]] = projs[0]
+
+    for _ in _projection_blocks([kv], N, seed, store):
+        pass
     return out
 
 
@@ -225,11 +271,12 @@ def char_estimates(kvs, N: int, seed: int, xis):
     """Means and standard errors of cos and sin of n*xi*<x, S>, from one pass.
 
     The knot vectors, all of one n, share N simplex points S of the seed's
-    stream.  Per sampler block one buffer takes n*xi*<x, S> for every knot
-    vector and xi, and its cosines and sines; ``block_moments`` reduces
-    each of their rows in place to (count, mean, M2), and the blocks are
-    merged in block order by ``_merge_moments``.  So the scratch is a few
-    block-sized buffers whatever N, and the estimates depend on the block
+    stream.  Per sampler block, on the thread that filled it, one buffer of
+    that thread takes n*xi*<x, S> for every knot vector and xi, and its
+    cosines and sines; ``block_moments`` reduces each of their rows in place
+    to (count, mean, M2), and the calling thread merges the blocks in block
+    order by ``_merge_moments``.  So the scratch is a few block-sized
+    buffers per thread whatever N, and the estimates depend on the block
     partition ``_block_rows(n)`` but not on the worker count.  With one
     block they are the bits of ``estimate``; with more they differ from it
     by rounding, a few units in the last place at N = 1e6.
@@ -240,14 +287,18 @@ def char_estimates(kvs, N: int, seed: int, xis):
     if N < 2:
         raise ValueError("N >= 2 required")
     scales = kvs[0].n * np.asarray(xis, dtype=float)
-    work = np.empty((2, len(kvs), scales.size, min(N, _block_rows(kvs[0].n) + 1)))
-    moments = None
-    for _, projs in _projection_blocks(kvs, N, seed):
-        w = work[..., : projs.shape[1]]
+    shape = (2, len(kvs), scales.size, min(N, _block_rows(kvs[0].n) + 1))
+    scratch = _thread_buffers(lambda: np.empty(shape))
+
+    def reduce(pos, projs):
+        w = scratch()[..., : projs.shape[1]]
         np.multiply(scales[:, None], projs[:, None, :], out=w[0])
         np.sin(w[0], out=w[1])
         np.cos(w[0], out=w[0])
-        block = block_moments(w)
+        return block_moments(w)
+
+    moments = None
+    for block in _projection_blocks(kvs, N, seed, reduce):
         moments = block if moments is None else _merge_moments(moments, block)
     count, means, m2s = moments
     return means, np.sqrt(m2s / (count - 1)) / math.sqrt(count)
@@ -257,15 +308,21 @@ def mc_pdf_Q(kv: KnotVector, N: int, seed: int) -> np.ndarray:
     """Counts of N draws of Q = (sum x_k(P_k-1), n^{-1/2} sum(P_k-1)) in the cells of default_grid().
 
     Each block is binned by ``_equal_width_bins`` on both axes and counted
-    with one ``bincount``, which gives the counts of ``np.histogram2d``.
+    with one ``bincount`` on the thread that filled it, and the calling
+    thread adds the blocks' counts, which gives the counts of
+    ``np.histogram2d``.
     """
     edges, _ = default_grid()
-    counts = np.zeros(_HIST_BINS * _HIST_BINS)
-    for q1, q2 in q_blocks(kv, N, seed):
+
+    def count(q1, q2):
         # draws outside the edges (and NaN) fall in no cell
         keep = (q1 >= edges[0]) & (q1 <= edges[-1]) & (q2 >= edges[0]) & (q2 <= edges[-1])
         cell = _equal_width_bins(q1[keep], edges) * _HIST_BINS + _equal_width_bins(q2[keep], edges)
-        counts += np.bincount(cell, minlength=counts.size)
+        return np.bincount(cell, minlength=_HIST_BINS * _HIST_BINS)
+
+    counts = np.zeros(_HIST_BINS * _HIST_BINS)
+    for block in q_blocks(kv, N, seed, count):
+        counts += block
     return counts.reshape(_HIST_BINS, _HIST_BINS)
 
 
@@ -311,14 +368,20 @@ def density_histogram_check(kv: KnotVector, N: int, seed: int):
 
     Returns ``histogram_deviation`` over 40 equal cells spanning the knots.
     Each sampler block is binned by ``_equal_width_bins`` and counted with
-    one ``bincount``, which gives the counts of ``np.histogram``.
+    one ``bincount`` on the thread that filled it, and the calling thread
+    adds the blocks' counts, which gives the counts of ``np.histogram``.
     """
     edges = np.linspace(float(kv.xs[0]), float(kv.xs[-1]), _HIST_BINS + 1)
-    counts = np.zeros(_HIST_BINS, dtype=np.intp)
-    for _, (proj,) in _projection_blocks([kv], N, seed):
+
+    def count(pos, projs):
+        (proj,) = projs
         # a projection rounded past the end knots falls in no cell
         keep = (proj >= edges[0]) & (proj <= edges[-1])
-        counts += np.bincount(_equal_width_bins(proj[keep], edges), minlength=_HIST_BINS)
+        return np.bincount(_equal_width_bins(proj[keep], edges), minlength=_HIST_BINS)
+
+    counts = np.zeros(_HIST_BINS, dtype=np.intp)
+    for block in _projection_blocks([kv], N, seed, count):
+        counts += block
     centers = 0.5 * (edges[:-1] + edges[1:])
     model = (kv.n - 1) * bspline_stable(kv, centers)
     return histogram_deviation(model, counts, N, np.diff(edges))

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splinellt import knots, montecarlo, splines
+from splinellt import harness, knots, montecarlo, splines
 from splinellt.errors import InsufficientData
 
 
@@ -58,13 +58,15 @@ def test_blocks_are_the_serial_stream(monkeypatch, workers, n, N):
     # one- and two-row blocks at n = 2^15+1 and 2^16+3 start at offsets that
     # are not multiples of 4 doubles
     monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+
+    def held(pos, e):
+        time.sleep(1e-3)  # the other threads fill their blocks while this one is held
+        return pos, e.copy()
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        blocks = []
-        for pos, e in montecarlo._exp_blocks(n, N, seed=4):
-            time.sleep(1e-3)  # the workers run ahead while the block is held
-            blocks.append((pos, e.copy()))
+        blocks = list(montecarlo._exp_blocks(n, N, 4, held))
     finally:
         sys.setswitchinterval(interval)
     assert [pos for pos, _ in blocks] == [sum(len(e) for _, e in blocks[:i]) for i in range(len(blocks))]
@@ -76,17 +78,16 @@ def test_blocks_are_the_serial_stream(monkeypatch, workers, n, N):
 def test_leaving_the_blocks_early_stops_the_workers(monkeypatch, workers):
     monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
     before = threading.active_count()
-    for _ in montecarlo._exp_blocks(8, 10**5, seed=1):
+    for _ in montecarlo._exp_blocks(8, 10**5, 1, lambda pos, e: None):
         # with one worker no thread is started
         assert (threading.active_count() > before) == (workers > 1)
         break
     assert threading.active_count() == before
 
 
-_BLOCK_SIZE_SCRIPT = """
+_OUTPUTS_SCRIPT = """
 import numpy as np
 from splinellt import knots, montecarlo
-from splinellt.errors import InsufficientData
 
 
 def outputs(kv, N):
@@ -94,7 +95,7 @@ def outputs(kv, N):
     # harness.check_mc_covariance, which reads montecarlo.q_blocks
     proj = montecarlo.simplex_projection_samples(kv, N, seed=3)
     counts = montecarlo.mc_pdf_Q(kv, N, seed=3)
-    q = np.concatenate([np.column_stack(b) for b in montecarlo.q_blocks(kv, N, seed=3)])
+    q = np.concatenate(list(montecarlo.q_blocks(kv, N, 3, lambda q1, q2: np.column_stack((q1, q2)))))
     return proj, counts, q
 
 
@@ -102,11 +103,12 @@ def assert_all_equal(runs):
     for run in runs[1:]:
         for a, b in zip(run, runs[0]):
             np.testing.assert_array_equal(a, b)
+"""
 
-
+_BLOCK_SIZE_SCRIPT = _OUTPUTS_SCRIPT + """
 # block sizes from 4 rows per block (2^10 floats at n = 256) to every row
 # in one block (2^20 floats at n <= 8), then 1, 2 and 3 workers at the
-# default size, where the ring of buffers wraps at every n here; N is a
+# default size, where every thread refills its buffer at every n here; N is a
 # multiple of none of the sizes, and 20001 leaves a lone last row at 4 to 32
 # rows per block
 for n, N in [(5, 70001), (8, 70001), (100, 20001), (256, 20001)]:
@@ -132,6 +134,28 @@ for kind, n, N in [("chebyshev", 2**15 + 1, 9), ("equispaced", 2**16 + 3, 7)]:
     assert_all_equal(runs)
 """
 
+_WORKER_COUNT_SCRIPT = _OUTPUTS_SCRIPT + """
+for kind, n, N in [("uniform_random", 5, 70001), ("uniform_random", 16, 100003),
+                   ("uniform_random", 100, 20001), ("chebyshev", 2**15 + 1, 9)]:
+    kv = knots.family(kind, n, seed=9)
+    runs = []
+    for workers in (1, 2, 3):
+        montecarlo._worker_count = lambda: workers
+        runs.append(outputs(kv, N))
+    assert_all_equal(runs)
+"""
+
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _run_fresh(script, env):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+
 
 def test_projection_samples_chunk_invariant():
     # block accumulation is fixed-order: the outputs do not depend on how N
@@ -140,14 +164,73 @@ def test_projection_samples_chunk_invariant():
     # it: a threaded gemv splits each block between threads at half its
     # rows, so the rows after the split are grouped, and summed, in an
     # order that depends on the block's size
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    src = Path(__file__).resolve().parent.parent / "src"
-    env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
-    proc = subprocess.run(
-        [sys.executable, "-c", _BLOCK_SIZE_SCRIPT],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
+    _run_fresh(_BLOCK_SIZE_SCRIPT, dict(os.environ, **dict.fromkeys(_BLAS_THREADS, "1")))
+
+
+def test_projection_samples_worker_invariant_at_default_blas():
+    # each block's gemv runs on the thread that filled it, beside the other
+    # threads' gemvs; with BLAS at its default thread count too, the outputs
+    # do not depend on the worker count
+    _run_fresh(_WORKER_COUNT_SCRIPT, {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS})
+
+
+def test_outputs_keep_their_bytes_whatever_the_worker_count(monkeypatch):
+    # twelve blocks at n = 8, the last with a lone extra row; the covariance
+    # check's per-block sums are recorded as its q_blocks yields them
+    kv = knots.family("uniform_random", 8, seed=6)
+    N = 12 * 8192 + 1
+    counts, sums = [], []
+    monkeypatch.setattr(montecarlo, "histogram_deviation", lambda model, c, N, cell: counts.append(c))
+    q_blocks = montecarlo.q_blocks
+
+    def recorded(*args):
+        for block in q_blocks(*args):
+            sums.append(b"".join(a.tobytes() for a in block))
+            yield block
+
+    def outputs():
+        montecarlo.density_histogram_check(kv, N, 6)
+        with monkeypatch.context() as m:
+            m.setattr(montecarlo, "q_blocks", recorded)
+            harness.check_mc_covariance(6)
+        return [
+            montecarlo.simplex_projection_samples(kv, N, 6).tobytes(),
+            montecarlo.mc_pdf_Q(kv, N, 6).tobytes(),
+            *(a.tobytes() for a in montecarlo.char_estimates([kv], N, 6, (0.4, 2.0))),
+            counts.pop().tobytes(),
+            b"".join(sums),
+        ]
+
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+        sums.clear()
+        runs.append(outputs())
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_block_work_runs_on_the_filling_threads(monkeypatch):
+    # each block's per-block steps run on the thread that filled it, so
+    # with two workers they run on both threads, not all on the caller
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
+    threads = []
+    for name in ("block_moments", "_equal_width_bins"):
+
+        def recorded(*args, step=getattr(montecarlo, name)):
+            threads.append(threading.get_ident())
+            return step(*args)
+
+        monkeypatch.setattr(montecarlo, name, recorded)
+    kv = knots.family("uniform_random", 8, seed=1)
+    N = 40 * 8192
+    for run in (
+        lambda: montecarlo.char_estimates([kv], N, 1, (1.0,)),
+        lambda: montecarlo.mc_pdf_Q(kv, N, 1),
+        lambda: montecarlo.density_histogram_check(kv, N, 1),
+    ):
+        threads.clear()
+        run()
+        assert len(set(threads)) > 1
 
 
 def test_mc_char_at_zero():
@@ -217,10 +300,11 @@ def test_char_estimates_shared_pass_and_worker_count(monkeypatch):
 
 
 def test_char_estimates_hold_one_buffer(monkeypatch):
-    # block-sized buffers only, whatever N: the sampler's ring of 3W - 2
-    # blocks (two workers pinned here) and one block's projections and trig
-    # values; the N-length projections and estimate buffer peaked at about
-    # 3 * 8N bytes
+    # block-sized buffers only, whatever N: with two workers pinned here,
+    # each thread's block, projections and trig values, about 1.9 MB (2.1 MB
+    # when this test runs alone); the ring of 3W - 2 blocks that the caller
+    # consumed peaked at 2.6 MB, and the N-length projections and estimate
+    # buffer at about 3 * 8N bytes
     monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
     kv = knots.family("equispaced", 8)
     N = 10**6
@@ -230,7 +314,7 @@ def test_char_estimates_hold_one_buffer(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4e6
+    assert peak <= 2.4e6
 
 
 def test_mc_char_gaussian_limit():
@@ -266,7 +350,9 @@ def test_mc_pdf_Q_counts_match_histogram2d(monkeypatch):
     )
     q2 = rng.permutation(np.concatenate([e, rng.uniform(-6, 6, q1.size - e.size)]))
     blocks = [(q1[:200], q2[:200]), (q1[200:], q2[200:]), (q2, q1)]
-    monkeypatch.setattr(montecarlo, "q_blocks", lambda kv, N, seed: iter(blocks))
+    monkeypatch.setattr(
+        montecarlo, "q_blocks", lambda kv, N, seed, work: (work(a, b) for a, b in blocks)
+    )
     counts = montecarlo.mc_pdf_Q(None, 0, seed=0)
     expected = sum(np.histogram2d(a, b, bins=(edges1, edges2))[0] for a, b in blocks)
     np.testing.assert_array_equal(counts, expected)
