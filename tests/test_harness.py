@@ -132,7 +132,7 @@ def test_corollary4_draws_once_per_n(monkeypatch):
 
 def test_corollary4_memory_peak(monkeypatch):
     # two families at n = 32 on 1e6 draws, streamed: with two workers pinned
-    # here, each thread's block and block-sized scratch, about 2.0 MB (2.2 MB
+    # here, two blocks and each thread's block-sized scratch, about 2.0 MB (2.2 MB
     # when this test runs alone); the ring of 3W - 2 blocks that the caller
     # consumed peaked at 2.6 MB, and holding the two projections and one
     # estimate buffer of N doubles at 22.9 MB

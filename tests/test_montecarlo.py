@@ -60,7 +60,7 @@ def test_blocks_are_the_serial_stream(monkeypatch, workers, n, N):
     monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
 
     def held(pos, e):
-        time.sleep(1e-3)  # the other threads fill their blocks while this one is held
+        time.sleep(1e-3)  # the other threads fill other buffers while this one is held
         return pos, e.copy()
 
     interval = sys.getswitchinterval()
@@ -108,7 +108,7 @@ def assert_all_equal(runs):
 _BLOCK_SIZE_SCRIPT = _OUTPUTS_SCRIPT + """
 # block sizes from 4 rows per block (2^10 floats at n = 256) to every row
 # in one block (2^20 floats at n <= 8), then 1, 2 and 3 workers at the
-# default size, where every thread refills its buffer at every n here; N is a
+# default size, where every block buffer is refilled at every n here; N is a
 # multiple of none of the sizes, and 20001 leaves a lone last row at 4 to 32
 # rows per block
 for n, N in [(5, 70001), (8, 70001), (100, 20001), (256, 20001)]:
@@ -300,8 +300,8 @@ def test_char_estimates_shared_pass_and_worker_count(monkeypatch):
 
 
 def test_char_estimates_hold_one_buffer(monkeypatch):
-    # block-sized buffers only, whatever N: with two workers pinned here,
-    # each thread's block, projections and trig values, about 1.9 MB (2.1 MB
+    # block-sized buffers only, whatever N: with two workers pinned here, two
+    # blocks and each thread's projections and trig values, about 1.9 MB (2.1 MB
     # when this test runs alone); the ring of 3W - 2 blocks that the caller
     # consumed peaked at 2.6 MB, and the N-length projections and estimate
     # buffer at about 3 * 8N bytes
