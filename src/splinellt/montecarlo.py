@@ -14,20 +14,22 @@ step, so advancing the counter by k // 4 and discarding k % 4 doubles
 positions a fresh generator exactly k doubles into the stream, and each
 block is filled from its own positioned generator with the bits of the
 serial stream.  The thread that fills a block also runs the consumer's
-per-block work on it (the BLAS ``e @ x``, the sines and cosines, the
-per-block moments, the histogram bins), and the calling thread only merges
-the blocks' results, in block order.  The block boundaries do not depend on
-the worker count, each block's result depends only on its own rows and on
-the same ufunc and BLAS calls, and the merges run in the same order, so no
-output depends on the worker count.  BLAS is not pinned here: a threaded
-gemv splits each block between its threads, so the BLAS thread count can
-still move the sums in the last bits (see
-``test_projection_samples_chunk_invariant``).
+per-block work on it, a callback ``work(block)`` (the BLAS ``e @ x``, the
+sines and cosines, the per-block moments, the histogram counts), and the
+calling thread only merges the blocks' results, in block order.  One buffer
+rule holds: the W block buffers are the only scratch reused from block to
+block, and every array the per-block work makes (row sums, projections,
+sines and cosines, bins) is made fresh for its block, so a block's result is
+its own.  The block boundaries do not depend on the worker count, each
+block's result depends only on its own rows and on the same ufunc and BLAS
+calls, and the merges run in the same order, so no output depends on the
+worker count.  BLAS is not pinned here: a threaded gemv splits each block
+between its threads, so the BLAS thread count can still move the sums in
+the last bits (see ``test_projection_samples_chunk_invariant``).
 """
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,31 +137,18 @@ def _fill_exp(seed: int, offset: int, out: np.ndarray) -> np.ndarray:
     return _exp_in_place(out)
 
 
-def _thread_buffers(make):
-    """A getter of the calling thread's own buffers, made by ``make()`` on its first call there."""
-    local = threading.local()
-
-    def get():
-        bufs = getattr(local, "bufs", None)
-        if bufs is None:
-            bufs = local.bufs = make()
-        return bufs
-
-    return get
-
-
 def _exp_blocks(n: int, N: int, seed: int, work):
-    """Yield work(pos, block) in block order over N rows of n Exp(1) draws from the seed's stream.
+    """Yield work(block) in block order over N rows of n Exp(1) draws from the seed's stream.
 
-    A block holds _block_rows(n) rows, the first being row pos.  Every
-    block is filled from a generator positioned at row pos (see the module
-    docstring), so its bits are those of the serial stream whatever the
-    block shape.  Every consumer works per row or adds integer counts, but
-    BLAS computes ``e @ x`` in groups of rows and sums a leftover row in
-    another order.  Power-of-two blocks put the groups on the same rows for
-    every block size; a lone last row, which numpy would send to dot
-    instead, joins the block before it.  So no output depends on the block
-    size while a block holds at least 4 rows (n <= _BLOCK_FLOATS / 4).
+    A block holds _block_rows(n) rows.  Every block is filled from a
+    generator positioned at its first row (see the module docstring), so its
+    bits are those of the serial stream whatever the block shape.  Every
+    consumer works per row or adds integer counts, but BLAS computes
+    ``e @ x`` in groups of rows and sums a leftover row in another order.
+    Power-of-two blocks put the groups on the same rows for every block
+    size; a lone last row, which numpy would send to dot instead, joins the
+    block before it.  So no output depends on the block size while a block
+    holds at least 4 rows (n <= _BLOCK_FLOATS / 4).
 
     With W workers (``_worker_count()``, at most one per block) the calling
     thread takes every W-th block and W - 1 threads take the blocks between,
@@ -171,10 +160,10 @@ def _exp_blocks(n: int, N: int, seed: int, work):
     stay resident in that thread's malloc arena after it is freed).
     With W = 1 no thread is started.  The results are yielded on the
     calling thread in block order, so a consumer that merges them as they
-    come merges them in the same order whatever W.  ``work`` may use its
-    block as scratch, but the buffer is refilled by the next block that
-    takes it: ``work`` must return arrays that it owns, never a view of the
-    block.
+    come merges them in the same order whatever W.  These buffers are the
+    only reused scratch: ``work`` may use its block as scratch, but the
+    buffer is refilled by the next block that takes it, so ``work`` returns
+    arrays made fresh for its block, never a view of the block.
     """
     step = _block_rows(n)
     starts = list(range(0, N, step))
@@ -187,7 +176,7 @@ def _exp_blocks(n: int, N: int, seed: int, work):
     def task(i):
         buf = free.pop()
         try:
-            return work(starts[i], _fill_exp(seed, starts[i] * n, buf[: ends[i] - starts[i]]))
+            return work(_fill_exp(seed, starts[i] * n, buf[: ends[i] - starts[i]]))
         finally:
             free.append(buf)
 
@@ -219,7 +208,7 @@ def q_blocks(kv: KnotVector, N: int, seed: int, work):
     which runs ``work`` too (see ``_exp_blocks``).
     """
 
-    def q(pos, e):
+    def q(e):
         p = np.subtract(e, 1.0, out=e)
         return work(p @ kv.xs, p.sum(axis=1) / math.sqrt(kv.n))
 
@@ -227,43 +216,36 @@ def q_blocks(kv: KnotVector, N: int, seed: int, work):
 
 
 def _projection_blocks(kvs, N: int, seed: int, work):
-    """Yield work(pos, projs) per sampler block, projs[i] = <x_i, S> on the block's rows.
+    """Yield work(projs) per sampler block, projs[i] = <x_i, S> on the block's rows.
 
     Every knot vector, all of one n, sees the same simplex points S.  Per
     block the row sums are formed once and each knot vector takes one gemv,
     with the bits of ``(e @ x) / e.sum(axis=1)``, on the thread that filled
     the block, which runs ``work`` too (see ``_exp_blocks``).  ``projs`` is
-    that thread's own buffer, refilled by its next block, so ``work`` must
-    not return a view of it.
+    made for its block, so ``work`` may return it.
     """
-    n = kvs[0].n
-    rows = min(N, _block_rows(n) + 1)
-    scratch = _thread_buffers(lambda: (np.empty(rows), np.empty((len(kvs), rows))))
 
-    def project(pos, e):
-        sums, bufs = scratch()
-        s = np.sum(e, axis=1, out=sums[: len(e)])
-        projs = bufs[:, : len(e)]
+    def project(e):
+        s = np.sum(e, axis=1)
+        projs = np.empty((len(kvs), len(e)))
         for kv, proj in zip(kvs, projs):
             np.matmul(e, kv.xs, out=proj)
             np.divide(proj, s, out=proj)
-        return work(pos, projs)
+        return work(projs)
 
-    return _exp_blocks(n, N, seed, project)
+    return _exp_blocks(kvs[0].n, N, seed, project)
 
 
 def simplex_projection_samples(kv: KnotVector, N: int, seed: int) -> np.ndarray:
     """N draws of <x, S> for S uniform on the simplex, in block order.
 
-    Each block's thread writes its projections into the block's own rows of the result.
+    The calling thread copies each block's projections into the result as the blocks come.
     """
     out = np.empty(N)
-
-    def store(pos, projs):
-        out[pos : pos + projs.shape[1]] = projs[0]
-
-    for _ in _projection_blocks([kv], N, seed, store):
-        pass
+    pos = 0
+    for proj in _projection_blocks([kv], N, seed, lambda projs: projs[0]):
+        out[pos : pos + proj.size] = proj
+        pos += proj.size
     return out
 
 
@@ -271,12 +253,12 @@ def char_estimates(kvs, N: int, seed: int, xis):
     """Means and standard errors of cos and sin of n*xi*<x, S>, from one pass.
 
     The knot vectors, all of one n, share N simplex points S of the seed's
-    stream.  Per sampler block, on the thread that filled it, one buffer of
-    that thread takes n*xi*<x, S> for every knot vector and xi, and its
+    stream.  Per sampler block, on the thread that filled it, one array made
+    for the block takes n*xi*<x, S> for every knot vector and xi, and its
     cosines and sines; ``block_moments`` reduces each of their rows in place
     to (count, mean, M2), and the calling thread merges the blocks in block
     order by ``_merge_moments``.  So the scratch is a few block-sized
-    buffers per thread whatever N, and the estimates depend on the block
+    arrays per block in work whatever N, and the estimates depend on the block
     partition ``_block_rows(n)`` but not on the worker count.  With one
     block they are the bits of ``estimate``; with more they differ from it
     by rounding, a few units in the last place at N = 1e6.
@@ -287,11 +269,9 @@ def char_estimates(kvs, N: int, seed: int, xis):
     if N < 2:
         raise ValueError("N >= 2 required")
     scales = kvs[0].n * np.asarray(xis, dtype=float)
-    shape = (2, len(kvs), scales.size, min(N, _block_rows(kvs[0].n) + 1))
-    scratch = _thread_buffers(lambda: np.empty(shape))
 
-    def reduce(pos, projs):
-        w = scratch()[..., : projs.shape[1]]
+    def reduce(projs):
+        w = np.empty((2, len(kvs), scales.size, projs.shape[1]))
         np.multiply(scales[:, None], projs[:, None, :], out=w[0])
         np.sin(w[0], out=w[1])
         np.cos(w[0], out=w[0])
@@ -367,20 +347,13 @@ def density_histogram_check(kv: KnotVector, N: int, seed: int):
     """Compare (n-1) B at the cell midpoints against a histogram of simplex projections.
 
     Returns ``histogram_deviation`` over 40 equal cells spanning the knots.
-    Each sampler block is binned by ``_equal_width_bins`` and counted with
-    one ``bincount`` on the thread that filled it, and the calling thread
-    adds the blocks' counts, which gives the counts of ``np.histogram``.
+    Each sampler block is counted by ``np.histogram`` on the thread that
+    filled it (a projection rounded past the end knots falls in no cell),
+    and the calling thread adds the blocks' counts.
     """
     edges = np.linspace(float(kv.xs[0]), float(kv.xs[-1]), _HIST_BINS + 1)
-
-    def count(pos, projs):
-        (proj,) = projs
-        # a projection rounded past the end knots falls in no cell
-        keep = (proj >= edges[0]) & (proj <= edges[-1])
-        return np.bincount(_equal_width_bins(proj[keep], edges), minlength=_HIST_BINS)
-
     counts = np.zeros(_HIST_BINS, dtype=np.intp)
-    for block in _projection_blocks([kv], N, seed, count):
+    for block in _projection_blocks([kv], N, seed, lambda projs: np.histogram(projs[0], edges)[0]):
         counts += block
     centers = 0.5 * (edges[:-1] + edges[1:])
     model = (kv.n - 1) * bspline_stable(kv, centers)

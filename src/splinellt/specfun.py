@@ -28,10 +28,9 @@ def hermite(r: int, t):
     if r < 0:
         raise ValueError("degree must be >= 0")
     t = np.asarray(t, dtype=float) if np.ndim(t) else t
-    h_prev, h = 1.0, None
     if r == 0:
-        return t * 0 + 1.0 if np.ndim(t) else 1.0
-    h = t
+        return np.ones_like(t) if np.ndim(t) else 1.0
+    h_prev, h = 1.0, t
     for k in range(1, r):
         h, h_prev = t * h - k * h_prev, h
     return h

@@ -1,0 +1,34 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture
+def run_python():
+    """Run Python in a fresh interpreter with ``src`` on PYTHONPATH and return its stdout.
+
+    ``args`` follow the interpreter (``"-c", script`` or a file).  ``env``
+    maps variables to set over the current environment, or to None to unset
+    them.  A non-zero exit fails the test with the interpreter's stderr.
+    """
+
+    def run(*args, env=None):
+        full = dict(os.environ)
+        for key, value in (env or {}).items():
+            if value is None:
+                full.pop(key, None)
+            else:
+                full[key] = value
+        full["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [full.get("PYTHONPATH")])])
+        proc = subprocess.run(
+            [sys.executable, *args], env=full, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    return run

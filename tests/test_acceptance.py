@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from splinellt import charprob, harness, knots, montecarlo, seminorm, splines
-from splinellt.harness import fit_slope, inversion_vs_mc, ratio_slope
+from splinellt.harness import fit_slope, inversion_vs_mc
 
 
 def _report(num, name, ok, detail):
@@ -40,24 +40,25 @@ def test_criterion_03_oracle_agreement():
 
 
 def test_criterion_04_theorem1_scaling():
-    ns = [8, 16, 32, 64, 128]
-    errs = []
-    for n in ns:
-        kv = knots.family("equispaced", n)
-        errs.append(seminorm.theorem1_error(kv, 0, 0, seminorm.default_grid(n)).value)
-    slope, resid = fit_slope(ns, errs)
-    ok = -1.2 <= slope <= -0.45 and resid < 0.15 and errs[-1] < errs[0]
+    # the scaling run's own checks: -1.2 <= slope <= -0.45, residual < 0.15
+    config = harness.ExperimentConfig("scaling", n_list=[8, 16, 32, 64, 128])
+    records, summary = harness.run_scaling(config)
+    errs = [r.error_value for r in records]
+    fit = summary["slopes"]["equispaced"]
+    ok = all(summary["checks"].values()) and errs[-1] < errs[0]
     _report(
         4,
         "Theorem 1 scaling",
         ok,
-        f"slope {slope:.3f}, residual {resid:.3f}, err128/err8 = {errs[-1] / errs[0]:.3f}",
+        f"slope {fit['slope']:.3f}, residual {fit['residual']:.3f}, "
+        f"err128/err8 = {errs[-1] / errs[0]:.3f}",
     )
 
 
 def test_criterion_05_ratio_bounded():
-    slope = ratio_slope(1)
-    _report(5, "ratio boundedness", slope <= 0.1, f"mean log-ratio slope {slope:.3f}")
+    # mean log-ratio slope at most 0.1
+    ok, detail = harness.check_seminorm_ratio_bounded(1)
+    _report(5, "ratio boundedness", ok, detail)
 
 
 def test_criterion_06_corollary2():
@@ -126,23 +127,21 @@ def test_criterion_11_hermite_genocchi_mc():
 
 
 def test_criterion_12_corollary4():
-    xi_grid = (0.5, 1.0, 2.0)
-    sup = {}
-    for n in (16, 32, 64):
-        kv = knots.family("equispaced", n)
-        ((c_res, s_res),) = seminorm.corollary4_error([kv], 0, 0, xi_grid, 10**6, seed=4)
-        sup[n] = (c_res, s_res, knots.m3(kv))
-    c32, s32, m3_32 = sup[32]
-    bound = max(c32.noise_floor, 5 * m3_32)
-    ok32 = c32.value <= bound and s32.value <= max(s32.noise_floor, 5 * m3_32)
-    dec = sup[64][0].value < sup[16][0].value and sup[64][1].value < sup[16][1].value
+    # the corollary4 run's own checks: each sup error within
+    # max(noise floor, 5 m3) at every n; records r = 0 are cos, r = 1 sin
+    config = harness.ExperimentConfig("corollary4", n_list=[16, 32, 64], N_mc=10**6, seed=4)
+    records, summary = harness.run_corollary4(config)
+    sup = {(rec.n, rec.r): rec for rec in records}
+    c32 = sup[32, 0]
+    bound = max(c32.noise_floor, 5 * c32.m3)
+    dec = all(sup[64, r].error_value < sup[16, r].error_value for r in (0, 1))
     _report(
         12,
         "Corollary 4",
-        ok32 and dec,
-        f"n=32 cos {c32.value:.2e} sin {s32.value:.2e} (bound {bound:.2e}); "
-        f"cos 16->64: {sup[16][0].value:.2e}->{sup[64][0].value:.2e}, "
-        f"sin 16->64: {sup[16][1].value:.2e}->{sup[64][1].value:.2e}",
+        all(summary["checks"].values()) and dec,
+        f"n=32 cos {c32.error_value:.2e} sin {sup[32, 1].error_value:.2e} (bound {bound:.2e}); "
+        f"cos 16->64: {sup[16, 0].error_value:.2e}->{sup[64, 0].error_value:.2e}, "
+        f"sin 16->64: {sup[16, 1].error_value:.2e}->{sup[64, 1].error_value:.2e}",
     )
 
 

@@ -1,13 +1,9 @@
 import csv
 import json
 import math
-import os
-import subprocess
-import sys
 import time
 import tracemalloc
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,8 +128,8 @@ def test_corollary4_draws_once_per_n(monkeypatch):
 
 def test_corollary4_memory_peak(monkeypatch):
     # two families at n = 32 on 1e6 draws, streamed: with two workers pinned
-    # here, two blocks and each thread's block-sized scratch, about 2.0 MB (2.2 MB
-    # when this test runs alone); the ring of 3W - 2 blocks that the caller
+    # here, two block buffers and the block-sized arrays made for each block
+    # in work, about 1.7-1.8 MB; the ring of 3W - 2 blocks that the caller
     # consumed peaked at 2.6 MB, and holding the two projections and one
     # estimate buffer of N doubles at 22.9 MB
     monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
@@ -265,53 +261,32 @@ def test_validate_check_names_cover_modules():
 # CLI
 # ---------------------------------------------------------------------------
 
-def test_package_import_loads_no_module():
+def test_package_import_loads_no_module(run_python):
     # each module is the one way to its names: the package re-exports nothing
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
     script = (
         "import sys, splinellt\n"
         "print(sorted(m for m in sys.modules if m.startswith('splinellt.')),\n"
         "      sorted(k for k in vars(splinellt) if not k.startswith('_')),\n"
         "      hasattr(splinellt, '__version__'))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[] [] True"
+    assert run_python("-c", script).strip() == "[] [] True"
 
 
-def test_cli_import_loads_no_scipy():
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, splinellt.cli; print('scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+def test_cli_import_loads_no_scipy(run_python):
+    script = "import sys, splinellt.cli; print('scipy' in sys.modules)"
+    assert run_python("-c", script).strip() == "False"
 
 
-def test_cli_and_validate_load_no_mpmath():
+def test_cli_and_validate_load_no_mpmath(run_python):
     # every route is a Python-integer bracket: no extended-precision library
     # is imported, by the CLI or by any validate check
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
     script = (
         "import sys, splinellt.cli\n"
         "from splinellt import harness\n"
         "harness.run_validate(harness.ExperimentConfig('validate'))\n"
         "print('mpmath' in sys.modules)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert run_python("-c", script).strip() == "False"
 
 
 def test_cli_unknown_family_exits_2(capsys):

@@ -1,11 +1,8 @@
 import math
-import os
-import subprocess
 import sys
 import threading
 import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,9 +56,9 @@ def test_blocks_are_the_serial_stream(monkeypatch, workers, n, N):
     # are not multiples of 4 doubles
     monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
 
-    def held(pos, e):
+    def held(e):
         time.sleep(1e-3)  # the other threads fill other buffers while this one is held
-        return pos, e.copy()
+        return e.copy()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -69,16 +66,15 @@ def test_blocks_are_the_serial_stream(monkeypatch, workers, n, N):
         blocks = list(montecarlo._exp_blocks(n, N, 4, held))
     finally:
         sys.setswitchinterval(interval)
-    assert [pos for pos, _ in blocks] == [sum(len(e) for _, e in blocks[:i]) for i in range(len(blocks))]
     serial = montecarlo.sample_exp_vector(n * N, montecarlo.rng_stream(4)).reshape(N, n)
-    np.testing.assert_array_equal(np.concatenate([e for _, e in blocks]), serial)
+    np.testing.assert_array_equal(np.concatenate(blocks), serial)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_leaving_the_blocks_early_stops_the_workers(monkeypatch, workers):
     monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
     before = threading.active_count()
-    for _ in montecarlo._exp_blocks(8, 10**5, 1, lambda pos, e: None):
+    for _ in montecarlo._exp_blocks(8, 10**5, 1, lambda e: None):
         # with one worker no thread is started
         assert (threading.active_count() > before) == (workers > 1)
         break
@@ -148,30 +144,21 @@ for kind, n, N in [("uniform_random", 5, 70001), ("uniform_random", 16, 100003),
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _run_fresh(script, env):
-    src = Path(__file__).resolve().parent.parent / "src"
-    env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_projection_samples_chunk_invariant():
+def test_projection_samples_chunk_invariant(run_python):
     # block accumulation is fixed-order: the outputs do not depend on how N
     # is split into blocks, nor on how many threads fill them.  Run in a fresh interpreter with BLAS on one
     # thread, as the benchmark runs
     # it: a threaded gemv splits each block between threads at half its
     # rows, so the rows after the split are grouped, and summed, in an
     # order that depends on the block's size
-    _run_fresh(_BLOCK_SIZE_SCRIPT, dict(os.environ, **dict.fromkeys(_BLAS_THREADS, "1")))
+    run_python("-c", _BLOCK_SIZE_SCRIPT, env=dict.fromkeys(_BLAS_THREADS, "1"))
 
 
-def test_projection_samples_worker_invariant_at_default_blas():
+def test_projection_samples_worker_invariant_at_default_blas(run_python):
     # each block's gemv runs on the thread that filled it, beside the other
     # threads' gemvs; with BLAS at its default thread count too, the outputs
     # do not depend on the worker count
-    _run_fresh(_WORKER_COUNT_SCRIPT, {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS})
+    run_python("-c", _WORKER_COUNT_SCRIPT, env=dict.fromkeys(_BLAS_THREADS))
 
 
 def test_outputs_keep_their_bytes_whatever_the_worker_count(monkeypatch):
@@ -214,23 +201,51 @@ def test_block_work_runs_on_the_filling_threads(monkeypatch):
     # with two workers they run on both threads, not all on the caller
     monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
     threads = []
-    for name in ("block_moments", "_equal_width_bins"):
 
-        def recorded(*args, step=getattr(montecarlo, name)):
+    def recorded(step):
+        def run(*args):
             threads.append(threading.get_ident())
             return step(*args)
 
-        monkeypatch.setattr(montecarlo, name, recorded)
+        return run
+
+    for name in ("block_moments", "_equal_width_bins"):
+        monkeypatch.setattr(montecarlo, name, recorded(getattr(montecarlo, name)))
     kv = knots.family("uniform_random", 8, seed=1)
     N = 40 * 8192
+    projection_blocks = montecarlo._projection_blocks
+
+    def density_check():
+        # its per-block step is the work it passes to _projection_blocks
+        with monkeypatch.context() as m:
+            m.setattr(
+                montecarlo,
+                "_projection_blocks",
+                lambda kvs, N, seed, work: projection_blocks(kvs, N, seed, recorded(work)),
+            )
+            montecarlo.density_histogram_check(kv, N, 1)
+
     for run in (
         lambda: montecarlo.char_estimates([kv], N, 1, (1.0,)),
         lambda: montecarlo.mc_pdf_Q(kv, N, 1),
-        lambda: montecarlo.density_histogram_check(kv, N, 1),
+        density_check,
     ):
         threads.clear()
         run()
         assert len(set(threads)) > 1
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_block_projections_are_their_own(monkeypatch, workers):
+    # each block's projections are made for it, so the blocks that work
+    # returns, kept together, are still the samples; a buffer reused by the
+    # thread that fills the next block would overwrite them
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+    kv = knots.family("uniform_random", 8, seed=2)
+    N = 7 * 8192 + 5
+    kept = list(montecarlo._projection_blocks([kv], N, 3, lambda projs: projs[0]))
+    assert len(kept) == 8
+    assert np.concatenate(kept).tobytes() == montecarlo.simplex_projection_samples(kv, N, 3).tobytes()
 
 
 def test_mc_char_at_zero():
@@ -300,11 +315,11 @@ def test_char_estimates_shared_pass_and_worker_count(monkeypatch):
 
 
 def test_char_estimates_hold_one_buffer(monkeypatch):
-    # block-sized buffers only, whatever N: with two workers pinned here, two
-    # blocks and each thread's projections and trig values, about 1.9 MB (2.1 MB
-    # when this test runs alone); the ring of 3W - 2 blocks that the caller
-    # consumed peaked at 2.6 MB, and the N-length projections and estimate
-    # buffer at about 3 * 8N bytes
+    # block-sized arrays only, whatever N: with two workers pinned here, two
+    # block buffers and the projections and trig values made for each block
+    # in work, about 1.9 MB (2.0 MB when this test runs alone); the ring of
+    # 3W - 2 blocks that the caller consumed peaked at 2.6 MB, and the
+    # N-length projections and estimate buffer at about 3 * 8N bytes
     monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
     kv = knots.family("equispaced", 8)
     N = 10**6

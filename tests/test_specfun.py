@@ -21,6 +21,15 @@ def test_hermite_base_cases():
         specfun.hermite(-1, 0.0)
 
 
+def test_hermite_array_matches_scalar():
+    # He_0 = 1 at every t, infinite ones included: 0 * inf + 1 gave NaN there
+    ts = np.array([-np.inf, -2.5, 0.0, 1.0, 3.7, np.inf])
+    for r in range(3):
+        vals = specfun.hermite(r, ts)
+        assert vals.shape == ts.shape
+        np.testing.assert_array_equal(vals, [specfun.hermite(r, float(t)) for t in ts])
+
+
 def test_hermite_recursion_vs_derivative():
     # He_r e^{-t^2/2} = (-1)^r d^r e^{-t^2/2}, checked in extended precision
     with mp.workdps(30):
