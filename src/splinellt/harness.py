@@ -345,14 +345,14 @@ def _cell_average_nodes(edges):
 
 def inversion_vs_mc(kv, N, seed):
     """Max |cell-averaged inversion - histogram| in SE units over retained cells."""
-    edges1, edges2 = montecarlo.default_grid()
-    g1 = _cell_average_nodes(edges1)
-    g2 = _cell_average_nodes(edges2)
+    edges = montecarlo.default_grid()
+    g = _cell_average_nodes(edges)
     # the grid certifies itself or raises, before any sampling
-    fine = charprob.pdf_Q_inversion_grid(kv, g1, g2)
+    fine = charprob.pdf_Q_inversion_grid(kv, g, g)
     counts = montecarlo.mc_pdf_Q(kv, N, seed)
-    pdf = fine.reshape(g1.size // 2, 2, g2.size // 2, 2).mean(axis=(1, 3))
-    area = np.multiply.outer(np.diff(edges1), np.diff(edges2))
+    pdf = fine.reshape(g.size // 2, 2, g.size // 2, 2).mean(axis=(1, 3))
+    width = np.diff(edges)
+    area = np.multiply.outer(width, width)
     return montecarlo.histogram_deviation(pdf, counts, N, area)
 
 

@@ -13,10 +13,11 @@ numbers: as easy as 1, 2, 3", SC 2011): it makes 4 doubles per counter
 step, so advancing the counter by k // 4 and discarding k % 4 doubles
 positions a fresh generator exactly k doubles into the stream, and each
 block is filled from its own positioned generator with the bits of the
-serial stream.  The thread that fills a block also runs the consumer's
-per-block work on it, a callback ``work(block)`` (the BLAS ``e @ x``, the
-sines and cosines, the per-block moments, the histogram counts), and the
-calling thread only merges the blocks' results, in block order.  One buffer
+serial stream.  W pool threads fill the blocks, and the thread that fills a
+block also runs the consumer's per-block work on it, a callback
+``work(block)`` (the BLAS ``e @ x``, the sines and cosines, the per-block
+moments, the histogram counts).  The calling thread only merges the blocks'
+results, in block order, with at most W + 1 blocks in flight.  One buffer
 rule holds: the W block buffers are the only scratch reused from block to
 block, and every array the per-block work makes (row sums, projections,
 sines and cosines, bins) is made fresh for its block, so a block's result is
@@ -150,19 +151,19 @@ def _exp_blocks(n: int, N: int, seed: int, work):
     block before it.  So no output depends on the block size while a block
     holds at least 4 rows (n <= _BLOCK_FLOATS / 4).
 
-    With W workers (``_worker_count()``, at most one per block) the calling
-    thread takes every W-th block and W - 1 threads take the blocks between,
-    up to about two blocks each ahead of it; a block that no thread has
-    started by the time it is due is taken by the caller.  The thread that
-    takes a block fills it into a free buffer and runs ``work`` on it at
-    once.  At most W blocks are in work at a time, so W buffers, made on
-    the calling thread, serve them all (made on a pool thread, a buffer can
-    stay resident in that thread's malloc arena after it is freed).
-    With W = 1 no thread is started.  The results are yielded on the
-    calling thread in block order, so a consumer that merges them as they
-    come merges them in the same order whatever W.  These buffers are the
-    only reused scratch: ``work`` may use its block as scratch, but the
-    buffer is refilled by the next block that takes it, so ``work`` returns
+    W pool threads (W = ``_worker_count()``, at most one per block) take
+    the blocks in order: the thread that takes a block fills it into a free
+    buffer and runs ``work`` on it at once.  The calling thread only merges:
+    it yields the results in block order, waiting for the oldest block once
+    more than W are in flight, so at most W + 1 blocks are in flight
+    whatever N, and a consumer that merges the results as they come merges
+    them in the same order whatever W.  At most W blocks are in work at a
+    time, so W buffers, made on the calling thread, serve them all (made on
+    a pool thread, a buffer can stay resident in that thread's malloc arena
+    after it is freed).  Leaving the generator early waits for the blocks
+    in flight and leaves no thread running.  These buffers are the only
+    reused scratch: ``work`` may use its block as scratch, but the buffer is
+    refilled by the next block that takes it, so ``work`` returns
     arrays made fresh for its block, never a view of the block.
     """
     step = _block_rows(n)
@@ -180,25 +181,16 @@ def _exp_blocks(n: int, N: int, seed: int, work):
         finally:
             free.append(buf)
 
-    pool = None
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-        pool = ThreadPoolExecutor(workers - 1)
-    ahead = {}
-    queued = 1
-    try:
+    with ThreadPoolExecutor(workers) as pool:
+        pending = []
         for i in range(len(starts)):
-            while queued < min(i + 2 * workers, len(starts)):
-                if queued % workers:
-                    ahead[queued] = pool.submit(task, queued)
-                queued += 1
-            # a block no worker has started yet is taken here instead
-            future = ahead.pop(i, None)
-            yield task(i) if future is None or future.cancel() else future.result()
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+            pending.append(pool.submit(task, i))
+            if len(pending) > workers:
+                yield pending.pop(0).result()
+        for future in pending:
+            yield future.result()
 
 
 def q_blocks(kv: KnotVector, N: int, seed: int, work):
@@ -292,7 +284,7 @@ def mc_pdf_Q(kv: KnotVector, N: int, seed: int) -> np.ndarray:
     thread adds the blocks' counts, which gives the counts of
     ``np.histogram2d``.
     """
-    edges, _ = default_grid()
+    edges = default_grid()
 
     def count(q1, q2):
         # draws outside the edges (and NaN) fall in no cell
@@ -322,9 +314,8 @@ def _equal_width_bins(q: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 def default_grid():
-    """Default binning: 40 equal bins over mean +- 5 sigma on both axes."""
-    e = np.linspace(-5.0, 5.0, _HIST_BINS + 1)
-    return e, e.copy()
+    """Default binning: the edges of 40 equal bins over mean +- 5 sigma, for both axes."""
+    return np.linspace(-5.0, 5.0, _HIST_BINS + 1)
 
 
 def histogram_deviation(model, counts, N: int, cell):

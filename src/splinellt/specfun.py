@@ -31,15 +31,21 @@ def hermite(r: int, t):
     if r == 0:
         return np.ones_like(t) if np.ndim(t) else 1.0
     h_prev, h = 1.0, t
-    for k in range(1, r):
-        h, h_prev = t * h - k * h_prev, h
-    return h
+    with np.errstate(invalid="ignore"):
+        for k in range(1, r):
+            h, h_prev = t * h - k * h_prev, h
+    # the recursion meets inf - inf at t = +-inf, where He_r is (+-1)^r inf
+    lim = t if r % 2 else abs(t)
+    return np.where(np.isinf(t), lim, h) if np.ndim(t) else (lim if math.isinf(t) else h)
 
 
 def hermite_function(r: int, t):
     """(2 pi)^{-1/2} He_r(t) e^{-t^2/2} = (-1)^r d^r/dt^r of the Gaussian pdf."""
     t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
-    return hermite(r, t) * np.exp(-np.square(t) / 2) / math.sqrt(2 * math.pi)
+    with np.errstate(invalid="ignore"):
+        val = hermite(r, t) * np.exp(-np.square(t) / 2) / math.sqrt(2 * math.pi)
+    # the Gaussian factor takes the limit at t = +-inf to 0, where the product reads inf * 0
+    return np.where(np.isinf(t), 0.0, val) if np.ndim(t) else (0.0 if math.isinf(t) else val)
 
 
 def laguerre_coefficients(r: int, alpha: int) -> list:

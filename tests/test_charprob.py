@@ -226,7 +226,7 @@ def test_inversion_rejects_imaginary_residue(monkeypatch):
 
 
 # the 80 cell-average nodes per axis of the inversion experiment's grid
-CELL_NODES = harness._cell_average_nodes(montecarlo.default_grid()[0])
+CELL_NODES = harness._cell_average_nodes(montecarlo.default_grid())
 
 
 def _rows_one_at_a_time(kv, xi1, nodes, out):
@@ -352,7 +352,7 @@ def test_mc_histogram_matches_exact_cell_averages():
     kv = knots.family("equispaced", 16)
     N = 10**6
     counts = montecarlo.mc_pdf_Q(kv, N, seed=3)
-    edges = montecarlo.default_grid()[0]
+    edges = montecarlo.default_grid()
     # 4-point Gauss-Legendre per cell and axis for the cell averages
     gx, gw = np.polynomial.legendre.leggauss(4)
     c, h = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)

@@ -128,10 +128,11 @@ def test_corollary4_draws_once_per_n(monkeypatch):
 
 def test_corollary4_memory_peak(monkeypatch):
     # two families at n = 32 on 1e6 draws, streamed: with two workers pinned
-    # here, two block buffers and the block-sized arrays made for each block
-    # in work, about 1.7-1.8 MB; the ring of 3W - 2 blocks that the caller
-    # consumed peaked at 2.6 MB, and holding the two projections and one
-    # estimate buffer of N doubles at 22.9 MB
+    # here, two block buffers and the block-sized arrays made for each of
+    # the at most W + 1 blocks in flight, about 1.8 MB; submitting every
+    # block at once (pool.map) read 2.6 MB, as did the ring of 3W - 2 blocks
+    # that the caller consumed, and holding the two projections and one
+    # estimate buffer of N doubles 22.9 MB
     monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
     config = harness.ExperimentConfig(
         experiment="corollary4", families=["equispaced", "uniform_random"], n_list=[32], N_mc=10**6
@@ -273,8 +274,13 @@ def test_package_import_loads_no_module(run_python):
 
 
 def test_cli_import_loads_no_scipy(run_python):
-    script = "import sys, splinellt.cli; print('scipy' in sys.modules)"
-    assert run_python("-c", script).strip() == "False"
+    # nor concurrent.futures: the Monte Carlo blocks import their thread
+    # pool when they first run, which keeps it out of the CLI's setup time
+    script = (
+        "import sys, splinellt.cli\n"
+        "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)\n"
+    )
+    assert run_python("-c", script).strip() == "False False"
 
 
 def test_cli_and_validate_load_no_mpmath(run_python):

@@ -22,12 +22,19 @@ def test_hermite_base_cases():
 
 
 def test_hermite_array_matches_scalar():
-    # He_0 = 1 at every t, infinite ones included: 0 * inf + 1 gave NaN there
+    # He_r(+-inf) = (+-1)^r inf and He_r(t) e^{-t^2/2} -> 0 there, scalar and
+    # array alike: the recursion met inf - inf from r = 3, and the Hermite
+    # function inf * 0 from r = 1
     ts = np.array([-np.inf, -2.5, 0.0, 1.0, 3.7, np.inf])
-    for r in range(3):
-        vals = specfun.hermite(r, ts)
-        assert vals.shape == ts.shape
-        np.testing.assert_array_equal(vals, [specfun.hermite(r, float(t)) for t in ts])
+    for r in range(6):
+        for f in (specfun.hermite, specfun.hermite_function):
+            vals = f(r, ts)
+            assert vals.shape == ts.shape
+            np.testing.assert_array_equal(vals, [f(r, float(t)) for t in ts])
+        limit = np.inf if r else 1.0
+        assert specfun.hermite(r, np.inf) == limit
+        assert specfun.hermite(r, -np.inf) == (-1) ** r * limit
+        assert specfun.hermite_function(r, -np.inf) == specfun.hermite_function(r, np.inf) == 0.0
 
 
 def test_hermite_recursion_vs_derivative():
