@@ -16,8 +16,9 @@ block is filled from its own positioned generator with the bits of the
 serial stream.  W pool threads fill the blocks, and the thread that fills a
 block also runs the consumer's per-block work on it, a callback
 ``work(block)`` (the BLAS ``e @ x``, the sines and cosines, the per-block
-moments, the histogram counts).  The calling thread only merges the blocks'
-results, in block order, with at most W + 1 blocks in flight.  One buffer
+moments of the trig values and of ``exp_moments``' Exp(1) draws, the
+histogram counts).  The calling thread only merges the blocks' results, in
+block order, with at most W + 1 blocks in flight.  One buffer
 rule holds: the W block buffers are the only scratch reused from block to
 block, and every array the per-block work makes (row sums, projections,
 sines and cosines, bins) is made fresh for its block, so a block's result is
@@ -95,7 +96,8 @@ def block_moments(buf: np.ndarray):
     has the bits of ``var(ddof=1)``.  A ``buf`` of more axes gives one mean
     and M2 per row along the last axis, each with the bits of that row
     reduced on its own: numpy sums every such row pairwise by itself.
-    ``harness.check_mc_moments`` reduces its Exp(1) draws through it too.
+    ``exp_moments`` reduces each block of its Exp(1) draws through it too,
+    and so streams ``harness.check_mc_moments``' 1e6 draws.
     """
     count = buf.shape[-1]
     mean = buf.sum(axis=-1) / count
@@ -114,6 +116,14 @@ def _merge_moments(a, b):
     count = na + nb
     delta = mean_b - mean_a
     return count, mean_a + delta * nb / count, m2_a + m2_b + delta * delta * na * nb / count
+
+
+def _merge_blocks(blocks):
+    """(count, mean, M2) of the blocks' moments merged in block order, and the block count."""
+    moments = None
+    for merged, block in enumerate(blocks, 1):
+        moments = block if moments is None else _merge_moments(moments, block)
+    return moments, merged
 
 
 def _worker_count() -> int:
@@ -228,6 +238,23 @@ def _projection_blocks(kvs, N: int, seed: int, work):
     return _exp_blocks(kvs[0].n, N, seed, project)
 
 
+def exp_moments(N: int, seed: int):
+    """(count, mean, M2, blocks) of the first N Exp(1) draws of the seed's stream, streamed.
+
+    The draws are the serial ``sample_exp_vector(N, rng_stream(seed))``,
+    taken as N rows of one draw.  Each sampler block is reduced in place by
+    ``block_moments`` on the thread that filled it, and the calling thread
+    merges the blocks in block order by ``_merge_moments``, so no N-length
+    array is held.  The mean and M2 agree with ``block_moments`` of the
+    serial draws to a few units in the last place, and neither depends on
+    the worker count.  ``blocks`` is the number of blocks merged.
+    """
+    if N < 1:
+        raise ValueError("N >= 1 required")
+    moments, blocks = _merge_blocks(_exp_blocks(1, N, seed, lambda e: block_moments(e[:, 0])))
+    return (*moments, blocks)
+
+
 def simplex_projection_samples(kv: KnotVector, N: int, seed: int) -> np.ndarray:
     """N draws of <x, S> for S uniform on the simplex, in block order.
 
@@ -269,10 +296,7 @@ def char_estimates(kvs, N: int, seed: int, xis):
         np.cos(w[0], out=w[0])
         return block_moments(w)
 
-    moments = None
-    for block in _projection_blocks(kvs, N, seed, reduce):
-        moments = block if moments is None else _merge_moments(moments, block)
-    count, means, m2s = moments
+    (count, means, m2s), _ = _merge_blocks(_projection_blocks(kvs, N, seed, reduce))
     return means, np.sqrt(m2s / (count - 1)) / math.sqrt(count)
 
 

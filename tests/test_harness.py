@@ -137,6 +137,10 @@ def test_corollary4_memory_peak(monkeypatch):
     config = harness.ExperimentConfig(
         experiment="corollary4", families=["equispaced", "uniform_random"], n_list=[32], N_mc=10**6
     )
+    # imported untraced: _exp_blocks' first import of the executor would
+    # otherwise count its own allocations, about 0.5 MB
+    from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+
     tracemalloc.start()
     try:
         _, _, code = harness.run(config)
@@ -147,17 +151,25 @@ def test_corollary4_memory_peak(monkeypatch):
     assert peak <= 2.4e6
 
 
-def test_mc_moments_check_holds_one_copy_of_the_draws():
-    # the 1e6 draws (8 MB) and nothing of their size beside them: var(ddof=1)
-    # made an 8 MB temporary, for a peak of 16 MB
-    tracemalloc.start()
-    try:
-        ok, detail = harness.check_mc_moments(1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert ok, detail
-    assert peak <= 9e6
+def test_validate_checks_memory_peak(monkeypatch):
+    # no check holds an array of its 1e5 or 1e6 draws: with two workers
+    # pinned here, the largest, montecarlo.cos_sin_bound, traces about 1.9 MB
+    # and montecarlo.moments, streamed by exp_moments, about 1.1 MB; holding
+    # the moments check's 1e6 draws read 8.3 MB, and var(ddof=1) beside them 16 MB
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
+    from concurrent.futures import ThreadPoolExecutor  # noqa: F401  (imported untraced)
+
+    seed = harness.ExperimentConfig(experiment="validate").seed
+    peaks = {}
+    for name, check in harness.VALIDATE_CHECKS.items():
+        tracemalloc.start()
+        try:
+            ok, detail = check(seed)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok, f"{name}: {detail}"
+    assert {name: peak for name, peak in peaks.items() if peak > 2.4e6} == {}
 
 
 def test_validate_experiment_passes(tmp_path):

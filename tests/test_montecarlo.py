@@ -160,8 +160,9 @@ def test_projection_samples_worker_invariant_at_default_blas(run_python):
 
 
 def test_outputs_keep_their_bytes_whatever_the_worker_count(monkeypatch):
-    # twelve blocks at n = 8, the last with a lone extra row; the covariance
-    # check's per-block sums are recorded as its q_blocks yields them
+    # twelve blocks at n = 8, and twelve of the streamed Exp(1) moments at
+    # n = 1, the last with a lone extra row; the covariance check's
+    # per-block sums are recorded as its q_blocks yields them
     kv = knots.family("uniform_random", 8, seed=6)
     N = 12 * 8192 + 1
     counts, sums = [], []
@@ -182,6 +183,7 @@ def test_outputs_keep_their_bytes_whatever_the_worker_count(monkeypatch):
             montecarlo.simplex_projection_samples(kv, N, 6).tobytes(),
             montecarlo.mc_pdf_Q(kv, N, 6).tobytes(),
             *(a.tobytes() for a in montecarlo.char_estimates([kv], N, 6, (0.4, 2.0))),
+            np.array(montecarlo.exp_moments(12 * 65536 + 1, 6)).tobytes(),
             counts.pop().tobytes(),
             b"".join(sums),
         ]
@@ -226,6 +228,7 @@ def test_block_work_runs_on_the_filling_threads(monkeypatch):
 
     for run in (
         lambda: montecarlo.char_estimates([kv], N, 1, (1.0,)),
+        lambda: montecarlo.exp_moments(8 * N, 1),
         lambda: montecarlo.mc_pdf_Q(kv, N, 1),
         density_check,
     ):
@@ -314,6 +317,20 @@ def test_char_estimates_shared_pass_and_worker_count(monkeypatch):
         assert [arr.tobytes() for arr in montecarlo.char_estimates(kvs, N, 7, xis)] == shared
 
 
+def test_streamed_exp_moments_match_serial_draws():
+    # twelve blocks of 65536 draws, the last with the lone extra draw, merged
+    # in order: within rounding of the serial draws reduced as one block
+    N = 12 * 65536 + 1
+    count, mean, m2, blocks = montecarlo.exp_moments(N, 5)
+    serial = montecarlo.sample_exp_vector(N, montecarlo.rng_stream(5))
+    ref_count, ref_mean, ref_m2 = montecarlo.block_moments(serial)
+    assert (count, blocks) == (ref_count, 12)
+    assert abs(mean - ref_mean) <= 4 * np.spacing(ref_mean)
+    assert m2 == pytest.approx(ref_m2, rel=1e-12)
+    with pytest.raises(ValueError):
+        montecarlo.exp_moments(0, 5)
+
+
 def test_char_estimates_hold_one_buffer(monkeypatch):
     # block-sized arrays only, whatever N: with two workers pinned here, two
     # block buffers and the projections and trig values made for each of
@@ -324,6 +341,10 @@ def test_char_estimates_hold_one_buffer(monkeypatch):
     monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
     kv = knots.family("equispaced", 8)
     N = 10**6
+    # imported untraced: _exp_blocks' first import of the executor would
+    # otherwise count its own allocations, about 0.5 MB
+    from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+
     tracemalloc.start()
     try:
         montecarlo.char_estimates([kv], N, 1, (0.3, 1.0))
