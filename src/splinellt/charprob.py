@@ -14,9 +14,10 @@ closeness integral and the quotient lemma, use the same 12-point
 Gauss-Legendre rule on equal panels, refined by doubling.  Both 2-D sums
 use the symmetry of phi_Q under xi -> -xi to evaluate only half of the
 plane: the closeness integral half of the angles, the inversion the rows
-with xi1 >= 0.  Both evaluate t in blocks of about _CACHE_FLOATS values
-through reused buffers, so that scratch does not grow with n or with the
-grid; _CACHE_FLOATS is the module's one block size.
+with xi1 >= 0.  Both evaluate t in blocks of about _CACHE_FLOATS values,
+the inversion in reused buffers and the closeness integral in arrays made
+for each block, so that scratch does not grow with n or with the grid;
+_CACHE_FLOATS is the module's one block size.
 """
 
 import math

@@ -193,11 +193,7 @@ def oracle_agreement(kv) -> float:
 
 def oracle_sweep(seed, ns) -> float:
     """Max ``oracle_agreement`` over every knot family and every n in ns."""
-    worst = 0.0
-    for fam in knots.FAMILIES:
-        for n in ns:
-            worst = max(worst, oracle_agreement(knots.family(fam, n, seed)))
-    return worst
+    return max(oracle_agreement(kv) for _, _, kv in _all_kvs(seed, ns))
 
 
 def phi_deviation(kv, xi) -> float:
@@ -343,6 +339,15 @@ def _cell_average_nodes(edges):
     return np.column_stack([c - h, c + h]).ravel()
 
 
+def _density_vs_mc(kv, N, seed):
+    """Max |(n-1) B at the cell midpoints - histogram of N projections <x, S>| in SE
+    units over retained cells, on 40 equal cells spanning the knots."""
+    edges = np.linspace(float(kv.xs[0]), float(kv.xs[-1]), 41)
+    counts = montecarlo.projection_counts(kv, N, seed, edges)
+    model = (kv.n - 1) * splines.bspline_stable(kv, 0.5 * (edges[:-1] + edges[1:]))
+    return montecarlo.histogram_deviation(model, counts, N, np.diff(edges))
+
+
 def inversion_vs_mc(kv, N, seed):
     """Max |cell-averaged inversion - histogram| in SE units over retained cells."""
     edges = montecarlo.default_grid()
@@ -428,11 +433,8 @@ def check_spline_positivity(seed):
 
 
 def check_spline_normalization(seed):
-    worst = 0.0
-    for fam in knots.FAMILIES:
-        for n in range(2, 21):
-            kv = knots.family(fam, n, seed)
-            worst = max(worst, abs((n - 1) * splines.integrate_bspline(kv) - 1.0))
+    kvs = _all_kvs(seed, range(2, 21))
+    worst = max(abs((n - 1) * splines.integrate_bspline(kv) - 1.0) for _, n, kv in kvs)
     return worst <= 1e-8, f"max |(n-1) int B - 1| = {worst:.2e}"
 
 
@@ -501,14 +503,12 @@ def check_grad_fd(seed):
 
 def check_small_xi_gradient(seed):
     xi = (0.1, 0.0)
-    for fam in knots.FAMILIES:
-        for n in (8, 16):
-            kv = knots.family(fam, n, seed)
-            m = knots.m3(kv)
-            for b in (1, 2):
-                dF, _ = charprob.grad_FG(kv, xi, b)
-                if abs(dF + xi[b - 1]) > m * abs(xi[0]) ** 3 + 1e-15:
-                    return False, f"gradient bound broken for {fam}, n={n}"
+    for fam, n, kv in _all_kvs(seed, (8, 16)):
+        m = knots.m3(kv)
+        for b in (1, 2):
+            dF, _ = charprob.grad_FG(kv, xi, b)
+            if abs(dF + xi[b - 1]) > m * abs(xi[0]) ** 3 + 1e-15:
+                return False, f"gradient bound broken for {fam}, n={n}"
     return True, "|dF + xi_b| <= m3 |xi|^3 at xi=(0.1, 0)"
 
 
@@ -586,8 +586,7 @@ def check_mc_moments(seed):
 
 
 def check_mc_density_histogram(seed):
-    kv = knots.family("equispaced", 8, seed)
-    dev, kept = montecarlo.density_histogram_check(kv, 10**6, seed)
+    dev, kept = _density_vs_mc(knots.family("equispaced", 8, seed), 10**6, seed)
     return dev <= 4.0, f"max deviation {dev:.2f} SE over {kept} cells"
 
 
@@ -626,18 +625,21 @@ def check_mc_covariance(seed):
     return True, "Q centered with covariance I within 4 SE"
 
 
-def check_seminorm_grid_stability(seed):
+def _grid_change(seed, a, b):
+    """|Theorem-1 error on grid a - on grid b| for equispaced knots at n = 16."""
     kv = knots.family("equispaced", 16, seed)
-    a = seminorm.theorem1_error(kv, 0, 0, seminorm.GridSpec(16.0, 0.02))
-    b = seminorm.theorem1_error(kv, 0, 0, seminorm.GridSpec(16.0, 0.01))
-    return abs(a.value - b.value) <= 1e-6, f"change {abs(a.value - b.value):.2e}"
+    ea, eb = (seminorm.theorem1_error(kv, 0, 0, grid).value for grid in (a, b))
+    return abs(ea - eb)
+
+
+def check_seminorm_grid_stability(seed):
+    change = _grid_change(seed, seminorm.GridSpec(16.0, 0.02), seminorm.GridSpec(16.0, 0.01))
+    return change <= 1e-6, f"change {change:.2e}"
 
 
 def check_seminorm_grid_truncation(seed):
-    kv = knots.family("equispaced", 16, seed)
-    a = seminorm.theorem1_error(kv, 0, 0, seminorm.GridSpec(16.0, 0.05))
-    b = seminorm.theorem1_error(kv, 0, 0, seminorm.GridSpec(32.0, 0.05))
-    return abs(a.value - b.value) < 1e-9, f"change {abs(a.value - b.value):.2e}"
+    change = _grid_change(seed, seminorm.GridSpec(16.0, 0.05), seminorm.GridSpec(32.0, 0.05))
+    return change < 1e-9, f"change {change:.2e}"
 
 
 def check_seminorm_monotone(seed):

@@ -16,18 +16,19 @@ block is filled from its own positioned generator with the bits of the
 serial stream.  W pool threads fill the blocks, and the thread that fills a
 block also runs the consumer's per-block work on it, a callback
 ``work(block)`` (the BLAS ``e @ x``, the sines and cosines, the per-block
-moments of the trig values and of ``exp_moments``' Exp(1) draws, the
-histogram counts).  The calling thread only merges the blocks' results, in
-block order, with at most W + 1 blocks in flight.  One buffer
-rule holds: the W block buffers are the only scratch reused from block to
-block, and every array the per-block work makes (row sums, projections,
-sines and cosines, bins) is made fresh for its block, so a block's result is
-its own.  The block boundaries do not depend on the worker count, each
-block's result depends only on its own rows and on the same ufunc and BLAS
-calls, and the merges run in the same order, so no output depends on the
-worker count.  BLAS is not pinned here: a threaded gemv splits each block
-between its threads, so the BLAS thread count can still move the sums in
-the last bits (see ``test_projection_samples_chunk_invariant``).
+moments of the trig values and of ``exp_moments``' Exp(1) draws, the cell
+counts of ``projection_counts`` and ``mc_pdf_Q``, both by
+``_cell_counts``).  The calling thread only merges the blocks' results, in
+block order, with at most W + 1 blocks in flight.  One buffer rule holds:
+the W block buffers are the only scratch reused from block to block, and
+every array the per-block work makes (row sums, projections, sines and
+cosines, bins) is made fresh for its block, so a block's result is its own.
+The block boundaries do not depend on the worker count, each block's result
+depends only on its own rows and on the same ufunc and BLAS calls, and the
+merges run in the same order, so no output depends on the worker count.
+BLAS is not pinned here: a threaded gemv splits each block between its
+threads, so the BLAS thread count can still move the sums in the last bits
+(see ``test_projection_samples_chunk_invariant``).
 """
 
 import math
@@ -38,7 +39,6 @@ import numpy as np
 
 from .errors import InsufficientData
 from .knots import KnotVector
-from .splines import bspline_stable
 
 _BLOCK_FLOATS = 1 << 16
 _HIST_BINS = 40
@@ -76,18 +76,18 @@ def sample_exp_vector(n: int, rng: np.random.Generator) -> np.ndarray:
 def estimate(vals: np.ndarray) -> McEstimate:
     """Mean of the samples and its standard error std(ddof=1) / sqrt(N).
 
-    The one-block case of the streamed estimates: ``block_moments`` of one
+    The one-block case of the streamed estimates: ``_block_moments`` of one
     copy of ``vals`` (left unchanged), with the bits of ``vals.sum() / N``
     and ``vals.std(ddof=1) / sqrt(N)``.
     """
     buf = np.array(vals, dtype=float)
     if buf.size < 2:
         raise ValueError("N >= 2 required")
-    count, mean, m2 = block_moments(buf)
+    count, mean, m2 = _block_moments(buf)
     return McEstimate(float(mean), math.sqrt(float(m2) / (count - 1)) / math.sqrt(count))
 
 
-def block_moments(buf: np.ndarray):
+def _block_moments(buf: np.ndarray):
     """(count, mean, M2) along the last axis of ``buf``, which it overwrites.
 
     Repeats numpy's own ``_var`` steps in place, so no temporary of the
@@ -96,8 +96,6 @@ def block_moments(buf: np.ndarray):
     has the bits of ``var(ddof=1)``.  A ``buf`` of more axes gives one mean
     and M2 per row along the last axis, each with the bits of that row
     reduced on its own: numpy sums every such row pairwise by itself.
-    ``exp_moments`` reduces each block of its Exp(1) draws through it too,
-    and so streams ``harness.check_mc_moments``' 1e6 draws.
     """
     count = buf.shape[-1]
     mean = buf.sum(axis=-1) / count
@@ -243,15 +241,15 @@ def exp_moments(N: int, seed: int):
 
     The draws are the serial ``sample_exp_vector(N, rng_stream(seed))``,
     taken as N rows of one draw.  Each sampler block is reduced in place by
-    ``block_moments`` on the thread that filled it, and the calling thread
+    ``_block_moments`` on the thread that filled it, and the calling thread
     merges the blocks in block order by ``_merge_moments``, so no N-length
-    array is held.  The mean and M2 agree with ``block_moments`` of the
+    array is held.  The mean and M2 agree with ``_block_moments`` of the
     serial draws to a few units in the last place, and neither depends on
     the worker count.  ``blocks`` is the number of blocks merged.
     """
     if N < 1:
         raise ValueError("N >= 1 required")
-    moments, blocks = _merge_blocks(_exp_blocks(1, N, seed, lambda e: block_moments(e[:, 0])))
+    moments, blocks = _merge_blocks(_exp_blocks(1, N, seed, lambda e: _block_moments(e[:, 0])))
     return (*moments, blocks)
 
 
@@ -274,7 +272,7 @@ def char_estimates(kvs, N: int, seed: int, xis):
     The knot vectors, all of one n, share N simplex points S of the seed's
     stream.  Per sampler block, on the thread that filled it, one array made
     for the block takes n*xi*<x, S> for every knot vector and xi, and its
-    cosines and sines; ``block_moments`` reduces each of their rows in place
+    cosines and sines; ``_block_moments`` reduces each of their rows in place
     to (count, mean, M2), and the calling thread merges the blocks in block
     order by ``_merge_moments``.  So the scratch is a few block-sized
     arrays per block in work whatever N, and the estimates depend on the block
@@ -294,32 +292,47 @@ def char_estimates(kvs, N: int, seed: int, xis):
         np.multiply(scales[:, None], projs[:, None, :], out=w[0])
         np.sin(w[0], out=w[1])
         np.cos(w[0], out=w[0])
-        return block_moments(w)
+        return _block_moments(w)
 
     (count, means, m2s), _ = _merge_blocks(_projection_blocks(kvs, N, seed, reduce))
     return means, np.sqrt(m2s / (count - 1)) / math.sqrt(count)
 
 
+def projection_counts(kv: KnotVector, N: int, seed: int, edges: np.ndarray) -> np.ndarray:
+    """Counts of N draws of <x, S> in the cells of ``edges``, equal cells as np.linspace makes them.
+
+    Each block is counted by ``_cell_counts`` on the thread that filled it,
+    and the caller adds the blocks' counts: the intp counts of ``np.histogram``.
+    """
+    blocks = _projection_blocks([kv], N, seed, lambda projs: _cell_counts(edges, projs[0]))
+    return sum(blocks, np.zeros(edges.size - 1, dtype=np.intp))
+
+
 def mc_pdf_Q(kv: KnotVector, N: int, seed: int) -> np.ndarray:
     """Counts of N draws of Q = (sum x_k(P_k-1), n^{-1/2} sum(P_k-1)) in the cells of default_grid().
 
-    Each block is binned by ``_equal_width_bins`` on both axes and counted
-    with one ``bincount`` on the thread that filled it, and the calling
-    thread adds the blocks' counts, which gives the counts of
-    ``np.histogram2d``.
+    Each block is counted by ``_cell_counts`` on both axes on the thread
+    that filled it, and the calling thread adds the blocks' counts, which
+    gives the float64 counts of ``np.histogram2d``.
     """
     edges = default_grid()
+    blocks = q_blocks(kv, N, seed, lambda q1, q2: _cell_counts(edges, q1, q2))
+    return sum(blocks, np.zeros(_HIST_BINS * _HIST_BINS)).reshape(_HIST_BINS, _HIST_BINS)
 
-    def count(q1, q2):
-        # draws outside the edges (and NaN) fall in no cell
-        keep = (q1 >= edges[0]) & (q1 <= edges[-1]) & (q2 >= edges[0]) & (q2 <= edges[-1])
-        cell = _equal_width_bins(q1[keep], edges) * _HIST_BINS + _equal_width_bins(q2[keep], edges)
-        return np.bincount(cell, minlength=_HIST_BINS * _HIST_BINS)
 
-    counts = np.zeros(_HIST_BINS * _HIST_BINS)
-    for block in q_blocks(kv, N, seed, count):
-        counts += block
-    return counts.reshape(_HIST_BINS, _HIST_BINS)
+def _cell_counts(edges: np.ndarray, *axes: np.ndarray) -> np.ndarray:
+    """Counts of the points whose coordinates are ``axes`` in the cells of ``edges`` on every axis.
+
+    A point outside the edges on any axis (or NaN) falls in no cell; the
+    others are binned by ``_equal_width_bins`` on each axis, and one
+    ``bincount`` counts the cells, the last axis varying fastest.
+    """
+    bins = edges.size - 1
+    keep = np.logical_and.reduce([(q >= edges[0]) & (q <= edges[-1]) for q in axes])
+    cell = 0
+    for q in axes:
+        cell = cell * bins + _equal_width_bins(q[keep], edges)
+    return np.bincount(cell, minlength=bins ** len(axes))
 
 
 def _equal_width_bins(q: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -356,20 +369,3 @@ def histogram_deviation(model, counts, N: int, cell):
     se = np.sqrt(np.maximum(counts, 1)) / (N * cell)
     dev = np.abs(density[keep] - model[keep]) / se[keep]
     return float(dev.max()), int(keep.sum())
-
-
-def density_histogram_check(kv: KnotVector, N: int, seed: int):
-    """Compare (n-1) B at the cell midpoints against a histogram of simplex projections.
-
-    Returns ``histogram_deviation`` over 40 equal cells spanning the knots.
-    Each sampler block is counted by ``np.histogram`` on the thread that
-    filled it (a projection rounded past the end knots falls in no cell),
-    and the calling thread adds the blocks' counts.
-    """
-    edges = np.linspace(float(kv.xs[0]), float(kv.xs[-1]), _HIST_BINS + 1)
-    counts = np.zeros(_HIST_BINS, dtype=np.intp)
-    for block in _projection_blocks([kv], N, seed, lambda projs: np.histogram(projs[0], edges)[0]):
-        counts += block
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    model = (kv.n - 1) * bspline_stable(kv, centers)
-    return histogram_deviation(model, counts, N, np.diff(edges))

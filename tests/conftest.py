@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -32,3 +33,25 @@ def run_python():
         return proc.stdout
 
     return run
+
+
+@pytest.fixture
+def traced_peak():
+    """Call ``fn(*args)`` under tracemalloc and return (its result, the traced peak in bytes).
+
+    The thread pool of the Monte Carlo blocks is imported before tracing
+    starts: its first import, about 0.5 MB, would otherwise count against
+    whichever test runs first.  ``concurrent.futures`` loads its executor
+    submodule lazily, so the executor itself is imported.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+
+    def trace(fn, *args):
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return trace

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,16 +135,11 @@ def test_half_period_matches_full_circle(kind, n):
         assert charprob.char_diff_integral(kv, ell) == pytest.approx(full, rel=1e-13, abs=0)
 
 
-def test_char_diff_integral_memory_bounded():
+def test_char_diff_integral_memory_bounded(traced_peak):
     # the cache-sized blocks keep the working set small at large n; the
     # full-circle body with its 4e6-float workspace peaked at about 95 MB
     kv = knots.family("equispaced", 256)
-    tracemalloc.start()
-    try:
-        charprob.char_diff_integral(kv, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(charprob.char_diff_integral, kv, 0)
     assert peak <= 8e6
 
 
@@ -298,18 +292,13 @@ def test_phi_evaluation_blocking_keeps_bits(monkeypatch, kind, n, s1, s2):
     [(8, CHECK_S1, CHECK_S2), (16, CELL_NODES, CELL_NODES)],
     ids=["check-n8", "grid80-n16"],
 )
-def test_inversion_memory_bounded(n, s1, s2):
+def test_inversion_memory_bounded(traced_peak, n, s1, s2):
     # the scratch does not grow with the grid: beside E1, E2 and the output
     # it is one block of Phi and t in blocks of about _CACHE_FLOATS values
     # (peaks of 1.3 and 2.2 MB); the xi1 >= 0 half of Phi alone is 6.9 MB
     # for the n = 8 check
     kv = knots.family("equispaced", n)
-    tracemalloc.start()
-    try:
-        charprob.pdf_Q_inversion_grid(kv, s1, s2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(charprob.pdf_Q_inversion_grid, kv, s1, s2)
     assert peak <= 3e6
 
 

@@ -2,7 +2,6 @@ import csv
 import json
 import math
 import time
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -126,7 +125,7 @@ def test_corollary4_draws_once_per_n(monkeypatch):
     assert summary["checks"] == checks
 
 
-def test_corollary4_memory_peak(monkeypatch):
+def test_corollary4_memory_peak(monkeypatch, traced_peak):
     # two families at n = 32 on 1e6 draws, streamed: with two workers pinned
     # here, two block buffers and the block-sized arrays made for each of
     # the at most W + 1 blocks in flight, about 1.8 MB; submitting every
@@ -137,37 +136,21 @@ def test_corollary4_memory_peak(monkeypatch):
     config = harness.ExperimentConfig(
         experiment="corollary4", families=["equispaced", "uniform_random"], n_list=[32], N_mc=10**6
     )
-    # imported untraced: _exp_blocks' first import of the executor would
-    # otherwise count its own allocations, about 0.5 MB
-    from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-
-    tracemalloc.start()
-    try:
-        _, _, code = harness.run(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (_, _, code), peak = traced_peak(harness.run, config)
     assert code == 0
     assert peak <= 2.4e6
 
 
-def test_validate_checks_memory_peak(monkeypatch):
+def test_validate_checks_memory_peak(monkeypatch, traced_peak):
     # no check holds an array of its 1e5 or 1e6 draws: with two workers
     # pinned here, the largest, montecarlo.cos_sin_bound, traces about 1.9 MB
     # and montecarlo.moments, streamed by exp_moments, about 1.1 MB; holding
     # the moments check's 1e6 draws read 8.3 MB, and var(ddof=1) beside them 16 MB
     monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
-    from concurrent.futures import ThreadPoolExecutor  # noqa: F401  (imported untraced)
-
     seed = harness.ExperimentConfig(experiment="validate").seed
     peaks = {}
     for name, check in harness.VALIDATE_CHECKS.items():
-        tracemalloc.start()
-        try:
-            ok, detail = check(seed)
-            peaks[name] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (ok, detail), peaks[name] = traced_peak(check, seed)
         assert ok, f"{name}: {detail}"
     assert {name: peak for name, peak in peaks.items() if peak > 2.4e6} == {}
 

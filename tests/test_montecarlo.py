@@ -2,7 +2,6 @@ import math
 import sys
 import threading
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +46,15 @@ def test_positioned_stream_matches_serial(k):
     serial = montecarlo.sample_exp_vector(k + 37, montecarlo.rng_stream(11))
     out = np.empty(37)
     np.testing.assert_array_equal(montecarlo._fill_exp(11, k, out), serial[k:])
+
+
+def test_montecarlo_loads_no_spline_code(run_python):
+    # the module samples and counts; the densities it is compared with are
+    # built beside their checks in harness
+    script = "import sys, splinellt.montecarlo; print(*sorted(m for m in sys.modules if 'splinellt' in m))"
+    loaded = run_python("-c", script).split()
+    assert "splinellt.splines" not in loaded
+    assert loaded == ["splinellt", "splinellt.errors", "splinellt.knots", "splinellt.montecarlo"]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -165,8 +173,8 @@ def test_outputs_keep_their_bytes_whatever_the_worker_count(monkeypatch):
     # per-block sums are recorded as its q_blocks yields them
     kv = knots.family("uniform_random", 8, seed=6)
     N = 12 * 8192 + 1
-    counts, sums = [], []
-    monkeypatch.setattr(montecarlo, "histogram_deviation", lambda model, c, N, cell: counts.append(c))
+    edges = np.linspace(float(kv.xs[0]), float(kv.xs[-1]), 41)
+    sums = []
     q_blocks = montecarlo.q_blocks
 
     def recorded(*args):
@@ -175,7 +183,6 @@ def test_outputs_keep_their_bytes_whatever_the_worker_count(monkeypatch):
             yield block
 
     def outputs():
-        montecarlo.density_histogram_check(kv, N, 6)
         with monkeypatch.context() as m:
             m.setattr(montecarlo, "q_blocks", recorded)
             harness.check_mc_covariance(6)
@@ -184,7 +191,7 @@ def test_outputs_keep_their_bytes_whatever_the_worker_count(monkeypatch):
             montecarlo.mc_pdf_Q(kv, N, 6).tobytes(),
             *(a.tobytes() for a in montecarlo.char_estimates([kv], N, 6, (0.4, 2.0))),
             np.array(montecarlo.exp_moments(12 * 65536 + 1, 6)).tobytes(),
-            counts.pop().tobytes(),
+            montecarlo.projection_counts(kv, N, 6, edges).tobytes(),
             b"".join(sums),
         ]
 
@@ -210,27 +217,16 @@ def test_block_work_runs_on_the_filling_threads(monkeypatch):
 
         return run
 
-    for name in ("block_moments", "_equal_width_bins"):
+    for name in ("_block_moments", "_equal_width_bins"):
         monkeypatch.setattr(montecarlo, name, recorded(getattr(montecarlo, name)))
     kv = knots.family("uniform_random", 8, seed=1)
     N = 40 * 8192
-    projection_blocks = montecarlo._projection_blocks
-
-    def density_check():
-        # its per-block step is the work it passes to _projection_blocks
-        with monkeypatch.context() as m:
-            m.setattr(
-                montecarlo,
-                "_projection_blocks",
-                lambda kvs, N, seed, work: projection_blocks(kvs, N, seed, recorded(work)),
-            )
-            montecarlo.density_histogram_check(kv, N, 1)
-
+    edges = np.linspace(float(kv.xs[0]), float(kv.xs[-1]), 41)
     for run in (
         lambda: montecarlo.char_estimates([kv], N, 1, (1.0,)),
         lambda: montecarlo.exp_moments(8 * N, 1),
         lambda: montecarlo.mc_pdf_Q(kv, N, 1),
-        density_check,
+        lambda: montecarlo.projection_counts(kv, N, 1, edges),
     ):
         threads.clear()
         run()
@@ -323,7 +319,7 @@ def test_streamed_exp_moments_match_serial_draws():
     N = 12 * 65536 + 1
     count, mean, m2, blocks = montecarlo.exp_moments(N, 5)
     serial = montecarlo.sample_exp_vector(N, montecarlo.rng_stream(5))
-    ref_count, ref_mean, ref_m2 = montecarlo.block_moments(serial)
+    ref_count, ref_mean, ref_m2 = montecarlo._block_moments(serial)
     assert (count, blocks) == (ref_count, 12)
     assert abs(mean - ref_mean) <= 4 * np.spacing(ref_mean)
     assert m2 == pytest.approx(ref_m2, rel=1e-12)
@@ -331,7 +327,7 @@ def test_streamed_exp_moments_match_serial_draws():
         montecarlo.exp_moments(0, 5)
 
 
-def test_char_estimates_hold_one_buffer(monkeypatch):
+def test_char_estimates_hold_one_buffer(monkeypatch, traced_peak):
     # block-sized arrays only, whatever N: with two workers pinned here, two
     # block buffers and the projections and trig values made for each of
     # the at most W + 1 blocks in flight, about 1.9 MB; submitting every
@@ -340,17 +336,7 @@ def test_char_estimates_hold_one_buffer(monkeypatch):
     # buffer at about 3 * 8N bytes
     monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
     kv = knots.family("equispaced", 8)
-    N = 10**6
-    # imported untraced: _exp_blocks' first import of the executor would
-    # otherwise count its own allocations, about 0.5 MB
-    from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-
-    tracemalloc.start()
-    try:
-        montecarlo.char_estimates([kv], N, 1, (0.3, 1.0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(montecarlo.char_estimates, [kv], 10**6, 1, (0.3, 1.0))
     assert peak <= 2.4e6
 
 
@@ -398,7 +384,7 @@ def test_mc_pdf_Q_counts_match_histogram2d(monkeypatch):
 
 def test_density_histogram_matches_spline():
     kv = knots.family("equispaced", 8)
-    dev, kept = montecarlo.density_histogram_check(kv, 5 * 10**5, seed=1)
+    dev, kept = harness._density_vs_mc(kv, 5 * 10**5, seed=1)
     assert kept > 10
     assert dev <= 4.0
 
@@ -406,27 +392,34 @@ def test_density_histogram_matches_spline():
 def test_density_histogram_counts_match_np_histogram(monkeypatch):
     # the per-block bincounts give the counts of np.histogram over all the
     # projections; several blocks at every n here
-    seen = []
-
-    def captured(model, counts, N, cell):
-        seen.append(counts)
-        return 0.0, 0
-
-    monkeypatch.setattr(montecarlo, "histogram_deviation", captured)
     N = 3 * 10**4 + 1
     for n in (5, 8, 16):
         for seed in (1, 2, 3, 4, 5, 6, 7, 8, 4507):
             kv = knots.family("uniform_random", n, seed=seed)
-            montecarlo.density_histogram_check(kv, N, seed)
             edges = np.linspace(float(kv.xs[0]), float(kv.xs[-1]), 41)
+            counts = montecarlo.projection_counts(kv, N, seed, edges)
             expected, _ = np.histogram(montecarlo.simplex_projection_samples(kv, N, seed), edges)
-            np.testing.assert_array_equal(seen.pop(), expected)
+            np.testing.assert_array_equal(counts, expected)
+            assert counts.dtype == expected.dtype == np.intp
+    # values exactly at every edge of the last knot vector, one ulp either
+    # side of it, at the last edge and outside the range land in the cells
+    # np.histogram gives them
+    e = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    rng = np.random.default_rng(5)
+    projs = np.concatenate([e, [edges[-1]] * 5, [-7.0, 5.5, np.inf, -np.inf], rng.uniform(-1, 1, 400)])
+    blocks = [projs[:200], projs[200:], rng.permutation(projs)]
+    monkeypatch.setattr(
+        montecarlo, "_projection_blocks", lambda kvs, N, seed, work: (work(p[None]) for p in blocks)
+    )
+    counts = montecarlo.projection_counts(None, 0, 0, edges)
+    np.testing.assert_array_equal(counts, sum(np.histogram(p, edges)[0] for p in blocks))
+    assert counts.dtype == np.intp
 
 
 def test_density_histogram_needs_a_cell_with_20_draws():
     kv = knots.family("equispaced", 8)
     with pytest.raises(InsufficientData):
-        montecarlo.density_histogram_check(kv, 100, seed=1)
+        harness._density_vs_mc(kv, 100, seed=1)
 
 
 def _monomial_agrees(kv, proj):

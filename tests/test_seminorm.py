@@ -1,4 +1,3 @@
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,16 +160,11 @@ def test_corollary4_noise_floor_and_validation():
         seminorm.corollary4_error([kv], 0, 0, (1.0,), 10, seed=3)
 
 
-def test_corollary4_error_memory_bounded(monkeypatch):
+def test_corollary4_error_memory_bounded(monkeypatch, traced_peak):
     # the draws are streamed through block buffers (two sampler workers
     # pinned here); holding the N projections and an N-length estimate
     # buffer peaked at 15.3 MB at N = 1e6
     monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
     kv = knots.family("uniform_random", 32, seed=1)
-    tracemalloc.start()
-    try:
-        seminorm.corollary4_error([kv], 0, 0, (0.5, 1.0, 2.0), 10**6, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(seminorm.corollary4_error, [kv], 0, 0, (0.5, 1.0, 2.0), 10**6, 1)
     assert peak <= 4e6
