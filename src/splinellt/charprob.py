@@ -14,10 +14,11 @@ closeness integral and the quotient lemma, use the same 12-point
 Gauss-Legendre rule on equal panels, refined by doubling.  Both 2-D sums
 use the symmetry of phi_Q under xi -> -xi to evaluate only half of the
 plane: the closeness integral half of the angles, the inversion the rows
-with xi1 >= 0.  Both evaluate t in blocks of about _CACHE_FLOATS values,
-the inversion in reused buffers and the closeness integral in arrays made
-for each block, so that scratch does not grow with n or with the grid;
-_CACHE_FLOATS is the module's one block size.
+with xi1 >= 0.  Both, and the truncation radius and tail that bound them,
+evaluate t by one buffer rule: in blocks of about _CACHE_FLOATS values,
+through a t buffer and a work array that every block reuses, so that
+scratch does not grow with n or with the grid; _CACHE_FLOATS is the
+module's one block size.
 """
 
 import math
@@ -42,10 +43,38 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 
 
 def _tk(kv: KnotVector, xi1, xi2, out=None):
-    """t_k = <xi, v_k> for scalar or array xi coordinates; k on the last axis."""
-    return np.add(
-        np.multiply.outer(xi1, kv.xs), np.multiply.outer(xi2, np.full(kv.n, kv.n**-0.5)), out=out
-    )
+    """t_k = <xi, v_k> for scalar or array xi coordinates; k on the last axis.
+
+    t is formed in one array, ``out`` when given: xi1 x_k is written and
+    xi2 n^{-1/2} added to it, the same products and sum as the two outer
+    products of xi1 with x and of xi2 with n^{-1/2} added, without a
+    second table of t's size.
+    """
+    xi1, xi2 = np.asarray(xi1)[..., None], np.asarray(xi2)[..., None]
+    if out is None:
+        out = np.empty(np.broadcast(xi1, xi2, kv.xs).shape)
+    np.multiply(xi1, kv.xs, out=out)
+    out += xi2 * kv.n**-0.5
+    return out
+
+
+def _ray_step(kv: KnotVector, count: int) -> int:
+    """Rays per block of t: about _CACHE_FLOATS values, at least one ray, at most count."""
+    return min(count, max(1, _CACHE_FLOATS // kv.n))
+
+
+def _rays(kv: KnotVector, x, y):
+    """Yield (block, t, work) for the points (x[j], y[j]) in blocks of _ray_step rays.
+
+    t is written into one buffer that every block reuses, and work, an
+    array of t's shape, is the one work array; each ray's values depend on
+    its own n values of t only, so the blocking does not move a bit.
+    """
+    step = _ray_step(kv, x.size)
+    t_buf, work = (np.empty((step, kv.n)) for _ in range(2))
+    for lo in range(0, x.size, step):
+        hi = min(lo + step, x.size)
+        yield slice(lo, hi), _tk(kv, x[lo:hi], y[lo:hi], out=t_buf[: hi - lo]), work[: hi - lo]
 
 
 def _log_modulus(t, out=None):
@@ -96,7 +125,10 @@ def truncation_radius(kv: KnotVector, ell: int = 0, threshold: float = _TAIL_THR
     c, s = np.cos(thetas), np.sin(thetas)
     r = _R_MIN
     while r <= _R_CAP:
-        worst = float(np.max(r**ell * np.exp(_log_modulus(_tk(kv, r * c, r * s)))))
+        worst = max(
+            float(np.max(r**ell * np.exp(_log_modulus(t, w))))
+            for _, t, w in _rays(kv, r * c, r * s)
+        )
         if worst < threshold:
             return r, True
         r *= 1.25
@@ -127,9 +159,15 @@ def char_diff_integral(kv: KnotVector, ell: int = 0) -> float:
     the integrand at theta + pi is |conj(e^{F+iG}) - e^H|, the same value.
     N is even, so the nodes pair up as theta_{j+N/2} = theta_j + pi, and the
     sum over j < N/2 carries the weight 4 pi / N.  The direction matrix
-    u[j, k] = t_k at unit radius and angle theta_j is built once per level;
-    t = r u is then walked in blocks of about _CACHE_FLOATS values (whole
-    radial rows when they fit, else runs of angles along one radius).
+    u[j, k] = t_k at unit radius and angle theta_j is built per angle block
+    of _ray_step angles, and t = r u is walked over the radii inside each
+    block: whole radial rows at once when all N/2 angles fit in one block of
+    about _CACHE_FLOATS values, else one radius at a time.  u, t and the
+    work array are buffers of max(_CACHE_FLOATS, n) values that every block
+    of every level reuses, so the scratch does not grow with n.  Each
+    (radius block, angle block) contribution is stored, and they are added
+    radius block by radius block, angle blocks in order within each, so the
+    total does not depend on the order of the walk.
     """
     if ell > 6:
         raise ValueError("ell <= 6 required")
@@ -138,22 +176,31 @@ def char_diff_integral(kv: KnotVector, ell: int = 0) -> float:
         raise QuadratureNotConverged(f"no certified truncation radius for ell={ell} at n={kv.n}")
     prev = None
     n_theta = max(64, 2 * kv.n)
+    # a block of u, or of t with its rows of radii, holds at most this many values
+    u_buf, t_buf, work = (np.empty(max(_CACHE_FLOATS, kv.n)) for _ in range(3))
     for n_panels in (8, 16, 32, 64, 128):
         rs, ws = _gl_panels(0.0, R, n_panels)
         half = n_theta // 2
         thetas = (np.arange(half) + 0.5) * (2 * np.pi / n_theta)
-        u = _tk(kv, np.cos(thetas), np.sin(thetas))
+        c, s = np.cos(thetas), np.sin(thetas)
         radial = ws * rs**ell * rs
         gauss = np.exp(-0.5 * np.square(rs))
-        n_rows = max(1, _CACHE_FLOATS // u.size)
-        n_angles = min(half, max(1, _CACHE_FLOATS // kv.n))
+        n_angles = _ray_step(kv, half)
+        n_rows = max(1, _CACHE_FLOATS // (half * kv.n))
+        parts = np.empty((-(-rs.size // n_rows), -(-half // n_angles)))
+        for j, a0 in enumerate(range(0, half, n_angles)):
+            a = slice(a0, a0 + n_angles)
+            u = _tk(kv, c[a], s[a], out=u_buf[: c[a].size * kv.n].reshape(-1, kv.n))
+            for i, r0 in enumerate(range(0, rs.size, n_rows)):
+                r = slice(r0, r0 + n_rows)
+                shape = (rs[r].size, *u.shape)
+                t = np.multiply(rs[r, None, None], u, out=t_buf[: math.prod(shape)].reshape(shape))
+                w = work[: t.size].reshape(shape)
+                diff = np.abs(np.exp(_log_modulus(t, w) + 1j * _phase(t, w)) - gauss[r, None])
+                parts[i, j] = radial[r] @ diff.sum(axis=1)
         total = 0.0
-        for r0 in range(0, rs.size, n_rows):
-            r = slice(r0, r0 + n_rows)
-            for a0 in range(0, half, n_angles):
-                t = rs[r, None, None] * u[None, a0 : a0 + n_angles]
-                diff = np.abs(np.exp(_log_modulus(t) + 1j * _phase(t)) - gauss[r, None])
-                total += float(radial[r] @ diff.sum(axis=1))
+        for part in parts.flat:
+            total += float(part)
         total *= 4 * np.pi / n_theta
         if prev is not None and abs(total - prev) < 1e-9:
             return total
@@ -225,12 +272,13 @@ def _truncation_tail(kv: KnotVector, R: float) -> float:
     when p <= 2).  The angular integral is a periodic trapezoid sum.
     """
     thetas = (np.arange(_TAIL_ANGLES) + 0.5) * (2 * np.pi / _TAIL_ANGLES)
-    t = _tk(kv, R * np.cos(thetas), R * np.sin(thetas))
-    c = t * t
-    p = (c / (1 + c)).sum(axis=-1)
-    if np.any(p <= 2):
-        return math.inf
-    radial = np.exp(_log_modulus(t)) * R**2 / (p - 2)
+    radial = np.empty(_TAIL_ANGLES)
+    for block, t, w in _rays(kv, R * np.cos(thetas), R * np.sin(thetas)):
+        c = np.multiply(t, t, out=w)
+        p = (c / (1 + c)).sum(axis=-1)
+        if np.any(p <= 2):
+            return math.inf
+        radial[block] = np.exp(_log_modulus(t, w)) * R**2 / (p - 2)
     return float(radial.mean() / (2 * np.pi))
 
 

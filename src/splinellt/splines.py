@@ -25,13 +25,15 @@ Two routes are provided for the same function
   triangular Cox-de Boor recursion in plain doubles, which involves only
   convex combinations and is safe for large n.  It works only where B is
   nonzero: points outside [x_0, x_{n-1}) are exact zeros at no cost, and
-  the rest are sorted and run in chunks of _CHUNK points, each level of
-  the triangle one broadcast step over the band of rows the chunk's knot
-  spans reach.  Each chunk forms the table D[i] = t - x_i once and runs
-  every level as five ufunc calls into two preallocated level buffers.
-  The values are bit-identical to the full row-by-row triangle, and the
-  working set is at most (4n - 3) * _CHUNK doubles (D, the triangle and
-  the two buffers), whatever the number of points.
+  the rest are sorted and run in chunks of _BASIS_FLOATS // n points,
+  clamped to 64..256, each level of the triangle one broadcast step over
+  the band of rows the chunk's knot spans reach.  Each chunk forms the
+  table D[i] = t - x_i once and runs every level as five ufunc calls into
+  two level buffers.  The values are bit-identical to the full row-by-row
+  triangle, and the working set is four n-row tables (D, the triangle and
+  the two buffers) that every chunk reuses: at most 4 _BASIS_FLOATS
+  doubles (1 MB) up to n = 512, and 256 n past it, whatever the number of
+  points.
 
 Derivatives are never taken numerically: exponent reduction in the naive
 sum and coefficient differencing in the stable recursion are both exact.
@@ -45,8 +47,9 @@ import numpy as np
 
 from .knots import KnotVector
 
-# points per Cox-de Boor chunk: the working set is (4n - 3) * _CHUNK doubles
-_CHUNK = 256
+# doubles per n-row table of a Cox-de Boor chunk, whose working set is
+# four such tables; _basis clamps the chunk to 64..256 points
+_BASIS_FLOATS = 1 << 15
 
 
 @functools.lru_cache(maxsize=256)
@@ -262,35 +265,44 @@ def _basis(xs: np.ndarray, ts: np.ndarray, order: int) -> np.ndarray:
 
     Work is done only where a basis function can be nonzero.  Points
     outside [x_0, x_{n-1}) have every level-1 indicator 0, so their
-    columns stay exact zeros.  The others are sorted and taken _CHUNK at a
-    time; at level m a point in knot span j (x_j <= t < x_{j+1}) is nonzero
-    only in rows j-m+1..j, so each level is one broadcast step over the
-    chunk's band of rows and every row outside it stays an exact zero.
+    columns stay exact zeros.  The others are sorted and taken in chunks of
+    _BASIS_FLOATS // n points, clamped to 64..256; at level m a point in
+    knot span j (x_j <= t < x_{j+1}) is nonzero only in rows j-m+1..j, so
+    each level is one broadcast step over the chunk's band of rows and every
+    row outside it stays an exact zero.
 
     Per chunk the table D[i] = t - x_i is formed once, and each level is
-    five ufunc calls into two preallocated level buffers: two divides, two
-    multiplies and one add.  The right-hand factor (x_{i+m} - t) /
-    (x_{i+m} - x_{i+1}) is taken as D[i+m] / (x_{i+1} - x_{i+m}): both
-    differences are the exact negations of the recursion's, and IEEE
-    division is sign-symmetric, so every element is formed with the bits of
-    the full recursion (the one signed zero this moves, at t = x_{i+m}, is
-    added to a +0 or a positive left term).  The working set is D, the
-    triangle and the two level buffers: at most (4n - 3) * _CHUNK doubles.
+    five ufunc calls into two level buffers: two divides, two multiplies and
+    one add.  The right-hand factor (x_{i+m} - t) / (x_{i+m} - x_{i+1}) is
+    taken as D[i+m] / (x_{i+1} - x_{i+m}): both differences are the exact
+    negations of the recursion's, and IEEE division is sign-symmetric, so
+    every element is formed with the bits of the full recursion (the one
+    signed zero this moves, at t = x_{i+m}, is added to a +0 or a positive
+    left term).  The working set is D, the triangle and the two level
+    buffers, four tables of n rows by the chunk that every chunk reuses: at
+    most 4 _BASIS_FLOATS doubles up to n = 512 and 256 n past it.  Below 64
+    points a chunk pays the fixed cost of its ufunc calls on too few
+    values; above 256 it spans more knot spans, so each level runs over a
+    wider band of rows, most of them exact zeros for any one point.
     """
     n = xs.size
     out = np.zeros((n - order, ts.size))
     inside = np.flatnonzero((xs[0] <= ts) & (ts < xs[-1]))
     inside = inside[np.argsort(ts[inside], kind="stable")]
-    for start in range(0, inside.size, _CHUNK):
-        cols = inside[start : start + _CHUNK]
+    chunk = min(256, max(64, _BASIS_FLOATS // n))
+    tables = np.empty((4, n * min(chunk, inside.size)))
+    for start in range(0, inside.size, chunk):
+        cols = inside[start : start + chunk]
         t = ts[cols]
         span = np.searchsorted(xs, t, side="right") - 1
         j_min, j_max = int(span[0]), int(span[-1])
-        D = t - xs[:, None]
+        # views of each table's first n * len(t) values, contiguous for a
+        # short last chunk too: a strided view costs a ufunc inner loop per row
+        D, B, left, right = (table[: n * t.size].reshape(n, t.size) for table in tables)
+        np.subtract(t, xs[:, None], out=D)
         # rows past the current band are exact zeros, as in the full triangle
-        B = np.zeros((n - 1, t.size))
+        B.fill(0.0)
         B[span, np.arange(t.size)] = 1.0
-        left, right = np.empty((2, n - 1, t.size))
         for m in range(2, order + 1):
             lo, hi = max(0, j_min - m + 1), min(j_max, n - m - 1) + 1
             x_lo, x_lo1 = xs[lo:hi, None], xs[lo + 1 : hi + 1, None]

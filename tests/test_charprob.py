@@ -92,7 +92,7 @@ def test_char_diff_integral_small_n_not_integrable():
 
 def _full_circle_diff_integral(kv, ell):
     # the full-circle body that the half-period quadrature replaced: every
-    # angle of the midpoint rule, t built from two outer products per block
+    # angle of the midpoint rule, t made by _tk for each block
     R, certified = charprob.truncation_radius(kv, ell)
     if not certified:
         raise QuadratureNotConverged(f"no certified truncation radius for ell={ell} at n={kv.n}")
@@ -135,12 +135,92 @@ def test_half_period_matches_full_circle(kind, n):
         assert charprob.char_diff_integral(kv, ell) == pytest.approx(full, rel=1e-13, abs=0)
 
 
+def _radius_major_diff_integral(kv, ell):
+    # the body before u was built per angle block: the whole direction
+    # table u per level, from two outer products, and the blocks of t = r u
+    # walked radius block by radius block, each contribution added as made
+    R, certified = charprob.truncation_radius(kv, ell)
+    if not certified:
+        raise QuadratureNotConverged(f"no certified truncation radius for ell={ell} at n={kv.n}")
+    prev = None
+    n_theta = max(64, 2 * kv.n)
+    for n_panels in (8, 16, 32, 64, 128):
+        rs, ws = charprob._gl_panels(0.0, R, n_panels)
+        half = n_theta // 2
+        thetas = (np.arange(half) + 0.5) * (2 * np.pi / n_theta)
+        u = np.add(
+            np.multiply.outer(np.cos(thetas), kv.xs),
+            np.multiply.outer(np.sin(thetas), np.full(kv.n, kv.n**-0.5)),
+        )
+        radial = ws * rs**ell * rs
+        gauss = np.exp(-0.5 * np.square(rs))
+        n_rows = max(1, charprob._CACHE_FLOATS // u.size)
+        n_angles = min(half, max(1, charprob._CACHE_FLOATS // kv.n))
+        total = 0.0
+        for r0 in range(0, rs.size, n_rows):
+            r = slice(r0, r0 + n_rows)
+            for a0 in range(0, half, n_angles):
+                t = rs[r, None, None] * u[None, a0 : a0 + n_angles]
+                F, G = charprob._log_modulus(t), charprob._phase(t)
+                diff = np.abs(np.exp(F + 1j * G) - gauss[r, None])
+                total += float(radial[r] @ diff.sum(axis=1))
+        total *= 4 * np.pi / n_theta
+        if prev is not None and abs(total - prev) < 1e-9:
+            return total
+        prev = total
+        n_theta *= 2
+    raise QuadratureNotConverged("char_diff_integral refinement stalled")
+
+
+@pytest.mark.parametrize("ell", [0, 2])
+@pytest.mark.parametrize("n", [24, 64, 256])
+def test_char_diff_integral_bit_identical_to_radius_major_walk(n, ell):
+    # at n = 24 and 64 every angle fits one block and the radii go in rows
+    # of several; at n = 256 there are two angle blocks per radius
+    kv = knots.family("uniform_random", n, seed=1)
+    assert charprob.char_diff_integral(kv, ell) == _radius_major_diff_integral(kv, ell)
+
+
 def test_char_diff_integral_memory_bounded(traced_peak):
-    # the cache-sized blocks keep the working set small at large n; the
-    # full-circle body with its 4e6-float workspace peaked at about 95 MB
-    kv = knots.family("equispaced", 256)
-    _, peak = traced_peak(charprob.char_diff_integral, kv, 0)
-    assert peak <= 8e6
+    # u, t and the work array are three buffers of 2^15 doubles (0.8 MB)
+    # that every block reuses, whatever n; with the whole direction table
+    # per level and t made for each block it traced 3.96 MB at n = 256 and
+    # 15.0 MB at n = 512, and the full-circle body with its 4e6-float
+    # workspace about 95 MB
+    for n in (256, 512):
+        _, peak = traced_peak(charprob.char_diff_integral, knots.family("equispaced", n), 0)
+        assert peak <= 1.5e6, n
+
+
+@pytest.mark.parametrize("shapes", [((), ()), ((7,), (7,)), ((5, 1), (1, 9))])
+def test_tk_bit_identical_to_outer_product_sum(shapes):
+    # t in one array has the bits of the sum of the two outer products, for
+    # scalar, array and broadcast coordinates, into a new array or into out
+    kv = knots.family("uniform_random", 24, seed=1)
+    rng = np.random.default_rng(3)
+    xi1, xi2 = (rng.normal(0, 5, shape) if shape else float(rng.normal(0, 5)) for shape in shapes)
+    ref = np.add(
+        np.multiply.outer(xi1, kv.xs), np.multiply.outer(xi2, np.full(kv.n, kv.n**-0.5))
+    )
+    assert charprob._tk(kv, xi1, xi2).tobytes() == ref.tobytes()
+    out = np.empty_like(ref)
+    assert charprob._tk(kv, xi1, xi2, out=out) is out
+    assert out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [24, 64, 256])
+def test_truncation_blocks_keep_bits(monkeypatch, n):
+    # the truncation radius and tail take t in blocks of rays: one ray per
+    # block and the whole table in one block give the same bits
+    kv = knots.family("clustered", n, seed=1)
+    values = []
+    for cache_floats in (1, 1 << 30, charprob._CACHE_FLOATS):
+        monkeypatch.setattr(charprob, "_CACHE_FLOATS", cache_floats)
+        values.append(
+            [charprob.truncation_radius(kv, ell) for ell in (0, 2, 6)]
+            + [charprob._truncation_tail(kv, R) for R in (12.0, 30.0)]
+        )
+    assert values[0] == values[1] == values[2]
 
 
 def test_quotient_pdf_cauchy():

@@ -144,7 +144,10 @@ def _row_loop_deriv(kv, levels, q, cols=slice(None)):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 24, 64, 256])
-def test_kernel_bit_identical_to_row_loop(n):
+def test_kernel_bit_identical_to_row_loop(monkeypatch, n):
+    # chunks of 64 points at every n, as the budget gives past n = 512, so
+    # that each input below spans several chunks
+    monkeypatch.setattr(splines, "_BASIS_FLOATS", 64 * n)
     rng = np.random.default_rng(n)
     qs = range(min(3, n - 2) + 1)
     for kind in knots.FAMILIES:
@@ -155,6 +158,7 @@ def test_kernel_bit_identical_to_row_loop(n):
             [rng.uniform(lo - 0.2, hi + 0.2, 700), kv.xs, [lo - 1.0, hi + 1.0]]
         )
         rng.shuffle(ts)
+        assert np.count_nonzero((lo <= ts) & (ts < hi)) > 2 * 64
         inputs = [ts]
         if n <= 64:
             # the sorted scaling grid of Theorem 1: many points per knot span
@@ -173,6 +177,16 @@ def test_kernel_bit_identical_to_row_loop(n):
             np.testing.assert_array_equal(
                 splines.bspline_stable_deriv(kv, outside, q), np.zeros(3)
             )
+
+
+def test_kernel_memory_bounded(traced_peak):
+    # the four n-row tables of a chunk, reused by every chunk: at n = 1024
+    # the floor of 64 points makes them 4 * 1024 * 64 doubles (2.1 MB); 256
+    # points a chunk, each chunk with tables of its own, traced 8.9 MB
+    kv = knots.family("equispaced", 1024)
+    lo, hi = float(kv.xs[0]), float(kv.xs[-1])
+    _, peak = traced_peak(splines.bspline_stable, kv, lo + (hi - lo) * (np.arange(300) + 0.5) / 300)
+    assert peak <= 2.5e6
 
 
 def test_theorem1_rate_past_n128():
