@@ -14,11 +14,14 @@ closeness integral and the quotient lemma, use the same 12-point
 Gauss-Legendre rule on equal panels, refined by doubling.  Both 2-D sums
 use the symmetry of phi_Q under xi -> -xi to evaluate only half of the
 plane: the closeness integral half of the angles, the inversion the rows
-with xi1 >= 0.  Both, and the truncation radius and tail that bound them,
-evaluate t by one buffer rule: in blocks of about _CACHE_FLOATS values,
+with xi1 >= 0.  Tables of t over a grid of xi are made by one walker,
+_t_blocks: in blocks of about _CACHE_FLOATS values (_ray_step rows),
 through a t buffer and a work array that every block reuses, so that
-scratch does not grow with n or with the grid; _CACHE_FLOATS is the
-module's one block size.
+scratch does not grow with n or with the grid.  The inversion's rows of
+Phi and the truncation radius and tail walk it; the closeness integral,
+the one exception, walks t = r u over its radii inside each angle block
+of u by the same step rule.  _phi is the one e^{F + iG}, and
+_CACHE_FLOATS the module's one block size.
 """
 
 import math
@@ -58,22 +61,24 @@ def _tk(kv: KnotVector, xi1, xi2, out=None):
     return out
 
 
-def _ray_step(kv: KnotVector, count: int) -> int:
-    """Rays per block of t: about _CACHE_FLOATS values, at least one ray, at most count."""
-    return min(count, max(1, _CACHE_FLOATS // kv.n))
+def _ray_step(kv: KnotVector, count: int, width: int) -> int:
+    """Rows of width points per block of t: about _CACHE_FLOATS values, 1 to count rows."""
+    return min(count, max(1, _CACHE_FLOATS // (width * kv.n)))
 
 
-def _rays(kv: KnotVector, x, y):
-    """Yield (block, t, work) for the points (x[j], y[j]) in blocks of _ray_step rays.
+def _t_blocks(kv: KnotVector, x, y):
+    """Yield (rows, t, work) over the broadcast grid (x, y), _ray_step rows at a time.
 
-    t is written into one buffer that every block reuses, and work, an
-    array of t's shape, is the one work array; each ray's values depend on
-    its own n values of t only, so the blocking does not move a bit.
+    The rows are those of the first axis.  t is written into one buffer
+    that every block reuses, and work, an array of t's shape, is the one
+    work array; each point's values depend on its own n values of t only,
+    so the blocking does not move a bit.
     """
-    step = _ray_step(kv, x.size)
-    t_buf, work = (np.empty((step, kv.n)) for _ in range(2))
-    for lo in range(0, x.size, step):
-        hi = min(lo + step, x.size)
+    x, y = np.broadcast_arrays(x, y)
+    step = _ray_step(kv, len(x), math.prod(x.shape[1:]))
+    t_buf, work = (np.empty((step, *x.shape[1:], kv.n)) for _ in range(2))
+    for lo in range(0, len(x), step):
+        hi = min(lo + step, len(x))
         yield slice(lo, hi), _tk(kv, x[lo:hi], y[lo:hi], out=t_buf[: hi - lo]), work[: hi - lo]
 
 
@@ -85,6 +90,11 @@ def _log_modulus(t, out=None):
 def _phase(t, out=None):
     """G from t; ``out``, an array of t's shape, is overwritten as work space."""
     return -np.subtract(t, np.arctan(t, out=out), out=out).sum(axis=-1)
+
+
+def _phi(t, work, out=None):
+    """e^{F + iG} from t, into ``out`` when given; ``work``, of t's shape, is overwritten."""
+    return np.exp(_log_modulus(t, work) + 1j * _phase(t, work), out=out)
 
 
 def char_exponent(kv: KnotVector, xi) -> complex:
@@ -127,7 +137,7 @@ def truncation_radius(kv: KnotVector, ell: int = 0, threshold: float = _TAIL_THR
     while r <= _R_CAP:
         worst = max(
             float(np.max(r**ell * np.exp(_log_modulus(t, w))))
-            for _, t, w in _rays(kv, r * c, r * s)
+            for _, t, w in _t_blocks(kv, r * c, r * s)
         )
         if worst < threshold:
             return r, True
@@ -161,8 +171,8 @@ def char_diff_integral(kv: KnotVector, ell: int = 0) -> float:
     sum over j < N/2 carries the weight 4 pi / N.  The direction matrix
     u[j, k] = t_k at unit radius and angle theta_j is built per angle block
     of _ray_step angles, and t = r u is walked over the radii inside each
-    block: whole radial rows at once when all N/2 angles fit in one block of
-    about _CACHE_FLOATS values, else one radius at a time.  u, t and the
+    block, in _ray_step rows of N/2 angles: several radii at once when all
+    N/2 angles fit in one block, else one radius at a time.  u, t and the
     work array are buffers of max(_CACHE_FLOATS, n) values that every block
     of every level reuses, so the scratch does not grow with n.  Each
     (radius block, angle block) contribution is stored, and they are added
@@ -185,8 +195,8 @@ def char_diff_integral(kv: KnotVector, ell: int = 0) -> float:
         c, s = np.cos(thetas), np.sin(thetas)
         radial = ws * rs**ell * rs
         gauss = np.exp(-0.5 * np.square(rs))
-        n_angles = _ray_step(kv, half)
-        n_rows = max(1, _CACHE_FLOATS // (half * kv.n))
+        n_angles = _ray_step(kv, half, 1)
+        n_rows = _ray_step(kv, rs.size, half)
         parts = np.empty((-(-rs.size // n_rows), -(-half // n_angles)))
         for j, a0 in enumerate(range(0, half, n_angles)):
             a = slice(a0, a0 + n_angles)
@@ -196,7 +206,7 @@ def char_diff_integral(kv: KnotVector, ell: int = 0) -> float:
                 shape = (rs[r].size, *u.shape)
                 t = np.multiply(rs[r, None, None], u, out=t_buf[: math.prod(shape)].reshape(shape))
                 w = work[: t.size].reshape(shape)
-                diff = np.abs(np.exp(_log_modulus(t, w) + 1j * _phase(t, w)) - gauss[r, None])
+                diff = np.abs(_phi(t, w) - gauss[r, None])
                 parts[i, j] = radial[r] @ diff.sum(axis=1)
         total = 0.0
         for part in parts.flat:
@@ -273,33 +283,13 @@ def _truncation_tail(kv: KnotVector, R: float) -> float:
     """
     thetas = (np.arange(_TAIL_ANGLES) + 0.5) * (2 * np.pi / _TAIL_ANGLES)
     radial = np.empty(_TAIL_ANGLES)
-    for block, t, w in _rays(kv, R * np.cos(thetas), R * np.sin(thetas)):
+    for rows, t, w in _t_blocks(kv, R * np.cos(thetas), R * np.sin(thetas)):
         c = np.multiply(t, t, out=w)
         p = (c / (1 + c)).sum(axis=-1)
         if np.any(p <= 2):
             return math.inf
-        radial[block] = np.exp(_log_modulus(t, w)) * R**2 / (p - 2)
+        radial[rows] = np.exp(_log_modulus(t, w)) * R**2 / (p - 2)
     return float(radial.mean() / (2 * np.pi))
-
-
-def _phi_rows(kv: KnotVector, xi1, nodes, out):
-    """Write Phi[j, k] = phi_Q(xi1[j], nodes[k]) into ``out`` and return it.
-
-    t is evaluated in blocks of about _CACHE_FLOATS values (at least one
-    row), through a t buffer and a work array that every block reuses, so
-    the scratch does not grow with the grid.  Each entry's log-modulus and
-    phase are sums over its own n values of t, so the blocking does not
-    move a bit.
-    """
-    M = nodes.size
-    rows = max(1, _CACHE_FLOATS // (M * kv.n))
-    t_buf, work = (np.empty((min(rows, xi1.size), M, kv.n)) for _ in range(2))
-    for lo in range(0, xi1.size, rows):
-        hi = min(lo + rows, xi1.size)
-        t = _tk(kv, xi1[lo:hi, None], nodes[None, :], out=t_buf[: hi - lo])
-        w = work[: hi - lo]
-        np.exp(_log_modulus(t, w) + 1j * _phase(t, w), out=out[lo:hi])
-    return out
 
 
 def pdf_Q_inversion_grid(kv: KnotVector, s1, s2):
@@ -351,7 +341,10 @@ def pdf_Q_inversion_grid(kv: KnotVector, s1, s2):
     acc = np.zeros((s1.size, s2.size), dtype=complex)
     for lo in range(0, J + 1, step):
         hi = min(lo + step, J + 1)
-        part = _phi_rows(kv, nodes[J + lo : J + hi], nodes, phi[: hi - lo]) @ E2T
+        for rows, t, w in _t_blocks(kv, nodes[J + lo : J + hi, None], nodes):
+            _phi(t, w, out=phi[rows])
+        del t, w  # the walker's buffers are freed before the products
+        part = phi[: hi - lo] @ E2T
         if lo == 0:
             # E1 is 1 on the column xi1 = 0, so C does not depend on s1
             C = part[0]

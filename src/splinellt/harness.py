@@ -49,6 +49,8 @@ class ExperimentConfig:
             # the Monte Carlo stream takes the seed as a 64-bit key
             raise ConfigError("seed must lie in [0, 2^64)")
         if self.experiment != "validate":
+            if not self.families:
+                raise ConfigError("families must not be empty")
             if not self.n_list:
                 raise ConfigError("n_list must not be empty")
             if any(n < 2 for n in self.n_list):

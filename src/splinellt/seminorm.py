@@ -31,8 +31,8 @@ class GridSpec:
     h: float
 
     def __post_init__(self):
-        if self.T < 8:
-            raise ValueError("T >= 8 required")
+        if not 8 <= self.T < math.inf:
+            raise ValueError("finite T >= 8 required")
         if not 0 < self.h <= 0.05:
             raise ValueError("0 < h <= 0.05 required")
 

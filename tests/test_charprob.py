@@ -208,6 +208,24 @@ def test_tk_bit_identical_to_outer_product_sum(shapes):
     assert out.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("cache_floats", [1, charprob._CACHE_FLOATS, 1 << 30])
+def test_walker_covers_each_row_once_with_the_bits_of_tk(monkeypatch, cache_floats):
+    # a 300 x 40 broadcast grid at n = 24: 300 blocks of one row, 9 blocks
+    # of 34 rows, or the whole grid in one block
+    kv = knots.family("uniform_random", 24, seed=1)
+    rng = np.random.default_rng(5)
+    x, y = rng.normal(0, 5, (300, 1)), rng.normal(0, 5, 40)
+    whole = charprob._tk(kv, x, y)
+    monkeypatch.setattr(charprob, "_CACHE_FLOATS", cache_floats)
+    covered = np.zeros(300, dtype=int)
+    for rows, t, w in charprob._t_blocks(kv, x, y):
+        covered[rows] += 1
+        assert w.shape == t.shape
+        assert t.size <= max(cache_floats, 40 * kv.n)
+        assert t.tobytes() == whole[rows].tobytes()
+    assert np.all(covered == 1)
+
+
 @pytest.mark.parametrize("n", [24, 64, 256])
 def test_truncation_blocks_keep_bits(monkeypatch, n):
     # the truncation radius and tail take t in blocks of rays: one ray per
@@ -285,16 +303,19 @@ def test_inversion_rejects_non_finite_grid():
 
 
 def test_inversion_rejects_imaginary_residue(monkeypatch):
-    # the row of Phi at xi1 = 0 replaced by an imaginary constant: C keeps an
-    # imaginary part far above 1e-8 and the guard must fire
-    rows = charprob._phi_rows
+    # the row of Phi at xi1 = 0, the first row of the first block, replaced
+    # by an imaginary constant: C keeps an imaginary part far above 1e-8 and
+    # the guard must fire
+    phi, calls = charprob._phi, []
 
-    def imaginary_centre(kv, xi1, nodes, out):
-        rows(kv, xi1, nodes, out)
-        out[xi1 == 0] = 1e-3j
+    def imaginary_centre(t, work, out=None):
+        out = phi(t, work, out)
+        if not calls:
+            out[0] = 1e-3j
+        calls.append(True)
         return out
 
-    monkeypatch.setattr(charprob, "_phi_rows", imaginary_centre)
+    monkeypatch.setattr(charprob, "_phi", imaginary_centre)
     with pytest.raises(QuadratureNotConverged, match="imaginary residue"):
         charprob.pdf_Q_inversion_grid(knots.family("equispaced", 8), [0.0], [0.0])
 
@@ -303,12 +324,29 @@ def test_inversion_rejects_imaginary_residue(monkeypatch):
 CELL_NODES = harness._cell_average_nodes(montecarlo.default_grid())
 
 
-def _rows_one_at_a_time(kv, xi1, nodes, out):
-    """_phi_rows with each row of Phi evaluated on its own."""
+def _rows_one_at_a_time(kv, xi1, nodes):
+    """Phi[j, k] = phi_Q(xi1[j], nodes[k]), each row evaluated on its own."""
+    out = np.empty((xi1.size, nodes.size), dtype=complex)
     for j, x in enumerate(xi1):
         t = charprob._tk(kv, x, nodes)
         out[j] = np.exp(charprob._log_modulus(t) + 1j * charprob._phase(t))
     return out
+
+
+def _one_row_blocks(kv, x, y):
+    """The walker with one row per block, each row's t and work made anew."""
+    x, y = np.broadcast_arrays(x, y)
+    for j in range(x.shape[0]):
+        t = charprob._tk(kv, x[j : j + 1], y[j : j + 1])
+        yield slice(j, j + 1), t, np.empty_like(t)
+
+
+def _walked_phi(kv, xi1, nodes):
+    """Phi as the inversion fills it: the walker over the rows, _phi per block."""
+    phi = np.empty((xi1.size, nodes.size), dtype=complex)
+    for rows, t, w in charprob._t_blocks(kv, xi1[:, None], nodes):
+        charprob._phi(t, w, out=phi[rows])
+    return phi
 
 
 @pytest.mark.parametrize("kind, n", [("equispaced", 16), ("uniform_random", 16), ("clustered", 40)])
@@ -319,19 +357,21 @@ def test_half_plane_sum_matches_full_grid(monkeypatch, kind, n):
     kv = knots.family(kind, n, seed=1)
     s = CELL_NODES[::4]
     seen = []
-    rows = charprob._phi_rows
+    walker = charprob._t_blocks
 
-    def spy(kv, xi1, nodes, out):
-        seen.append(nodes)
-        return rows(kv, xi1, nodes, out)
+    def spy(kv, x, y):
+        seen.append(y)
+        return walker(kv, x, y)
 
-    monkeypatch.setattr(charprob, "_phi_rows", spy)
+    monkeypatch.setattr(charprob, "_t_blocks", spy)
     grid = charprob.pdf_Q_inversion_grid(kv, s, s)
-    nodes = seen[0]
+    # the truncation radius and tail walk first; each block of Phi walks
+    # its rows against y = nodes
+    nodes = seen[-1]
     M = nodes.size
     # the nodes are exactly symmetric, which the conjugate pairing rests on
     assert np.array_equal(nodes[::-1], -nodes)
-    phi = _rows_one_at_a_time(kv, nodes, nodes, np.empty((M, M), dtype=complex))
+    phi = _rows_one_at_a_time(kv, nodes, nodes)
     E1 = np.exp(-1j * np.multiply.outer(s, nodes))
     E2T = np.exp(-1j * np.multiply.outer(nodes, s))
     full = (E1 @ (phi @ E2T)).real * nodes[M // 2 + 1] ** 2 / (4 * np.pi**2)
@@ -351,19 +391,18 @@ CHECK_S1, CHECK_S2 = np.array([0.3, -0.3, 1.1, -1.1]), np.array([0.7, -0.4])
     ],
 )
 def test_phi_evaluation_blocking_keeps_bits(monkeypatch, kind, n, s1, s2):
-    # _phi_rows evaluates t in blocks of _CACHE_FLOATS values: one-row blocks
-    # and blocks of 2^20 give Phi the same bits, and evaluating one row at a
-    # time gives the grid the same bits
+    # the walker evaluates t in blocks of _CACHE_FLOATS values: one-row
+    # blocks and blocks of 2^20 give Phi the bits of each row on its own,
+    # and a walker of one row per block gives the grid the same bits
     kv = knots.family(kind, n, seed=1)
     nodes = 0.37 * np.arange(-200, 201)
-    phi = charprob._phi_rows(kv, nodes[200:], nodes, np.empty((201, 401), dtype=complex))
+    phi = _rows_one_at_a_time(kv, nodes[200:], nodes)
     with monkeypatch.context() as m:
-        for cache_floats in (1, 1 << 20):
+        for cache_floats in (1, 1 << 20, charprob._CACHE_FLOATS):
             m.setattr(charprob, "_CACHE_FLOATS", cache_floats)
-            again = charprob._phi_rows(kv, nodes[200:], nodes, np.empty_like(phi))
-            assert again.tobytes() == phi.tobytes()
+            assert _walked_phi(kv, nodes[200:], nodes).tobytes() == phi.tobytes()
     grid = charprob.pdf_Q_inversion_grid(kv, s1, s2).tobytes()
-    monkeypatch.setattr(charprob, "_phi_rows", _rows_one_at_a_time)
+    monkeypatch.setattr(charprob, "_t_blocks", _one_row_blocks)
     assert charprob.pdf_Q_inversion_grid(kv, s1, s2).tobytes() == grid
 
 

@@ -33,6 +33,8 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         harness.ExperimentConfig(experiment="scaling", n_list=[]).validate()
     with pytest.raises(ConfigError):
+        harness.ExperimentConfig(experiment="scaling", families=[], n_list=[8]).validate()
+    with pytest.raises(ConfigError):
         harness.ExperimentConfig(experiment="corollary4", n_list=[16], q=1).validate()
     with pytest.raises(ConfigError):
         harness.ExperimentConfig(experiment="corollary4", n_list=[16], N_mc=100).validate()
@@ -308,8 +310,11 @@ def test_cli_bad_precondition_exits_2(capsys):
      ["scaling", "--family", "uniform_random", "--n", "8", "--seed", "-1"],
      ["corollary4", "--family", "uniform_random", "--n", "8", "--N", "100000",
       "--seed", str(2**64 + 1)],
-     ["corollary3", "--n", "8,1"]],
-    ids=["grid_h", "grid_T", "negative_seed", "seed_past_64_bits", "corollary3_n"],
+     ["corollary3", "--n", "8,1"],
+     ["scaling", "--n", "8,16,32", "--grid-T", "nan"],
+     ["scaling", "--n", "8,16,32", "--grid-T", "inf"]],
+    ids=["grid_h", "grid_T", "negative_seed", "seed_past_64_bits", "corollary3_n",
+         "grid_T_nan", "grid_T_inf"],
 )
 def test_cli_bad_config_exits_2_before_any_work(monkeypatch, capsys, argv):
     # no knot vector is built, so no experiment has started
@@ -319,6 +324,34 @@ def test_cli_bad_config_exits_2_before_any_work(monkeypatch, capsys, argv):
     monkeypatch.setattr(knots, "family", no_work)
     assert cli.main(argv) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["scaling", "identity", "corollary3", "inversion", "corollary4"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_empty_family_list_exits_2(tmp_path, capsys, experiment, source):
+    # with no family every experiment would pass with no records, or crash
+    if source == "flag":
+        argv = ["--family", ","]
+    else:
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("family =\n")
+        argv = ["--config", str(cfg_file)]
+    assert cli.main([experiment, *argv, "--n", "16"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_corollary3_error_falls_at_least_at_the_sum_abs_x3_rate():
+    # slopes of -1.001 and -1.185 at seed 1; uniform_random read -0.978,
+    # -0.758 and -1.086 at seeds 2, 3 and 4507.  The bound is the margin of
+    # scaling's equispaced_slope_in_range check
+    config = harness.ExperimentConfig(
+        experiment="corollary3", families=["equispaced", "uniform_random"],
+        n_list=[32, 64, 128, 256], r=2, seed=1,
+    )
+    _, summary, code = harness.run(config)
+    assert code == 0 and summary["checks"]["route_agreement"]
+    for family in config.families:
+        assert summary["slopes"][family]["slope"] <= -0.45, family
 
 
 def test_cli_identity_runs_past_oracle_max_n(capsys):

@@ -1,3 +1,4 @@
+import ast
 import math
 import sys
 import threading
@@ -6,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from splinellt import harness, knots, montecarlo, splines
+from splinellt import charprob, harness, knots, montecarlo, splines
 from splinellt.errors import InsufficientData
 
 
@@ -55,6 +56,21 @@ def test_montecarlo_loads_no_spline_code(run_python):
     loaded = run_python("-c", script).split()
     assert "splinellt.splines" not in loaded
     assert loaded == ["splinellt", "splinellt.errors", "splinellt.knots", "splinellt.montecarlo"]
+
+
+def test_only_the_walker_and_the_closeness_integral_write_t_into_buffers():
+    # a table of t over a grid of xi is made by charprob's one walker; the
+    # closeness integral's t = r u walk is its one exception
+    tree = ast.parse(open(charprob.__file__, encoding="utf-8").read())
+    writers = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "_tk"
+        and (len(call.args) > 3 or any(kw.arg == "out" for kw in call.keywords))
+    }
+    assert writers == {"_t_blocks", "char_diff_integral"}
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

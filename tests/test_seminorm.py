@@ -13,6 +13,10 @@ def test_gridspec_validation():
         seminorm.GridSpec(T=10.0, h=0.2)
     with pytest.raises(ValueError):
         seminorm.GridSpec(T=10.0, h=0.0)
+    # T < 8 is False for NaN, and an infinite T passes it
+    for T in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            seminorm.GridSpec(T=T, h=0.05)
     g = seminorm.GridSpec(T=8.0, h=0.05)
     ts = g.points()
     assert ts[0] == -8.0 and ts[-1] == pytest.approx(8.0)
