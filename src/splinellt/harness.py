@@ -2,8 +2,8 @@
 
 Each experiment takes an ExperimentConfig, emits ExperimentRecord rows
 (schema below, stable across versions) plus a JSON summary with fitted
-log-log slopes and named check outcomes.  Any NaN in a record fails the
-run loudly.
+log-log slopes and named check outcomes.  Any NaN or infinite error value
+in a record fails the run loudly.
 """
 
 import csv
@@ -736,13 +736,14 @@ def run(config: ExperimentConfig):
     config.validate()
     records, summary = _RUNNERS[config.experiment](config)
     records.sort(key=lambda r: (r.family, r.n, r.p, r.q, r.r))
-    has_nan = any(math.isnan(r.error_value) for r in records)
-    passed = all(summary.get("checks", {}).values()) and not has_nan
+    non_finite = not all(math.isfinite(r.error_value) for r in records)
+    passed = all(summary.get("checks", {}).values()) and not non_finite
     summary["schema_version"] = SCHEMA_VERSION
     summary["experiment"] = config.experiment
     summary["seed"] = config.seed
     summary["passed"] = passed
-    if has_nan:
+    if non_finite:
+        # the key keeps the name of the schema; it covers +-inf as well as NaN
         summary["nan_records"] = True
     exit_code = 0 if passed else 1
     if config.out:

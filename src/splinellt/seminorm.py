@@ -9,6 +9,14 @@ differentiating under the integral gives d^q/dxi^q S_r(xi) =
 (-1)^q S_{q+r}(xi): its xi-derivatives are taken exactly, as the
 transform of order q+r, read from the exact power series
 ``specfun.corollary3_quadrature``.
+
+At q = 0 the maximum sits near t = 0, so B(t/n) is evaluated ring by ring,
+on |t| <= 4 and then on rings of twice the radius each, until both sides of
+the grid carry a certificate that no point beyond them can reach or tie the
+maximum: phi and the log-concave B both fall outward there, so their values
+at a ring's edge bound every point past it.  The value and the argmax are
+those of the whole grid, bit for bit.  At q > 0 B^{(q)} is not unimodal, and
+the whole grid is evaluated.
 """
 
 import math
@@ -21,6 +29,10 @@ from .knots import KnotVector
 from .montecarlo import char_estimates
 from .specfun import corollary3_quadrature, hermite, hermite_function
 from .splines import bspline_stable_deriv
+
+# the q = 0 sup evaluates B first on |t| <= _FIRST_RING, then on rings of
+# twice the radius each (``_ring_sup``)
+_FIRST_RING = 4.0
 
 
 @dataclass(frozen=True)
@@ -62,9 +74,12 @@ def default_grid(n: int, h: float = 0.05) -> GridSpec:
     """T = max(8, n): beyond |t| = n the spline term vanishes identically.
 
     Most of [-n, n] lies outside the support [n x_0, n x_{n-1}) at large n
-    (about 0.15 of the points are inside on the n <= 256 scaling runs); the
-    stable kernel returns exact zeros there without running the recursion,
-    so those points cost nothing.
+    (about 0.15 of the points are inside on the n <= 256 scaling runs).  At
+    q = 0 B is evaluated only on the central rings that the certificate of
+    ``_ring_sup`` needs (160 of the 10241 points at p = 0 and n = 256), and
+    the rest of the grid costs only its phi and |t|^p values.  At q > 0 the
+    stable kernel runs on every point, and returns exact zeros outside the
+    support without running the recursion.
     """
     return GridSpec(T=float(max(8, n)), h=h)
 
@@ -85,12 +100,77 @@ def _hermite_error(kv: KnotVector, p: int, m: int, grid: GridSpec) -> SeminormRe
     which Theorem 1 bounds.  It is B^{(m)}, not the oracle's exponent-reduced
     S_m(t/n) = (-1)^m B^{(m)}(t/n) / (n-2)_m of ``splines.bspline_naive``,
     whose factor n^m / (n-2)_m tends to 1 but dominates the error at small n
-    (1.41 at n=16, m=2).
+    (1.41 at n=16, m=2).  At m = 0 B is evaluated only on the central rings
+    that ``_ring_sup`` certifies; B^{(m)} at m > 0 is not unimodal, so it is
+    evaluated on the whole grid.
     """
     ts = grid.points_avoiding(kv)
     herm = (-1) ** m * hermite_function(m, ts)
+    if m == 0:
+        return _ring_sup(kv, ts, herm, p)
     spline = bspline_stable_deriv(kv, ts / kv.n, m) / kv.n**m
     return _weighted_sup(ts, herm - spline, p)
+
+
+def _ring_sup(kv: KnotVector, ts, phi, p: int) -> SeminormResult:
+    """sup |t|^p |phi(t) - B(t/n)| on the sorted grid ts, B evaluated ring by ring.
+
+    Ring k holds the points with _FIRST_RING 2^(k-1) < |t| <= _FIRST_RING 2^k
+    (ring 0 all of |t| <= _FIRST_RING), and each ring is one kernel call.
+    After each, v is the sup over the evaluated points, and a side of the
+    grid is closed when it has no unevaluated point, or when its outermost
+    evaluated point e lies on that side of 0, B falls at e, and the bound
+    below stays under the tie band v (1 - 1e-12) of ``_weighted_sup``.
+    Once both sides are closed no pruned point reaches or ties v, so the
+    sup over the evaluated window has the full grid's value and argmax, bit
+    for bit.  When no ring closes both sides, the whole grid is evaluated.
+
+    phi is decreasing in |t|, and B is log-concave, hence unimodal, as the
+    density of a linear image of the uniform simplex measure
+    (Curry-Schoenberg; Prekopa 1973).  B falls at e when fl B(e') >
+    fl B(e) (1 + 3 eps) for e's evaluated inner neighbour e' (then
+    B(e') > B(e) exactly, as (1 - eps)(1 + 3 eps) > 1 + eps), or when
+    fl B(e) = 0, e past the support.  Every unevaluated t on that side then
+    has |phi(t) - B(t/n)| <= max(phi(e), B(e/n)), and the side closes when
+    max |t|^p over those t, times max(phi(e), fl B(e)) (1 + 1e-9), is below
+    v (1 - 1e-12).
+
+    eps = 8 n 2^-53 bounds the relative error of a positive Cox-de Boor
+    value while nothing underflows.  Each level forms every value as the sum
+    of two non-negative products, a quotient of two differences times a
+    value of the level below: the two differences, the quotient, the
+    product and the sum are rounded once each, and relative errors do not
+    grow in sums and products of non-negative terms.  n - 2 levels and the
+    division by the rounded support width make k < 5n roundings, so the
+    relative error is at most k u / (1 - k u) < 8 n u, u = 2^-53.  The
+    1e-9 margin covers 2 eps (fl B at a pruned point against fl B(e)),
+    phi's last ulp and the rounding of |t|^p and of the product while
+    n < 10^5.
+    """
+    eps = 8 * kv.n * 2.0**-53
+    w = np.abs(ts) ** p
+    spline = np.zeros_like(ts)
+    lo = hi = int(np.searchsorted(ts, 0.0))
+    radius = _FIRST_RING
+    while True:
+        a = int(np.searchsorted(ts, -radius))
+        b = int(np.searchsorted(ts, radius, side="right"))
+        new = np.r_[a:lo, hi:b]
+        spline[new] = bspline_stable_deriv(kv, ts[new] / kv.n, 0)
+        lo, hi = a, b
+        cut = (w[lo:hi] * np.abs(phi[lo:hi] - spline[lo:hi])).max() * (1 - 1e-12)
+        # (side, outermost evaluated point, |t|^p of the side's unevaluated points)
+        sides = ((-1, lo, w[:lo]), (1, hi - 1, w[hi:]))
+        if all(
+            rest.size == 0
+            or side * ts[e] > 0
+            and (spline[e] == 0 or spline[e - side] > spline[e] * (1 + 3 * eps))
+            and rest.max() * max(phi[e], spline[e]) * (1 + 1e-9) < cut
+            for side, e, rest in sides
+        ):
+            break
+        radius *= 2
+    return _weighted_sup(ts[lo:hi], phi[lo:hi] - spline[lo:hi], p)
 
 
 def theorem1_error(kv: KnotVector, p: int, q: int, grid: GridSpec) -> SeminormResult:

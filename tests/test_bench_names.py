@@ -9,7 +9,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from splinellt import harness
+import numpy as np
+
+from splinellt import harness, knots, seminorm
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -43,3 +45,21 @@ def test_workload_checks_exist(monkeypatch):
     }
     assert names
     assert names <= set(harness.VALIDATE_CHECKS)
+
+
+def test_traced_kernel_counts_the_ring_points(monkeypatch):
+    # the q = 0 sup calls the kernel through seminorm's binding, which the
+    # tracer wraps, so the counters see exactly the points the rings evaluate
+    tracing = _load(monkeypatch, "tracing")
+    kv = knots.family("equispaced", 256)
+    grid = seminorm.default_grid(256)
+    xs = grid.points_avoiding(kv) / kv.n
+    in_support = np.count_nonzero((xs >= kv.xs[0]) & (xs < kv.xs[-1]))
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer, {})
+    try:
+        seminorm.theorem1_error(kv, 0, 0, grid)
+    finally:
+        tracing.uninstall(undo)
+    counts = tracer.counts["splines.stable"]
+    assert counts["points"] == counts["in_support"] == 160 < in_support

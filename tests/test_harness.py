@@ -451,6 +451,42 @@ def test_nan_record_fails_run(monkeypatch, tmp_path):
     assert summary["nan_records"]
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+def test_infinite_record_fails_run(monkeypatch, value):
+    def bad_runner(config):
+        rec = harness.ExperimentRecord(
+            family="equispaced", n=8, m3=1.0, sum_abs_x3=0.5, p=0, q=0, r=0,
+            error_value=value, argmax=0.0, noise_floor=value,
+            runtime_ms=1.0, seed=config.seed,
+        )
+        return [rec], {"checks": {"inf <= inf": value <= value}}
+
+    monkeypatch.setitem(harness._RUNNERS, "scaling", bad_runner)
+    cfg = harness.ExperimentConfig(experiment="scaling", n_list=[8])
+    _, summary, code = harness.run(cfg)
+    assert code == 1
+    assert summary["nan_records"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+def test_cli_corollary4_overflowing_weight_exits_1():
+    # |xi|^2000 overflows: error_value and noise_floor are both inf, and the
+    # run's own check reads inf <= inf
+    argv = ["corollary4", "--family", "equispaced", "--n", "8", "--N", "100000", "--p", "2000"]
+    assert cli.main(argv) == 1
+
+
+def test_scaling_to_n1024():
+    # Theorem 1 at q = 0: the error decays like n^-1 on equispaced knots and
+    # within scaling's check margin on random ones
+    config = harness.ExperimentConfig(
+        "scaling", families=["equispaced", "uniform_random"], n_list=[64, 128, 256, 512, 1024]
+    )
+    _, summary = harness.run_scaling(config)
+    assert summary["checks"] == {"equispaced_slope_in_range": True, "equispaced_residual_small": True}
+    assert summary["slopes"]["uniform_random"]["slope"] <= -0.45
+
+
 def test_cli_inversion_refuses_uncertified_radius(capsys, monkeypatch):
     # the grid's own error bound is the one refusal, and it comes before any
     # sampling: equispaced n=5 cannot be certified on the capped disc

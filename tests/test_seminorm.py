@@ -4,6 +4,8 @@ import pytest
 
 from splinellt import knots, montecarlo, seminorm
 from splinellt.errors import OrderTooHigh
+from splinellt.specfun import hermite_function
+from splinellt.splines import bspline_naive, bspline_stable, bspline_stable_deriv
 
 
 def test_gridspec_validation():
@@ -172,3 +174,78 @@ def test_corollary4_error_memory_bounded(monkeypatch, traced_peak):
     kv = knots.family("uniform_random", 32, seed=1)
     _, peak = traced_peak(seminorm.corollary4_error, [kv], 0, 0, (0.5, 1.0, 2.0), 10**6, 1)
     assert peak <= 4e6
+
+
+def _full_grid_errors(kv, ps, grid):
+    # the q = 0 sup at each p, with B(t/n) evaluated on every grid point
+    ts = grid.points_avoiding(kv)
+    diffs = hermite_function(0, ts) - bspline_stable_deriv(kv, ts / kv.n, 0)
+    return [seminorm._weighted_sup(ts, diffs, p) for p in ps]
+
+
+@pytest.mark.parametrize("family", ["equispaced", "chebyshev", "uniform_random", "clustered"])
+@pytest.mark.parametrize("n", [5, 8, 16, 64, 256])
+@pytest.mark.parametrize("wide", [False, True])
+def test_ring_sup_matches_full_grid(family, n, wide):
+    kv = knots.family(family, n, seed=3)
+    grid = seminorm.GridSpec(20.0, 0.01) if wide else seminorm.default_grid(n)
+    ps = (0, 2, 8)
+    for p, ref in zip(ps, _full_grid_errors(kv, ps, grid)):
+        res = seminorm.theorem1_error(kv, p, 0, grid)
+        assert (res.value, res.argmax_t) == (ref.value, ref.argmax_t)
+
+
+def test_ring_sup_matches_full_grid_n512():
+    kv = knots.family("equispaced", 512)
+    grid = seminorm.default_grid(512)
+    res, (ref,) = seminorm.theorem1_error(kv, 0, 0, grid), _full_grid_errors(kv, (0,), grid)
+    assert (res.value, res.argmax_t) == (ref.value, ref.argmax_t)
+
+
+def _kernel_calls(monkeypatch):
+    sizes = []
+    kernel = seminorm.bspline_stable_deriv
+
+    def spy(kv, t, q=0):
+        sizes.append(np.size(t))
+        return kernel(kv, t, q)
+
+    monkeypatch.setattr(seminorm, "bspline_stable_deriv", spy)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "p, grid, sizes",
+    [(0, None, [160]), (8, None, [160, 160, 320]), (8, seminorm.GridSpec(8.0, 0.05), [160, 161])],
+)
+def test_ring_sup_stops_at_the_central_rings(monkeypatch, p, grid, sizes):
+    # 1105 of the 10241 default-grid points at n = 256 are in the support;
+    # |t| <= 4 holds the maximum at p = 0, |t| <= 16 at p = 8, and on
+    # [-8, 8] the two rings are the whole grid of 321 points
+    kv = knots.family("equispaced", 256)
+    grid = grid or seminorm.default_grid(256)
+    seen = _kernel_calls(monkeypatch)
+    seminorm.theorem1_error(kv, p, 0, grid)
+    assert seen == sizes
+
+
+def test_derivative_orders_evaluate_the_whole_grid(monkeypatch):
+    kv = knots.family("equispaced", 64)
+    grid = seminorm.default_grid(64)
+    seen = _kernel_calls(monkeypatch)
+    seminorm.theorem1_error(kv, 0, 1, grid)
+    seminorm.corollary2_error(kv, 2, 0, 2, grid)
+    assert seen == [grid.points().size] * 2
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_stable_kernel_within_ring_eps(n):
+    # the relative error bound eps = 8 n 2^-53 the ring certificate assumes,
+    # against the correctly rounded oracle on 20 points across the support
+    kv = knots.family("uniform_random", n, seed=2)
+    lo, hi = float(kv.xs[0]), float(kv.xs[-1])
+    xs = lo + (hi - lo) * (np.arange(20) + 0.5) / 20
+    stable = bspline_stable(kv, xs)
+    exact = np.array([bspline_naive(kv, float(x)) for x in xs])
+    assert np.all(exact > 0)
+    assert np.max(np.abs(stable - exact) / exact) <= 8 * n * 2.0**-53
