@@ -55,11 +55,13 @@ class ExperimentConfig:
                 raise ConfigError("n_list must not be empty")
             if any(n < 2 for n in self.n_list):
                 raise ConfigError("all n must be >= 2")
+        if self.experiment in ("scaling", "corollary3", "corollary4") and self.p + self.q > 8:
+            # theorem1_error's range, kept by every weighted-sup experiment:
+            # a weight |xi|^p past it (p = 2000) overflows to inf records
+            raise ConfigError("p + q <= 8 required")
         if self.experiment == "scaling":
             if any(self.q > n - 4 for n in self.n_list):
                 raise ConfigError("q <= n-4 required for every n")
-            if self.p + self.q > 8:
-                raise ConfigError("p + q <= 8 required")
             try:
                 for n in self.n_list:
                     _scaling_grid(self, n)

@@ -10,13 +10,15 @@ differentiating under the integral gives d^q/dxi^q S_r(xi) =
 transform of order q+r, read from the exact power series
 ``specfun.corollary3_quadrature``.
 
-At q = 0 the maximum sits near t = 0, so B(t/n) is evaluated ring by ring,
-on |t| <= 4 and then on rings of twice the radius each, until both sides of
-the grid carry a certificate that no point beyond them can reach or tie the
-maximum: phi and the log-concave B both fall outward there, so their values
-at a ring's edge bound every point past it.  The value and the argmax are
-those of the whole grid, bit for bit.  At q > 0 B^{(q)} is not unimodal, and
-the whole grid is evaluated.
+At every order the maximum sits near t = 0, so B^{(q)}(t/n) is evaluated
+ring by ring, on |t| <= 4 and then on rings of twice the radius each, until
+both sides of the grid carry a certificate that no point beyond them can
+reach or tie the maximum.  B^{(q)} is not unimodal, but it is a signed sum
+of B-splines of order n-1-q, each log-concave: once every one of them falls
+at a ring's edge, and the Hermite side He_q phi keeps one sign and falls
+past sqrt(4q + 6), the values at the edge bound every point past it.  The
+value and the argmax are those of the whole grid, bit for bit, since the
+kernel's value at a point does not depend on the other points of a call.
 """
 
 import math
@@ -28,10 +30,10 @@ from .errors import OrderTooHigh
 from .knots import KnotVector
 from .montecarlo import char_estimates
 from .specfun import corollary3_quadrature, hermite, hermite_function
-from .splines import bspline_stable_deriv
+from .splines import bspline_stable_deriv, bspline_stable_terms
 
-# the q = 0 sup evaluates B first on |t| <= _FIRST_RING, then on rings of
-# twice the radius each (``_ring_sup``)
+# the grid sup evaluates B^(q) first on |t| <= _FIRST_RING, then on rings
+# of twice the radius each (``_ring_sup``)
 _FIRST_RING = 4.0
 
 
@@ -75,11 +77,10 @@ def default_grid(n: int, h: float = 0.05) -> GridSpec:
 
     Most of [-n, n] lies outside the support [n x_0, n x_{n-1}) at large n
     (about 0.15 of the points are inside on the n <= 256 scaling runs).  At
-    q = 0 B is evaluated only on the central rings that the certificate of
-    ``_ring_sup`` needs (160 of the 10241 points at p = 0 and n = 256), and
-    the rest of the grid costs only its phi and |t|^p values.  At q > 0 the
-    stable kernel runs on every point, and returns exact zeros outside the
-    support without running the recursion.
+    every order B^{(q)} is evaluated only on the central rings that the
+    certificate of ``_ring_sup`` needs (160 of the 10241 points at p = 0,
+    q <= 1 and n = 256, 320 at q = 2), and the rest of the grid costs only
+    its Hermite and |t|^p values.
     """
     return GridSpec(T=float(max(8, n)), h=h)
 
@@ -100,40 +101,66 @@ def _hermite_error(kv: KnotVector, p: int, m: int, grid: GridSpec) -> SeminormRe
     which Theorem 1 bounds.  It is B^{(m)}, not the oracle's exponent-reduced
     S_m(t/n) = (-1)^m B^{(m)}(t/n) / (n-2)_m of ``splines.bspline_naive``,
     whose factor n^m / (n-2)_m tends to 1 but dominates the error at small n
-    (1.41 at n=16, m=2).  At m = 0 B is evaluated only on the central rings
-    that ``_ring_sup`` certifies; B^{(m)} at m > 0 is not unimodal, so it is
-    evaluated on the whole grid.
+    (1.41 at n=16, m=2).  At every order B^{(m)} is evaluated only on the
+    central rings that ``_ring_sup`` certifies, and the value and argmax are
+    those of the whole grid, bit for bit.
     """
     ts = grid.points_avoiding(kv)
     herm = (-1) ** m * hermite_function(m, ts)
-    if m == 0:
-        return _ring_sup(kv, ts, herm, p)
-    spline = bspline_stable_deriv(kv, ts / kv.n, m) / kv.n**m
-    return _weighted_sup(ts, herm - spline, p)
+    return _ring_sup(kv, ts, herm, p, m)
 
 
-def _ring_sup(kv: KnotVector, ts, phi, p: int) -> SeminormResult:
-    """sup |t|^p |phi(t) - B(t/n)| on the sorted grid ts, B evaluated ring by ring.
+def _ring_sup(kv: KnotVector, ts, herm, p: int, q: int) -> SeminormResult:
+    """sup |t|^p |h(t) - B^{(q)}(t/n) / n^q| on the sorted grid ts, ring by ring.
 
-    Ring k holds the points with _FIRST_RING 2^(k-1) < |t| <= _FIRST_RING 2^k
-    (ring 0 all of |t| <= _FIRST_RING), and each ring is one kernel call.
-    After each, v is the sup over the evaluated points, and a side of the
-    grid is closed when it has no unevaluated point, or when its outermost
-    evaluated point e lies on that side of 0, B falls at e, and the bound
-    below stays under the tie band v (1 - 1e-12) of ``_weighted_sup``.
-    Once both sides are closed no pruned point reaches or ties v, so the
-    sup over the evaluated window has the full grid's value and argmax, bit
-    for bit.  When no ring closes both sides, the whole grid is evaluated.
+    h is the grid's Hermite side ``herm``.  Ring k holds the points with
+    _FIRST_RING 2^(k-1) < |t| <= _FIRST_RING 2^k (ring 0 all of
+    |t| <= _FIRST_RING), and each ring is one call of the kernel binding
+    ``bspline_stable_deriv``, whose values at a point do not depend on the
+    other points of the call.  After each, v is the sup over the evaluated
+    points, and a side of the grid is closed when it has no unevaluated
+    point, or when the certificate below holds at its outermost evaluated
+    point e.  Once both sides are closed no pruned point reaches or ties the
+    tie band v (1 - 1e-12) of ``_weighted_sup``, so the sup over the
+    evaluated window has the whole grid's value and argmax, bit for bit.
+    When no ring closes both sides, the whole grid is evaluated.
 
-    phi is decreasing in |t|, and B is log-concave, hence unimodal, as the
-    density of a linear image of the uniform simplex measure
-    (Curry-Schoenberg; Prekopa 1973).  B falls at e when fl B(e') >
-    fl B(e) (1 + 3 eps) for e's evaluated inner neighbour e' (then
-    B(e') > B(e) exactly, as (1 - eps)(1 + 3 eps) > 1 + eps), or when
-    fl B(e) = 0, e past the support.  Every unevaluated t on that side then
-    has |phi(t) - B(t/n)| <= max(phi(e), B(e/n)), and the side closes when
-    max |t|^p over those t, times max(phi(e), fl B(e)) (1 + 1e-9), is below
-    v (1 - 1e-12).
+    B^{(q)} = sum_j c_j N_j / (x_{n-1} - x_0) over the order n-1-q basis
+    (``splines.bspline_stable_terms``); write R_j = N_j / (x_{n-1} - x_0)
+    >= 0, P = sum_{c_j > 0} c_j R_j(e) / n^q, N = sum_{c_j < 0} |c_j|
+    R_j(e) / n^q, and h+ and h- for the positive and negative parts of h(e).
+    The side closes when
+
+    * |e| > sqrt(4q + 6), on e's side of 0.  The zeros of the physicists'
+      H_k lie below sqrt(2k + 1) (Szego), so those of He_k(t) =
+      2^{-k/2} H_k(t / sqrt 2) lie below sqrt(4k + 2), and past the largest
+      zero of He_{q+1} the derivative -He_{q+1} phi of He_q phi keeps one
+      sign: h keeps h(e)'s sign and falls in size to 0.
+    * every row falls at e: fl R_j(e') > fl R_j(e) (1 + 3 eps) for e's
+      evaluated inner neighbour e' (then R_j(e') > R_j(e) exactly, as
+      (1 - eps)(1 + 3 eps) > 1 + eps, and R_j, a B-spline, is log-concave,
+      hence unimodal, so it falls past e), or fl R_j(e) = 0 with e/n past the
+      row's support on the outer side, x_{j+n-1-q} on the right and x_j on
+      the left, where the kernel's row is an exact zero.  (A zero inside or
+      before the support says nothing: at n = 8, q = 4 row 4 starts at a
+      knot above 0.)
+    * max |t|^p over the side's unevaluated points, times
+      max(h+ + N, h- + P) (1 + 1e-9), is below v (1 - 1e-12).
+
+    Every unevaluated t then has h(t) - B^{(q)}(t/n) / n^q in
+    [-(h- + P), h+ + N] up to rounding.  The bound is on the values the
+    whole grid computes, which use the same float c_j, so the c_j's own
+    rounding drops out.  The grid's sum of q + 1 products of mixed sign errs
+    by at most gamma_{q+1} (P + N), and max(h+ + N, h- + P) >= (P + N) / 2,
+    so that costs at most 2 gamma_{q+1} relative.  The 1e-9 margin covers
+    it, 2 eps (a pruned point's rows against e's), the Hermite side's
+    error, and the roundings of |t|^p, of n^q and of the product, while
+    n < 10^5.  The Hermite side is within 1e-13 relative of He_q phi on
+    sqrt(4q + 6) <= |t| <= 37 at q <= 8 (``tests/test_seminorm.py``;
+    5.6e-14 measured, from the rounding of t^2 / 2).  Past |t| = 38.61
+    e^{-t^2/2} rounds to 0, and so does the grid's h; between, |h| <
+    1e-284, while every ring edge lies within 0.06 of 4 2^k and an edge
+    |e| <= 32 has |h(e)| > 1e-223.
 
     eps = 8 n 2^-53 bounds the relative error of a positive Cox-de Boor
     value while nothing underflows.  Each level forms every value as the sum
@@ -142,12 +169,20 @@ def _ring_sup(kv: KnotVector, ts, phi, p: int) -> SeminormResult:
     product and the sum are rounded once each, and relative errors do not
     grow in sums and products of non-negative terms.  n - 2 levels and the
     division by the rounded support width make k < 5n roundings, so the
-    relative error is at most k u / (1 - k u) < 8 n u, u = 2^-53.  The
-    1e-9 margin covers 2 eps (fl B at a pruned point against fl B(e)),
-    phi's last ulp and the rounding of |t|^p and of the product while
-    n < 10^5.
+    relative error is at most k u / (1 - k u) < 8 n u, u = 2^-53.
+
+    At q = 0, c = [1], P = B(e), N = 0 and h = phi > 0, so the bound is
+    max(phi(e), B(e)), and every ring edge has |e| >= 3.94 > sqrt 6.  The
+    one row is B itself, which the ring already holds, so no further kernel
+    call is made.  At q > 0 the rows at the four edge points e and e' of
+    the two sides come from one ``bspline_stable_terms`` call per ring,
+    which the kernel binding does not see.
     """
-    eps = 8 * kv.n * 2.0**-53
+    n = kv.n
+    eps = 8 * n * 2.0**-53
+    root = math.sqrt(4 * q + 6)
+    # rows j span [x_j, x_{j+n-1-q}): where each one starts and ends
+    starts, ends = kv.xs[: q + 1], kv.xs[n - 1 - q :]
     w = np.abs(ts) ** p
     spline = np.zeros_like(ts)
     lo = hi = int(np.searchsorted(ts, 0.0))
@@ -156,21 +191,37 @@ def _ring_sup(kv: KnotVector, ts, phi, p: int) -> SeminormResult:
         a = int(np.searchsorted(ts, -radius))
         b = int(np.searchsorted(ts, radius, side="right"))
         new = np.r_[a:lo, hi:b]
-        spline[new] = bspline_stable_deriv(kv, ts[new] / kv.n, 0)
+        spline[new] = bspline_stable_deriv(kv, ts[new] / n, q) / n**q
         lo, hi = a, b
-        cut = (w[lo:hi] * np.abs(phi[lo:hi] - spline[lo:hi])).max() * (1 - 1e-12)
-        # (side, outermost evaluated point, |t|^p of the side's unevaluated points)
-        sides = ((-1, lo, w[:lo]), (1, hi - 1, w[hi:]))
-        if all(
-            rest.size == 0
-            or side * ts[e] > 0
-            and (spline[e] == 0 or spline[e - side] > spline[e] * (1 + 3 * eps))
-            and rest.max() * max(phi[e], spline[e]) * (1 + 1e-9) < cut
-            for side, e, rest in sides
-        ):
+        cut = (w[lo:hi] * np.abs(herm[lo:hi] - spline[lo:hi])).max() * (1 - 1e-12)
+        # columns: each side's outermost point e and its inner neighbour e'
+        edges = [lo, lo + 1, hi - 1, hi - 2]
+        if q:
+            coeffs, rows = bspline_stable_terms(kv, ts[edges] / n, q)
+            rows = rows / (kv.xs[-1] - kv.xs[0])
+        else:
+            coeffs, rows = np.ones(1), spline[edges][None]
+        pos, neg = coeffs > 0, coeffs < 0
+
+        def closes(side, col, rest):
+            e = edges[col]
+            if rest.size == 0:
+                return True
+            if not side * ts[e] > root:
+                return False
+            r_e, r_in = rows[:, col], rows[:, col + 1]
+            past = ts[e] / n >= ends if side > 0 else ts[e] / n < starts
+            if not np.all((r_in > r_e * (1 + 3 * eps)) | ((r_e == 0) & past)):
+                return False
+            P = (coeffs[pos] * r_e[pos]).sum() / n**q
+            N = (-coeffs[neg] * r_e[neg]).sum() / n**q
+            h_pos, h_neg = max(herm[e], 0.0), max(-herm[e], 0.0)
+            return rest.max() * max(h_pos + N, h_neg + P) * (1 + 1e-9) < cut
+
+        if closes(-1, 0, w[:lo]) and closes(1, 2, w[hi:]):
             break
         radius *= 2
-    return _weighted_sup(ts[lo:hi], phi[lo:hi] - spline[lo:hi], p)
+    return _weighted_sup(ts[lo:hi], herm[lo:hi] - spline[lo:hi], p)
 
 
 def theorem1_error(kv: KnotVector, p: int, q: int, grid: GridSpec) -> SeminormResult:

@@ -37,6 +37,9 @@ Two routes are provided for the same function
 
 Derivatives are never taken numerically: exponent reduction in the naive
 sum and coefficient differencing in the stable recursion are both exact.
+``bspline_stable_terms`` returns B^{(q)} as its q + 1 coefficients and
+basis rows of order n-1-q, and ``bspline_stable_deriv`` sums them by a row
+loop, so a point's value never depends on the other points of the call.
 """
 
 import functools
@@ -332,18 +335,34 @@ def _deriv_coeffs(xs: np.ndarray, q: int):
     return coeffs, m
 
 
-def bspline_stable_deriv(kv: KnotVector, t, q: int = 0):
-    """q-th derivative of B via the de Boor derivative recursion (doubles).
+def bspline_stable_terms(kv: KnotVector, t, q: int):
+    """(coeffs, rows) with B^{(q)}(t) = sum_j coeffs[j] rows[j] / (x_{n-1} - x_0).
 
-    Accepts a scalar or an array of evaluation points.
+    rows[j] is the basis function N_{j,n-1-q} of ``_basis``, supported on
+    [x_j, x_{j+n-1-q}), at the points t (an array of shape (q+1, points));
+    coeffs are the q+1 coefficients of the de Boor derivative recursion.
+    Each row's values at a point do not depend on the other points.
     """
     if not 0 <= q <= kv.n - 2:
         raise ValueError(f"need 0 <= q <= n-2, got q={q}, n={kv.n}")
-    xs = kv.xs
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    coeffs, order = _deriv_coeffs(xs, q)
-    vals = coeffs @ _basis(xs, ts, order)
-    vals = vals / (xs[-1] - xs[0])
+    coeffs, order = _deriv_coeffs(kv.xs, q)
+    return coeffs, _basis(kv.xs, np.atleast_1d(np.asarray(t, dtype=float)), order)
+
+
+def bspline_stable_deriv(kv: KnotVector, t, q: int = 0):
+    """q-th derivative of B via the de Boor derivative recursion (doubles).
+
+    Accepts a scalar or an array of evaluation points.  The sum over the
+    rows of ``bspline_stable_terms`` is a row loop, so every point's value
+    has the bits it gets alone: a matrix product (``coeffs @ rows``) may
+    group a point's q+1 products differently with the points beside it.
+    At q = 0 the one product is 1.0 times the row, which is exact.
+    """
+    coeffs, rows = bspline_stable_terms(kv, t, q)
+    vals = coeffs[0] * rows[0]
+    for c, row in zip(coeffs[1:], rows[1:]):
+        vals += c * row
+    vals = vals / (kv.xs[-1] - kv.xs[0])
     if np.isscalar(t) or np.ndim(t) == 0:
         return float(vals[0])
     return vals

@@ -47,19 +47,33 @@ def test_workload_checks_exist(monkeypatch):
     assert names <= set(harness.VALIDATE_CHECKS)
 
 
-def test_traced_kernel_counts_the_ring_points(monkeypatch):
-    # the q = 0 sup calls the kernel through seminorm's binding, which the
-    # tracer wraps, so the counters see exactly the points the rings evaluate
+def _traced_ring_points(monkeypatch, q):
+    # the counters of seminorm's traced kernel binding over one theorem1
+    # sup at equispaced n = 256, p = 0
     tracing = _load(monkeypatch, "tracing")
     kv = knots.family("equispaced", 256)
-    grid = seminorm.default_grid(256)
-    xs = grid.points_avoiding(kv) / kv.n
-    in_support = np.count_nonzero((xs >= kv.xs[0]) & (xs < kv.xs[-1]))
     tracer = tracing.Tracer()
     undo = tracing.install(tracer, {})
     try:
-        seminorm.theorem1_error(kv, 0, 0, grid)
+        seminorm.theorem1_error(kv, 0, q, seminorm.default_grid(256))
     finally:
         tracing.uninstall(undo)
-    counts = tracer.counts["splines.stable"]
+    return tracer.counts["splines.stable"]
+
+
+def test_traced_kernel_counts_the_ring_points(monkeypatch):
+    # the q = 0 sup calls the kernel through seminorm's binding, which the
+    # tracer wraps, so the counters see exactly the points the rings evaluate
+    kv = knots.family("equispaced", 256)
+    xs = seminorm.default_grid(256).points_avoiding(kv) / kv.n
+    in_support = np.count_nonzero((xs >= kv.xs[0]) & (xs < kv.xs[-1]))
+    counts = _traced_ring_points(monkeypatch, 0)
     assert counts["points"] == counts["in_support"] == 160 < in_support
+
+
+def test_traced_kernel_counts_the_ring_points_at_q2(monkeypatch):
+    # at q > 0 each ring is still one call of the traced binding, here two
+    # rings of 160 points; the certificate's rows at the four edge points of
+    # each ring come from bspline_stable_terms, which is not traced
+    counts = _traced_ring_points(monkeypatch, 2)
+    assert counts["points"] == counts["in_support"] == 320

@@ -468,12 +468,20 @@ def test_infinite_record_fails_run(monkeypatch, value):
     assert summary["nan_records"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
-def test_cli_corollary4_overflowing_weight_exits_1():
-    # |xi|^2000 overflows: error_value and noise_floor are both inf, and the
-    # run's own check reads inf <= inf
-    argv = ["corollary4", "--family", "equispaced", "--n", "8", "--N", "100000", "--p", "2000"]
-    assert cli.main(argv) == 1
+@pytest.mark.parametrize(
+    "argv",
+    [["corollary4", "--family", "equispaced", "--n", "8", "--N", "100000", "--p", "2000"],
+     ["corollary3", "--family", "equispaced", "--n", "8", "--r", "2", "--p", "2000"]],
+    ids=["corollary4", "corollary3"],
+)
+def test_cli_overflowing_weight_exits_2(monkeypatch, capsys, argv):
+    # |xi|^2000 would overflow to inf records; p + q <= 8 refuses it first
+    def no_work(*args):
+        raise AssertionError("work started before the configuration was checked")
+
+    monkeypatch.setattr(knots, "family", no_work)
+    assert cli.main(argv) == 2
+    assert "p + q <= 8" in capsys.readouterr().err
 
 
 def test_scaling_to_n1024():

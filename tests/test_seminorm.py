@@ -1,4 +1,7 @@
 
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -176,10 +179,10 @@ def test_corollary4_error_memory_bounded(monkeypatch, traced_peak):
     assert peak <= 4e6
 
 
-def _full_grid_errors(kv, ps, grid):
-    # the q = 0 sup at each p, with B(t/n) evaluated on every grid point
+def _full_grid_errors(kv, ps, grid, q=0):
+    # the order-q sup at each p, with B^(q)(t/n) evaluated on every grid point
     ts = grid.points_avoiding(kv)
-    diffs = hermite_function(0, ts) - bspline_stable_deriv(kv, ts / kv.n, 0)
+    diffs = (-1) ** q * hermite_function(q, ts) - bspline_stable_deriv(kv, ts / kv.n, q) / kv.n**q
     return [seminorm._weighted_sup(ts, diffs, p) for p in ps]
 
 
@@ -193,6 +196,29 @@ def test_ring_sup_matches_full_grid(family, n, wide):
     for p, ref in zip(ps, _full_grid_errors(kv, ps, grid)):
         res = seminorm.theorem1_error(kv, p, 0, grid)
         assert (res.value, res.argmax_t) == (ref.value, ref.argmax_t)
+
+
+@pytest.mark.parametrize("family", ["equispaced", "chebyshev", "uniform_random", "clustered"])
+@pytest.mark.parametrize("n", [8, 16, 64, 256])
+@pytest.mark.parametrize("wide", [False, True])
+def test_ring_sup_matches_full_grid_at_every_order(family, n, wide):
+    # B^(q) is not unimodal, but each of its rows is: the certificate on the
+    # rows and on the Hermite side past sqrt(4q + 6) keeps the whole grid's
+    # bits.  n = 256 takes p = 8 - q alone, and on the wide grid, where all
+    # 4001 points are in the support, one q per family: the whole-grid
+    # reference is the cost (5 s for the full product there)
+    kv = knots.family(family, n, seed=3)
+    grid = seminorm.GridSpec(20.0, 0.01) if wide else seminorm.default_grid(n)
+    qs = (1, 2, 4, 8)
+    if n == 256 and wide:
+        qs = (qs[knots.FAMILIES.index(family)],)
+    for q in qs:
+        if q > n - 4:
+            continue
+        ps = (8 - q,) if n == 256 else sorted({0, 8 - q})
+        for p, ref in zip(ps, _full_grid_errors(kv, ps, grid, q)):
+            res = seminorm.theorem1_error(kv, p, q, grid)
+            assert (res.value, res.argmax_t) == (ref.value, ref.argmax_t)
 
 
 def test_ring_sup_matches_full_grid_n512():
@@ -229,13 +255,56 @@ def test_ring_sup_stops_at_the_central_rings(monkeypatch, p, grid, sizes):
     assert seen == sizes
 
 
-def test_derivative_orders_evaluate_the_whole_grid(monkeypatch):
-    kv = knots.family("equispaced", 64)
-    grid = seminorm.default_grid(64)
+@pytest.mark.parametrize(
+    "family, n, p, q, grid, sizes",
+    [("equispaced", 64, 0, 1, None, [160]),
+     ("equispaced", 1024, 0, 2, None, [160, 160]),
+     ("equispaced", 256, 4, 4, None, [160, 160, 320]),
+     ("equispaced", 256, 0, 2, seminorm.GridSpec(8.0, 0.05), [160, 161]),
+     ("equispaced", 12, 0, 4, None, [160, 160]),
+     ("clustered", 64, 6, 2, None, [160, 160, 320])],
+    ids=["n64-q1", "n1024-q2", "n256-p4-q4", "T8-q2", "n12-q4", "clustered-p6-q2"],
+)
+def test_derivative_orders_stop_at_the_central_rings(monkeypatch, family, n, p, q, grid, sizes):
+    # 2215 of the 40961 default-grid points at n = 1024 are in the support,
+    # and on [-8, 8] the two rings are the whole grid.  At n = 12, q = 4 the
+    # Hermite side is certified only past sqrt 22 > 4, so the first ring
+    # cannot close; on clustered knots at (6, 2) the edge's positive rows P
+    # keep the second ring open.  The rows of the certificate, four edge
+    # points a ring, come from bspline_stable_terms, which the spy does not see
+    kv = knots.family(family, n, seed=3)
+    grid = grid or seminorm.default_grid(n)
     seen = _kernel_calls(monkeypatch)
-    seminorm.theorem1_error(kv, 0, 1, grid)
-    seminorm.corollary2_error(kv, 2, 0, 2, grid)
-    assert seen == [grid.points().size] * 2
+    seminorm.theorem1_error(kv, p, q, grid)
+    assert seen == sizes
+
+
+def test_corollary2_stops_at_the_central_rings(monkeypatch):
+    kv = knots.family("equispaced", 64)
+    seen = _kernel_calls(monkeypatch)
+    seminorm.corollary2_error(kv, 2, 0, 2, seminorm.default_grid(64))
+    assert seen == [160, 160]
+
+
+@pytest.mark.parametrize("q", range(9))
+def test_hermite_side_against_mpmath(q):
+    # the ring certificate's Hermite side: within 1e-13 relative of
+    # He_q(t) phi(t) on sqrt(4q + 6) <= |t| <= 37 (the worst measured was
+    # 5.6e-14, from the rounding of t^2 / 2 under exp), below 1e-284 in
+    # magnitude up to |t| = 38.61 and exactly 0 past it, where e^{-t^2/2}
+    # rounds to 0
+    mid = np.linspace(math.sqrt(4 * q + 6), 37.0, 60)
+    ts = np.concatenate([mid, -mid])
+    got = hermite_function(q, ts)
+    with mp.workdps(40):
+        for t, g in zip(ts.tolist(), got.tolist()):
+            x = mp.mpf(t)
+            exact = mp.hermite(q, x / mp.sqrt(2)) / mp.sqrt(2) ** q * mp.npdf(x)
+            assert abs(g - exact) <= 1e-13 * abs(exact)
+    tail = np.linspace(37.0, 38.6, 41)
+    assert np.all(np.abs(hermite_function(q, np.r_[tail, -tail])) < 1e-284)
+    far = np.array([38.61, 40.0, 64.0, 1e5])
+    assert np.all(hermite_function(q, np.r_[far, -far]) == 0)
 
 
 @pytest.mark.parametrize("n", [16, 64, 256])

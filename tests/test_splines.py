@@ -53,15 +53,21 @@ def test_frozen_values():
 
 
 def test_stable_derivative_matches_exponent_reduction():
-    # S_r(t) = (-1)^r B^(r)(t) / (n-2)(n-3)...(n-1-r), both sides exact routes
-    kv = knots.family("uniform_random", 9, seed=8)
-    n = kv.n
-    for r in (1, 2, 3):
-        fall = math.prod(n - 2 - i for i in range(r))
-        for t in (-0.4, 0.05, 0.3):
-            naive = splines.bspline_naive(kv, t, r)
-            stable = (-1) ** r * splines.bspline_stable_deriv(kv, t, r) / fall
-            assert stable == pytest.approx(naive, rel=1e-11, abs=1e-13)
+    # S_r(t) = (-1)^r B^(r)(t) / (n-2)(n-3)...(n-1-r), both sides exact routes,
+    # on seven points across the support.  The error is measured against the
+    # largest |S_r| of the seven, since B^(r) crosses zero; the worst was
+    # 8.6e-13 of it (clustered, n = 64, r = 3), from the cancellation of the
+    # r + 1 products of mixed sign
+    for kind in knots.FAMILIES:
+        for n in (9, 16, 64):
+            kv = knots.family(kind, n, seed=8)
+            lo, hi = float(kv.xs[0]), float(kv.xs[-1])
+            ts = lo + (hi - lo) * (np.arange(7) + 0.5) / 7
+            for r in (1, 2, 3, 4):
+                fall = math.prod(n - 2 - i for i in range(r))
+                naive = np.array([splines.bspline_naive(kv, float(t), r) for t in ts])
+                stable = (-1) ** r * splines.bspline_stable_deriv(kv, ts, r) / fall
+                np.testing.assert_allclose(stable, naive, rtol=0, atol=2e-12 * np.max(np.abs(naive)))
 
 
 def test_bspline_scaled_matches_naive():
@@ -94,8 +100,31 @@ def test_vectorized_matches_scalar():
     ts = np.linspace(-0.8, 0.8, 17)
     vec = splines.bspline_stable_deriv(kv, ts, 2)
     scal = np.array([splines.bspline_stable_deriv(kv, float(t), 2) for t in ts])
-    # batched and scalar paths may sum in different orders; allow 1-ulp drift
-    np.testing.assert_allclose(vec, scal, rtol=1e-14, atol=1e-300)
+    # the rows are summed by a row loop, whose sum at a point is its own
+    np.testing.assert_array_equal(vec, scal)
+
+
+@pytest.mark.parametrize("q", [0, 1, 2, 4, 8])
+def test_kernel_values_do_not_depend_on_the_batch(q):
+    # sub-calls of 1, 2, 3, 5 and 17 points, and scalar calls, against the
+    # same points inside one 401-point call.  Summed as coeffs @ rows, 303 of
+    # these 1160 calls got other bits (none at q = 0), and as
+    # (c[:, None] * rows).sum(axis=0) 22, all at q = 8, where numpy's
+    # pairwise sum reorders the products
+    for kind in knots.FAMILIES:
+        for n in (12, 64):
+            kv = knots.family(kind, n, seed=1)
+            lo, hi = float(kv.xs[0]), float(kv.xs[-1])
+            ts = lo + (hi - lo) * (np.arange(401) + 0.5) / 401
+            whole = splines.bspline_stable_deriv(kv, ts, q)
+            for size in (1, 2, 3, 5, 17):
+                for start in (0, 97, 201, 383):
+                    part = slice(start, start + size)
+                    np.testing.assert_array_equal(
+                        splines.bspline_stable_deriv(kv, ts[part], q), whole[part]
+                    )
+            for i in range(0, 401, 50):
+                assert splines.bspline_stable_deriv(kv, float(ts[i]), q) == whole[i]
 
 
 def test_vectorized_matches_scalar_bitwise_at_q0():
@@ -136,10 +165,13 @@ def _row_loop_levels(xs, ts, orders):
 
 
 def _row_loop_deriv(kv, levels, q, cols=slice(None)):
-    # cols picks points of the reference triangle; a contiguous copy keeps
-    # the product's layout that of a triangle over those points alone
+    # cols picks points of the reference triangle; the rows are summed in the
+    # kernel's row-loop order, c_0 N_0 + c_1 N_1 + ... point by point
     coeffs, order = splines._deriv_coeffs(kv.xs, q)
-    vals = coeffs @ np.ascontiguousarray(levels[order][: coeffs.size, cols])
+    rows = levels[order][: coeffs.size, cols]
+    vals = coeffs[0] * rows[0]
+    for c, row in zip(coeffs[1:], rows[1:]):
+        vals = vals + c * row
     return vals / (kv.xs[-1] - kv.xs[0])
 
 
